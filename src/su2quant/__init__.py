@@ -20,7 +20,6 @@ from .heat import HeatKernelK, calibrate_nu, heat_flow, nu, nu_radial, rho
 from .sde import (
     BrownianPath,
     EndpointEnsemble,
-    EndpointSample,
     endpoint_ensemble_K,
     endpoint_ensemble_KC,
     ito_map_K,

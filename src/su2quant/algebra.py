@@ -72,26 +72,43 @@ def algebra_inner(a: AlgebraVector, b: AlgebraVector) -> float:
 # exponentials
 # ---------------------------------------------------------------------------
 
-def expm_traceless(m: np.ndarray) -> np.ndarray:
-    """exp of traceless 2x2 matrices, vectorized over leading axes.
+def algebra_entries(z):
+    """Entries ``(m00, m01, m10)`` of ``M = sum_k z_k X_k``; ``m11 = -m00``.
 
-    Uses ``M^2 = -det(M) I``: with ``mu = sqrt(-det M)``,
-    ``exp(M) = cosh(mu) I + sinhc(mu) M``.
+    ``z`` holds real or complex coordinates on its last axis (..., 3).
     """
-    m = np.asarray(m, dtype=complex)
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    mu = np.sqrt(-det + 0j)
+    z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
+    return -0.5j * z3, -0.5j * z1 - 0.5 * z2, -0.5j * z1 + 0.5 * z2
+
+
+def exp_entries(m00, m01, m10):
+    """Entries ``(e00, e01, e10, e11)`` of exp(M), M = [[m00, m01], [m10, -m00]].
+
+    Elementwise over arrays of any shape.  Uses ``M^2 = mu^2 I`` with
+    ``mu^2 = m00^2 + m01 m10 = -det M``: ``exp(M) = cosh(mu) I + sinhc(mu) M``.
+    Both factors are even in ``mu``, so the branch of the root does not matter.
+    """
+    mu = np.sqrt(m00 * m00 + m01 * m10 + 0j)
     c = np.cosh(mu)
     # sinh(mu)/mu with a series fallback near 0
     small = np.abs(mu) < 1e-6
     mu_safe = np.where(small, 1.0, mu)
-    s = np.where(small, 1.0 + mu**2 / 6.0, np.sinh(mu_safe) / mu_safe)
-    out = np.zeros(m.shape, dtype=complex)
-    out[..., 0, 0] = c + s * m[..., 0, 0]
-    out[..., 0, 1] = s * m[..., 0, 1]
-    out[..., 1, 0] = s * m[..., 1, 0]
-    out[..., 1, 1] = c + s * m[..., 1, 1]
+    s = np.where(small, 1.0 + mu * mu / 6.0, np.sinh(mu_safe) / mu_safe)
+    sm00 = s * m00
+    return c + sm00, s * m01, s * m10, c - sm00
+
+
+def matrix_from_entries(e00, e01, e10, e11) -> np.ndarray:
+    """Stack four same-shaped entry arrays into matrices (..., 2, 2)."""
+    out = np.empty(np.shape(e00) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = e00, e01, e10, e11
     return out
+
+
+def expm_traceless(m: np.ndarray) -> np.ndarray:
+    """exp of traceless 2x2 matrices, vectorized over leading axes."""
+    m = np.asarray(m, dtype=complex)
+    return matrix_from_entries(*exp_entries(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0]))
 
 
 def exp_algebra(y, scale: float = 1.0) -> np.ndarray:
@@ -102,16 +119,13 @@ def exp_algebra(y, scale: float = 1.0) -> np.ndarray:
     """
     if isinstance(y, AlgebraVector):
         y = y.coords
-    y = np.asarray(y, dtype=float) * scale
-    m = np.einsum("...k,kab->...ab", y, BASIS)
-    return expm_traceless(m)
+    return exp_complex(np.asarray(y, dtype=float) * scale)
 
 
 def exp_complex(z) -> np.ndarray:
     """exp(sum_k z_k X_k) in SL(2,C) for complex coordinates z (..., 3)."""
     z = np.asarray(z, dtype=complex)
-    m = np.einsum("...k,kab->...ab", z, BASIS)
-    return expm_traceless(m)
+    return matrix_from_entries(*exp_entries(*algebra_entries(z)))
 
 
 def random_su2(rng: np.random.Generator, n: int | None = None) -> np.ndarray:

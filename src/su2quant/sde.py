@@ -13,10 +13,14 @@ Endpoint laws produced here:
   two-parameter measure mu_{s,t} on SL(2,C);
 * the slice A = 0 (s = t/2): the subelliptic kernel mu_{t/2,t}.
 
+Every path runs through one kernel, ``_walk``: a batch of group elements is
+held as four complex entry arrays, and a step is a few elementwise products
+with the entries of the closed-form step exponential.
+
 Reductions are deterministic and independent of the worker count: paths are
 organized in a fixed number of blocks, each block owns a generator derived
 from the master seed by its block index, and block results are combined in
-block order.
+block order.  Workers map over slabs of consecutive blocks.
 """
 
 from __future__ import annotations
@@ -26,36 +30,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ad_action, exp_algebra, exp_complex
+from .algebra import ad_action, algebra_entries, exp_entries, matrix_from_entries
 from .wigner import character
 
 DEFAULT_N_BLOCKS = 40
 REPROJECT_EVERY = 64
+# Consecutive blocks share a slab of up to this many paths.  Narrow slabs
+# keep the working set in cache and the peak memory flat.
+SLAB_PATHS = 2048
 
 
 @dataclass
 class BrownianPath:
-    """A single algebra-valued path on [0, 1] with n_steps increments."""
+    """Algebra-valued paths on [0, 1]; leading axes of (..., n_steps, 3) index draws."""
 
-    increments: np.ndarray  # (n_steps, 3)
+    increments: np.ndarray
     sigma_sq: float
     seed: int | None = None
 
     @property
     def n_steps(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[-2]
 
     @property
     def dt(self) -> float:
         return 1.0 / self.n_steps
-
-
-@dataclass
-class EndpointSample:
-    value: np.ndarray  # (2, 2)
-    weight: complex = 1.0
-    seed: int | None = None
-    n_steps: int = 0
 
 
 def sample_path(sigma_sq: float, n_steps: int, seed: int) -> BrownianPath:
@@ -69,58 +68,85 @@ def sample_path(sigma_sq: float, n_steps: int, seed: int) -> BrownianPath:
     return BrownianPath(increments=inc, sigma_sq=sigma_sq, seed=seed)
 
 
-def _project_su2(g: np.ndarray) -> np.ndarray:
-    """Pull near-unitary matrices back onto SU(2).
+# ---------------------------------------------------------------------------
+# the kernel: a batch of group elements as four entry arrays
+# ---------------------------------------------------------------------------
 
-    One Newton step toward the unitary polar factor, then determinant
-    normalization; drift per step is O(eps) so one step suffices.
+def _project_sl2c(g):
+    root = np.sqrt(g[0] * g[3] - g[1] * g[2])
+    return tuple(e / root for e in g)
+
+
+def _project_su2(g):
+    """Pull near-unitary elements back onto SU(2).
+
+    One Newton step toward the unitary polar factor, g <- (g + g^{-dag}) / 2,
+    then unit determinant; the drift is O(eps) per step, so one suffices.
     """
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    inv = np.empty_like(g)
-    inv[..., 0, 0] = g[..., 1, 1]
-    inv[..., 0, 1] = -g[..., 0, 1]
-    inv[..., 1, 0] = -g[..., 1, 0]
-    inv[..., 1, 1] = g[..., 0, 0]
-    inv /= det[..., None, None]
-    g = 0.5 * (g + np.conj(np.swapaxes(inv, -1, -2)))
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    return g / np.sqrt(det)[..., None, None]
+    g00, g01, g10, g11 = g
+    cdet = np.conj(g00 * g11 - g01 * g10)
+    return _project_sl2c((
+        0.5 * (g00 + np.conj(g11) / cdet),
+        0.5 * (g01 - np.conj(g10) / cdet),
+        0.5 * (g10 - np.conj(g01) / cdet),
+        0.5 * (g11 + np.conj(g00) / cdet),
+    ))
 
 
-def _project_sl2c(g: np.ndarray) -> np.ndarray:
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    return g / np.sqrt(det)[..., None, None]
+def _walk(shape, steps, project):
+    """Yield the states g_0 = 1, g_{k+1} = g_k exp(M_k) as entry tuples.
 
-
-def ito_map_K(path: BrownianPath, return_states: bool = False):
-    """Endpoint (or full state sequence) of dx = x o dA on SU(2).
-
-    The returned states have length n_steps + 1 and start at the identity;
-    states[k] is the solution at time k * dt.
+    ``steps`` yields the entries (m00, m01, m10) of each traceless M_k; every
+    REPROJECT_EVERY steps the state is pulled back onto the group.
     """
-    x = np.eye(2, dtype=complex)
-    states = [x]
-    for k, da in enumerate(path.increments):
-        x = x @ exp_algebra(da)
+    one, zero = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    g00, g01, g10, g11 = g = (one, zero, zero, one)
+    yield g
+    for k, m in enumerate(steps):
+        e00, e01, e10, e11 = exp_entries(*m)
+        g = (g00 * e00 + g01 * e10, g00 * e01 + g01 * e11,
+             g10 * e00 + g11 * e10, g10 * e01 + g11 * e11)
         if (k + 1) % REPROJECT_EVERY == 0:
-            x = _project_su2(x)
-        if return_states:
-            states.append(x)
-    if return_states:
-        return np.array(states)
-    return EndpointSample(value=x, seed=path.seed, n_steps=path.n_steps)
+            g = project(g)
+        g00, g01, g10, g11 = g
+        yield g
 
 
-def ito_map_KC(a: BrownianPath, b: BrownianPath) -> EndpointSample:
-    """Endpoint of dg = g o d(A + iB) on SL(2,C)."""
-    if a.n_steps != b.n_steps:
+def _last(states) -> np.ndarray:
+    """The final state of a walk as matrices (..., 2, 2)."""
+    for g in states:
+        pass
+    return matrix_from_entries(*g)
+
+
+def _check_grid(a: BrownianPath, b: BrownianPath) -> None:
+    if a.increments.shape != b.increments.shape:
         raise ValueError("paths must share the step grid")
-    g = np.eye(2, dtype=complex)
-    for k in range(a.n_steps):
-        g = g @ exp_complex(a.increments[k] + 1j * b.increments[k])
-        if (k + 1) % REPROJECT_EVERY == 0:
-            g = _project_sl2c(g)
-    return EndpointSample(value=g, seed=a.seed, n_steps=a.n_steps)
+
+
+def _real_states(a: BrownianPath):
+    steps = (algebra_entries(a.increments[..., k, :]) for k in range(a.n_steps))
+    return _walk(a.increments.shape[:-2], steps, _project_su2)
+
+
+def _rotated(b: BrownianPath, states):
+    """Coordinates of Ad_{x_k} dB_k, taking x_0, x_1, ... from ``states``."""
+    # zip stops on the range before it draws x_n, which ``states`` yields next
+    for k, x in zip(range(b.n_steps), states):
+        yield ad_action(matrix_from_entries(*x), b.increments[..., k, :])
+
+
+def ito_map_K(path: BrownianPath) -> np.ndarray:
+    """Endpoints (..., 2, 2) of dx = x o dA on SU(2)."""
+    return _last(_real_states(path))
+
+
+def ito_map_KC(a: BrownianPath, b: BrownianPath) -> np.ndarray:
+    """Endpoints (..., 2, 2) of dg = g o d(A + iB) on SL(2,C)."""
+    _check_grid(a, b)
+    za, zb = a.increments, b.increments
+    steps = (algebra_entries(za[..., k, :] + 1j * zb[..., k, :]) for k in range(a.n_steps))
+    return _last(_walk(za.shape[:-2], steps, _project_sl2c))
 
 
 def rotated_path(b: BrownianPath, a: BrownianPath) -> BrownianPath:
@@ -130,71 +156,38 @@ def rotated_path(b: BrownianPath, a: BrownianPath) -> BrownianPath:
     limit its law is again Brownian, which is what makes the pathwise
     factorization identity work.
     """
-    if a.n_steps != b.n_steps:
-        raise ValueError("paths must share the step grid")
-    states = ito_map_K(a, return_states=True)
-    inc = ad_action(states[:-1], b.increments)
+    _check_grid(a, b)
+    inc = np.stack(list(_rotated(b, _real_states(a))), axis=-2)
     return BrownianPath(increments=inc, sigma_sq=b.sigma_sq, seed=b.seed)
 
 
-def pathwise_identity_residual(a: BrownianPath, b: BrownianPath) -> float:
+def pathwise_identity_residual(a: BrownianPath, b: BrownianPath):
     """Frobenius distance between theta_C(A+iB)_1 and theta_C(iB^{theta(A)})_1 theta(A)_1.
 
     Both sides are computed from the same increments at the same
     discretization; the residual measures only the discretization error of
-    the factorization identity.
+    the factorization identity.  A pair of single paths gives a float, a
+    batch an array with one residual per draw.  theta(A) and theta_C(iB')
+    advance in lockstep, so each rotated increment is formed when its step
+    is taken and never stored.
     """
-    lhs = ito_map_KC(a, b).value
-    zero = BrownianPath(
-        increments=np.zeros_like(a.increments), sigma_sq=0.0, seed=a.seed
-    )
-    b_rot = rotated_path(b, a)
-    rhs = ito_map_KC(zero, b_rot).value @ ito_map_K(a).value
-    return float(np.linalg.norm(lhs - rhs))
+    _check_grid(a, b)
+    states = _real_states(a)
+    steps = (algebra_entries(1j * db) for db in _rotated(b, states))
+    rhs = _last(_walk(a.increments.shape[:-2], steps, _project_sl2c))
+    rhs = rhs @ matrix_from_entries(*next(states))
+    res = np.linalg.norm(ito_map_KC(a, b) - rhs, axis=(-2, -1))
+    return float(res) if res.ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------
-# vectorized endpoint ensembles
+# endpoint ensembles
 # ---------------------------------------------------------------------------
 
 def _block_rng(master_seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(block,))
     )
-
-
-def _simulate_block(
-    rng: np.random.Generator,
-    n: int,
-    n_steps: int,
-    var_a: float,
-    var_b: float,
-    with_real: bool,
-):
-    """Endpoints of n complex paths; optionally also the real-part endpoints.
-
-    The real and imaginary increments are drawn per step (not pre-allocated)
-    to keep the memory footprint independent of n_steps.
-    """
-    dt = 1.0 / n_steps
-    sa = np.sqrt(var_a * dt)
-    sb = np.sqrt(var_b * dt)
-    g = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    x = g.copy() if with_real else None
-    for k in range(n_steps):
-        da = sa * rng.standard_normal((n, 3)) if var_a > 0 else 0.0
-        db = sb * rng.standard_normal((n, 3)) if var_b > 0 else 0.0
-        dz = np.asarray(da, dtype=complex) + 1j * db
-        if np.ndim(dz) == 0:
-            dz = np.zeros((n, 3), dtype=complex)
-        g = g @ exp_complex(dz)
-        if with_real:
-            x = x @ exp_algebra(np.asarray(da) if var_a > 0 else np.zeros((n, 3)))
-        if (k + 1) % REPROJECT_EVERY == 0:
-            g = _project_sl2c(g)
-            if with_real:
-                x = _project_su2(x)
-    return (g, x) if with_real else (g, None)
 
 
 @dataclass
@@ -207,7 +200,6 @@ class EndpointEnsemble:
     master_seed: int
     var_a: float
     var_b: float
-    real_values: np.ndarray | None = None  # theta(A)_1 companions
 
     @property
     def n_paths(self) -> int:
@@ -234,40 +226,52 @@ def endpoint_ensemble_KC(
     master_seed: int,
     workers: int = 1,
     n_blocks: int = DEFAULT_N_BLOCKS,
-    with_real: bool = False,
 ) -> EndpointEnsemble:
     """Sample mu_{s,t} endpoints; s = t/2 gives the subelliptic kernel.
 
-    The block decomposition and per-block seeds depend only on
-    (master_seed, n_paths, n_blocks, n_steps), never on the worker count.
+    The block decomposition, per-block seeds and slabs depend only on
+    (master_seed, n_paths, n_blocks, n_steps), never on the worker count, so
+    the endpoints are byte-identical whatever ``workers`` is.
     """
     var_a = s - t / 2.0
     var_b = t / 2.0
     if var_a < -1e-12 or var_b < 0:
         raise ValueError("need s >= t/2 and t >= 0")
     var_a = max(var_a, 0.0)
+    dt = 1.0 / n_steps
+    sa, sb = np.sqrt(var_a * dt), np.sqrt(var_b * dt)
     sizes = [len(idx) for idx in np.array_split(np.arange(n_paths), n_blocks)]
+    # block sizes differ by at most one, so each slab takes the same count
+    per_slab = max(1, SLAB_PATHS // max(1, max(sizes)))
+    slabs = [range(i, min(i + per_slab, n_blocks)) for i in range(0, n_blocks, per_slab)]
 
-    def run_block(i: int):
-        return _simulate_block(
-            _block_rng(master_seed, i), sizes[i], n_steps, var_a, var_b, with_real
-        )
+    def run_slab(blocks: range) -> np.ndarray:
+        # at every step each block draws its real, then its imaginary
+        # increments from its own generator into its rows of the slab buffers
+        n = [sizes[i] for i in blocks]
+        da, db = np.zeros((sum(n), 3)), np.zeros((sum(n), 3))
+        cuts = np.cumsum(n)[:-1]
+        rngs = [_block_rng(master_seed, i) for i in blocks]
+        draws = list(zip(rngs, np.split(da, cuts), np.split(db, cuts)))
+
+        def steps():
+            for _ in range(n_steps):
+                for rng, da_rows, db_rows in draws:
+                    if var_a > 0:
+                        rng.standard_normal(out=da_rows)
+                    if var_b > 0:
+                        rng.standard_normal(out=db_rows)
+                yield algebra_entries(sa * da + 1j * (sb * db))
+
+        return _last(_walk(sum(n), steps(), _project_sl2c))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, range(n_blocks)))
+            results = list(pool.map(run_slab, slabs))
     else:
-        results = [run_block(i) for i in range(n_blocks)]
-    values = np.concatenate([r[0] for r in results])
-    real = np.concatenate([r[1] for r in results]) if with_real else None
+        results = [run_slab(blocks) for blocks in slabs]
     return EndpointEnsemble(
-        values=values,
-        n_blocks=n_blocks,
-        n_steps=n_steps,
-        master_seed=master_seed,
-        var_a=var_a,
-        var_b=var_b,
-        real_values=real,
+        np.concatenate(results), n_blocks, n_steps, master_seed, var_a, var_b
     )
 
 
@@ -281,16 +285,11 @@ def endpoint_ensemble_K(
 ) -> EndpointEnsemble:
     """Sample rho_s endpoints on SU(2)."""
     ens = endpoint_ensemble_KC(
-        s + 0.0,
-        0.0,
-        n_paths,
-        n_steps,
-        master_seed,
-        workers=workers,
-        n_blocks=n_blocks,
+        s + 0.0, 0.0, n_paths, n_steps, master_seed, workers=workers, n_blocks=n_blocks
     )
-    # var_b = 0 so the endpoints are already in SU(2) up to drift
-    ens.values = _project_su2(ens.values)
+    # var_b = 0 so the endpoints are already in SU(2) up to drift; the rows
+    # of values.reshape(-1, 4).T are the entries g00, g01, g10, g11
+    ens.values = matrix_from_entries(*_project_su2(tuple(ens.values.reshape(-1, 4).T)))
     return ens
 
 

@@ -39,6 +39,35 @@ def test_load_config_diagnostics(tmp_path):
         load_config(str(p), None)
 
 
+@pytest.mark.parametrize(
+    "user, field",
+    [
+        ({"n_steps": 0}, "n_steps"),
+        ({"n_paths": -5}, "n_paths"),
+        ({"n_paths": True}, "n_paths"),
+        ({"euclid_degree_max": False}, "euclid_degree_max"),
+        ({"quadrature": {"n_r": 8, "n_rho": 4}}, "quadrature.n_rho"),
+    ],
+)
+def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(user))
+    code = main(["toeplitz-diff", "--config", str(p), "--out", str(tmp_path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_quadrature_merged_over_defaults(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"quadrature": {"n_r": 8}, "t_values": [0.5]}))
+    assert load_config(str(p), None)["quadrature"] == {**DEFAULTS["quadrature"], "n_r": 8}
+    code = main(["transform-check", "--config", str(p), "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert code == (0 if report["passed"] else 1)
+    assert len(report["checks"]) == 3
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"bogus": 1}))

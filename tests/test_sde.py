@@ -51,18 +51,48 @@ def test_endpoint_gaussian_ks():
 
 def test_ito_map_zero_path_is_identity():
     z = BrownianPath(np.zeros((20, 3)), 0.0)
-    np.testing.assert_allclose(ito_map_K(z).value, np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(ito_map_KC(z, z).value, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(ito_map_K(z), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(ito_map_KC(z, z), np.eye(2), atol=1e-14)
 
 
 def test_ito_map_group_membership():
     a = sample_path(1.0, 500, SEED)
-    x = ito_map_K(a).value
+    x = ito_map_K(a)
     np.testing.assert_allclose(x @ np.conj(x.T), np.eye(2), atol=1e-10)
     b = sample_path(0.5, 500, SEED + 1)
-    g = ito_map_KC(a, b).value
+    g = ito_map_KC(a, b)
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     assert abs(det - 1.0) < 1e-10
+
+
+def test_kernel_matches_product_of_matrix_exponentials():
+    # reference: the left-to-right product of expm(sum_k z_k X_k), step by step
+    from scipy.linalg import expm
+
+    from su2quant.algebra import BASIS
+
+    rng = np.random.default_rng(SEED)
+    a = BrownianPath(0.2 * rng.standard_normal((4, 70, 3)), 0.0)
+    b = BrownianPath(0.2 * rng.standard_normal((4, 70, 3)), 0.0)
+    for kernel, z in (
+        (ito_map_K(a), a.increments + 0j),
+        (ito_map_KC(a, b), a.increments + 1j * b.increments),
+    ):
+        for p in range(4):
+            ref = np.eye(2, dtype=complex)
+            for dz in z[p]:
+                ref = ref @ expm(np.einsum("k,kab->ab", dz, BASIS))
+            np.testing.assert_allclose(kernel[p], ref, rtol=0, atol=1e-12)
+
+
+def test_pathwise_batch_equals_pairs():
+    draws = [(sample_path(0.75, 80, SEED + k), sample_path(0.25, 80, SEED + 9 + k)) for k in range(5)]
+    a = BrownianPath(np.stack([p.increments for p, _ in draws]), 0.75)
+    b = BrownianPath(np.stack([q.increments for _, q in draws]), 0.25)
+    batch = pathwise_identity_residual(a, b)
+    assert batch.shape == (5,)
+    for k, (ak, bk) in enumerate(draws):
+        assert batch[k] == pytest.approx(pathwise_identity_residual(ak, bk), rel=1e-10)
 
 
 def test_rotated_path_properties():
@@ -170,3 +200,5 @@ def test_mismatched_paths_rejected():
         ito_map_KC(a, b)
     with pytest.raises(ValueError):
         rotated_path(b, a)
+    with pytest.raises(ValueError):
+        pathwise_identity_residual(a, b)
