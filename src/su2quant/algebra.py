@@ -250,6 +250,58 @@ def haar_rule(total_two_j: int) -> QuadratureRuleK:
     return QuadratureRuleK(nodes=nodes, weights=weights, total_two_j=total_two_j)
 
 
+@dataclass
+class ClassRuleK:
+    """Rule over h in K for integrands F(g h^{-1}) G(h) with F, G class functions.
+
+    A node is a class angle b of h and the cosine c between the rotation
+    axes of a fixed g and of h.  ``weights`` sum to Vol(K).
+    """
+
+    cos_b: np.ndarray  # (N,)
+    sin_b_c: np.ndarray  # (N,) sin(b) * c
+    weights: np.ndarray  # (N,) positive
+
+    @property
+    def traces(self) -> np.ndarray:
+        """tr(h) = 2 cos b at every node."""
+        return 2.0 * self.cos_b
+
+    def traces_against(self, traces_g: np.ndarray) -> np.ndarray:
+        """tr(g h^{-1}) = 2(cos a cos b + sin a sin b c), shape (p, N), from tr(g) = 2 cos a."""
+        cos_a = 0.5 * np.asarray(traces_g, dtype=float)
+        sin_a = np.sqrt(np.clip(1.0 - cos_a**2, 0.0, None))
+        return 2.0 * (np.outer(cos_a, self.cos_b) + np.outer(sin_a, self.sin_b_c))
+
+
+def weyl_rule(total_two_j: int, axis_two_j: int) -> ClassRuleK:
+    """2-D rule for the convolution integrand chi_j(g h^{-1}) chi_j'(h) over h in K.
+
+    Weyl reduction: with h = (cos b, sin b m) a unit quaternion and c the
+    cosine between the axes of g and h,
+
+        int_K F dh = Vol(K) (2/pi) int_0^pi sin^2 b int_{-1}^{1} F dc/2 db,
+
+    and tr(g h^{-1}) = 2(cos a cos b + sin a sin b c) for tr(g) = 2 cos a.
+    The b-rule is Gauss-Chebyshev of the second kind in x = cos b (nodes
+    b_k = k pi/(n_b+1), weights pi/(n_b+1) sin^2 b_k), the c-rule
+    Gauss-Legendre.  Exact when 2 j + 2 j' <= total_two_j and
+    2 j <= axis_two_j: the integrand is then a polynomial of degree
+    <= total_two_j in cos b and <= axis_two_j in c.
+    """
+    n_b = total_two_j // 2 + 1  # exact to degree 2 n_b - 1 >= total_two_j
+    n_c = axis_two_j // 2 + 1
+    b = np.pi * np.arange(1, n_b + 1) / (n_b + 1)
+    c, wc = np.polynomial.legendre.leggauss(n_c)
+    # Vol(K) (2/pi) * pi/(n_b+1) sin^2 b * wc/2
+    wb = VOL_K * np.sin(b) ** 2 / (n_b + 1)
+    return ClassRuleK(
+        cos_b=np.repeat(np.cos(b), n_c),
+        sin_b_c=np.outer(np.sin(b), c).reshape(-1),
+        weights=np.outer(wb, wc).reshape(-1),
+    )
+
+
 def haar_quadrature_K(two_jmax: int) -> QuadratureRuleK:
     """Rule exact on products of two matrix entries with spin <= two_jmax/2."""
     if two_jmax > 24:

@@ -20,17 +20,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import haar_rule, kc_quadrature, random_su2, default_cutoff
+from .algebra import kc_quadrature, random_su2, default_cutoff
 from .diffop import LeftInvariantOperator, radial_symbol_table
 from .euclid import HermiteExpansion, euclid_toeplitz_check
-from .heat import HeatKernelK, calibrate_nu, choose_two_jmax, nu_radial
+from .heat import calibrate_nu, nu_radial, semigroup_sup_error
 from .hl2 import hl2_inner
 from .sde import (
+    DEFAULT_N_BLOCKS,
     BrownianPath,
     character_moment,
     endpoint_ensemble_K,
@@ -85,6 +87,15 @@ class ConfigError(Exception):
     pass
 
 
+def _positive_time(value) -> bool:
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
 def load_config(path: str | None, seed_override: int | None) -> dict:
     cfg = json.loads(json.dumps(DEFAULTS))
     if path is not None:
@@ -105,6 +116,18 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
                 )
             if key in _POSITIVE_COUNTS and value < 1:
                 raise ConfigError(f"config field '{key}': must be >= 1, got {value}")
+            if key == "n_paths" and value < DEFAULT_N_BLOCKS:
+                raise ConfigError(
+                    f"config field 'n_paths': must be >= {DEFAULT_N_BLOCKS}, "
+                    f"one path per Monte Carlo block, got {value}"
+                )
+            if key == "t" and not _positive_time(value):
+                raise ConfigError(f"config field 't': expected a finite number > 0, got {value}")
+            if key == "t_values" and not (value and all(map(_positive_time, value))):
+                raise ConfigError(
+                    f"config field 't_values': expected a non-empty list of finite numbers > 0, "
+                    f"got {value}"
+                )
             if key == "quadrature":
                 for q_key, q_value in value.items():
                     if q_key not in DEFAULTS["quadrature"]:
@@ -159,35 +182,17 @@ def cmd_calibrate(cfg: dict, workers: int):
 
 
 def cmd_heat_check(cfg: dict, workers: int):
-    checks = []
     rng = np.random.default_rng(cfg["master_seed"])
     grid = random_su2(rng, cfg["n_grid"])
     t, s = 0.2, 0.5
-    jt = choose_two_jmax(t, 0.0, 2e-9)
-    js = choose_two_jmax(s, 0.0, 2e-9)
-    rule = haar_rule(jt + js)
-    kt = HeatKernelK(t, jt, 0.0, 0.0)
-    ks = HeatKernelK(s, js, 0.0, 0.0)
-    kts = HeatKernelK.build(t + s, tol=1e-12)
-    rho_s_nodes = ks.on_traces(np.ascontiguousarray(np.einsum("qaa->q", rule.nodes).real))
-    inv_nodes = np.conj(np.swapaxes(rule.nodes, -1, -2))
-    wmul = rule.weights * rho_s_nodes
-    sup_err = 0.0
-    for start in range(0, len(grid), 50):
-        gp = grid[start:start + 50]
-        tr = np.ascontiguousarray(np.einsum("pab,qba->pq", gp, inv_nodes).real)
-        conv = kt.on_traces(tr) @ wmul
-        direct = kts.on_traces(np.ascontiguousarray(np.einsum("paa->p", gp).real))
-        sup_err = max(sup_err, float(np.max(np.abs(conv - direct))))
-    checks.append(
-        _check(
-            f"semigroup sup |rho_{t} * rho_{s} - rho_{t + s}| on {len(grid)} points",
-            sup_err,
-            "<= 1e-8",
-            sup_err <= 1e-8,
-        )
+    sup_err = semigroup_sup_error(t, s, np.einsum("paa->p", grid).real)
+    check = _check(
+        f"semigroup sup |rho_{t} * rho_{s} - rho_{t + s}| on {len(grid)} points",
+        sup_err,
+        "<= 1e-8",
+        sup_err <= 1e-8,
     )
-    return checks, []
+    return [check], []
 
 
 def cmd_transform_check(cfg: dict, workers: int):

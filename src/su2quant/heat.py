@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .algebra import VOL_K, kc_quadrature, polar_radius, default_cutoff
+from .algebra import VOL_K, kc_quadrature, polar_radius, default_cutoff, weyl_rule
 from .errors import IllConditioned, TruncationError
 from .hl2 import hl2_inner
 from .wigner import BandLimited, character, _casimir_two
@@ -207,6 +207,36 @@ def convolve_on_traces(traces: np.ndarray, kernel_weight_pairs):
                 coeff = (two_j + 1) * np.exp(-kern.t * j * (j + 1) / 2.0)
                 out += coeff * (chi @ w)
     return [out / VOL_K for out in outs]
+
+
+def semigroup_sup_error(t: float, s: float, traces: np.ndarray) -> float:
+    """sup |rho_t * rho_s - rho_{t+s}| over the points g with tr(g) = ``traces``.
+
+    Both convolution orders, (rho_t * rho_s)(g) = int_K rho_t(g h^{-1})
+    rho_s(h) dh and its swap, are taken on ``weyl_rule``: the integrand is a
+    class function in each factor, so by the Weyl reduction
+
+        int_K F dh = Vol(K) (2/pi) int_0^pi sin^2 b int_{-1}^{1} F dc/2 db,
+        tr(g h^{-1}) = 2(cos a cos b + sin a sin b c),
+
+    with tr(g) = 2 cos a, tr(h) = 2 cos b and c the cosine between the axes
+    of g and h.  rho_t and rho_s are cut at a 2e-9 tail and rho_{t+s} at
+    1e-12, so the rule is exact on the truncated series.
+    """
+    jt = choose_two_jmax(t, 0.0, 2e-9)
+    js = choose_two_jmax(s, 0.0, 2e-9)
+    kt = HeatKernelK(t, jt, 0.0, 0.0)
+    ks = HeatKernelK(s, js, 0.0, 0.0)
+    kts = HeatKernelK.build(t + s, tol=1e-12)
+    rule = weyl_rule(jt + js, max(jt, js))
+    rho_s_nodes, rho_t_nodes = ks.pair_on_traces(kt, rule.traces)
+    pairs = [(kt, rule.weights * rho_s_nodes)]
+    if s != t:
+        pairs.append((ks, rule.weights * rho_t_nodes))
+    traces = np.ascontiguousarray(traces, dtype=np.float64)
+    direct = kts.on_traces(traces)
+    convs = convolve_on_traces(rule.traces_against(traces), pairs)
+    return max(float(np.max(np.abs(conv - direct))) for conv in convs)
 
 
 def rho(t: float, g: np.ndarray, two_jmax: int | None = None, tol: float = 1e-8):

@@ -13,9 +13,11 @@ import numpy as np
 from .algebra import QuadratureRuleKC
 from .wigner import BandLimited, wigner_matrix
 
+K_CHUNK = 16  # K-nodes per contraction step
+
 
 def _factored_values(f: BandLimited, dx: dict, ey: dict) -> np.ndarray:
-    """f(x_q * exp(iY_p)) for all node pairs, shape (n_x, n_y)."""
+    """f(x_q * exp(iY_p)) for the K-nodes x_q of ``dx`` and every fiber node, shape (n_x, n_y)."""
     some = next(iter(dx.values()))
     vals = 0.0
     for two_j, c in f.blocks.items():
@@ -27,10 +29,17 @@ def _factored_values(f: BandLimited, dx: dict, ey: dict) -> np.ndarray:
     return vals
 
 
-def _rep_tables(rule: QuadratureRuleKC, spins: set[int]):
+def _chunked_tables(rule: QuadratureRuleKC, spins: set[int], chunk: int):
+    """(K-node slice, {2j: D^j(x)} on that slice, {2j: D^j(exp iY)}) per chunk of K-nodes.
+
+    Callers evaluate one chunk at a time: on large fiber rules a full
+    (n_x, n_y) table of values runs to hundreds of MB.
+    """
     dx = {two_j: wigner_matrix(two_j / 2.0, rule.k_rule.nodes) for two_j in spins}
     ey = {two_j: wigner_matrix(two_j / 2.0, rule.fiber_nodes) for two_j in spins}
-    return dx, ey
+    for start in range(0, len(rule.k_rule.weights), chunk):
+        part = slice(start, start + chunk)
+        yield part, {two_j: d[part] for two_j, d in dx.items()}, ey
 
 
 def hl2_inner(
@@ -46,16 +55,15 @@ def hl2_inner(
     fiber-invariant heat kernel profile); ``radial_symbol`` optionally
     multiplies in a radial Toeplitz symbol.
     """
-    spins = set(F1.blocks) | set(F2.blocks)
-    dx, ey = _rep_tables(rule, spins)
-    v1 = _factored_values(F1, dx, ey)
-    v2 = _factored_values(F2, dx, ey)
     wy = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
     if radial_symbol is not None:
         wy = wy * np.asarray(radial_symbol(rule.radii), dtype=complex)
-    return complex(
-        np.einsum("x,y,xy->", rule.k_rule.weights, wy, np.conj(v1) * v2)
-    )
+    kw = rule.k_rule.weights
+    total = 0.0 + 0.0j
+    for part, dx, ey in _chunked_tables(rule, set(F1.blocks) | set(F2.blocks), K_CHUNK):
+        v1, v2 = _factored_values(F1, dx, ey), _factored_values(F2, dx, ey)
+        total += kw[part] @ ((np.conj(v1) * v2) @ wy)
+    return complex(total)
 
 
 def hl2_inner_pointwise(
@@ -64,20 +72,16 @@ def hl2_inner_pointwise(
     rule: QuadratureRuleKC,
     radial_weight,
     symbol,
-    chunk: int = 16,
+    chunk: int = K_CHUNK,
 ) -> complex:
     """Same integral with a general pointwise symbol(g), chunked over K-nodes."""
-    spins = set(F1.blocks) | set(F2.blocks)
-    dx, ey = _rep_tables(rule, spins)
-    v1 = _factored_values(F1, dx, ey)
-    v2 = _factored_values(F2, dx, ey)
     wy = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
     kn, kw = rule.k_rule.nodes, rule.k_rule.weights
     fnodes = rule.fiber_nodes
     total = 0.0 + 0.0j
-    for start in range(0, len(kw), chunk):
-        g = np.einsum("xab,ybc->xyac", kn[start:start + chunk], fnodes)
+    for part, dx, ey in _chunked_tables(rule, set(F1.blocks) | set(F2.blocks), chunk):
+        v1, v2 = _factored_values(F1, dx, ey), _factored_values(F2, dx, ey)
+        g = np.einsum("xab,ybc->xyac", kn[part], fnodes)
         sym = np.asarray(symbol(g), dtype=complex)
-        band = np.conj(v1[start:start + chunk]) * v2[start:start + chunk]
-        total += np.einsum("x,y,xy,xy->", kw[start:start + chunk], wy, sym, band)
+        total += np.einsum("x,y,xy,xy->", kw[part], wy, sym, np.conj(v1) * v2)
     return complex(total)

@@ -20,8 +20,8 @@ import numpy as np
 from .algebra import QuadratureRuleKC, VOL_K
 from .errors import ParameterDomain
 from .heat import HeatKernelK, heat_flow, nu_radial
-from .hl2 import hl2_inner
-from .wigner import BandLimited, HolomorphicObservable, wigner_matrix
+from .hl2 import K_CHUNK, _chunked_tables, _factored_values, hl2_inner
+from .wigner import BandLimited, HolomorphicObservable
 
 
 def transform_C(t: float, f: BandLimited) -> HolomorphicObservable:
@@ -117,28 +117,21 @@ def adjoint_inversion_oracle(
     kern = HeatKernelK.build(t, rmax=rule.cutoff, tol=rho_tol)
     fw = rule.fiber_weights * nu_radial(t, rule.radii)
     kw = rule.k_rule.weights
-    # F at the factored nodes, shape (n_x, n_y)
-    vals = 0.0
-    for tj2, c in F.blocks.items():
-        d2x = wigner_matrix(tj2 / 2.0, rule.k_rule.nodes)
-        d2y = wigner_matrix(tj2 / 2.0, rule.fiber_nodes)
-        vals = vals + np.einsum("ab,xac,ycb->xy", c, d2x, d2y, optimize=True)
-    if np.ndim(vals) == 0:
-        vals = np.full((len(kw), len(fw)), complex(vals))
+    spins = range(0, min(two_jmax, kern.two_jmax) + 1)
+    m = {two_j: 0.0 for two_j in spins}
+    for part, dx, ey in _chunked_tables(rule, set(F.blocks) | set(spins), K_CHUNK):
+        weighted = _factored_values(F, dx, ey) * fw
+        for two_j in spins:
+            m[two_j] += np.einsum(
+                "x,xac,ycb,xy->ab",
+                kw[part],
+                np.conj(dx[two_j]),
+                np.conj(ey[two_j]),
+                weighted,
+                optimize=True,
+            )
     blocks = {}
-    for two_j in range(0, min(two_jmax, kern.two_jmax) + 1):
+    for two_j in spins:
         j = two_j / 2.0
-        dx = wigner_matrix(j, rule.k_rule.nodes)
-        ey = wigner_matrix(j, rule.fiber_nodes)
-        m = np.einsum(
-            "x,y,xac,ycb,xy->ab",
-            kw,
-            fw,
-            np.conj(dx),
-            np.conj(ey),
-            vals,
-            optimize=True,
-        )
-        coeff = (two_j + 1) * np.exp(-t * j * (j + 1) / 2.0) / VOL_K
-        blocks[two_j] = coeff * m
+        blocks[two_j] = (two_j + 1) * np.exp(-t * j * (j + 1) / 2.0) / VOL_K * m[two_j]
     return BandLimited(blocks).prune(1e-12)

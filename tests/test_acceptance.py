@@ -12,16 +12,11 @@ import numpy as np
 import pytest
 from conftest import record_gate
 
-from su2quant.algebra import default_cutoff, haar_rule, kc_quadrature, random_su2
+from su2quant.algebra import default_cutoff, kc_quadrature, random_su2
 from su2quant.cli import main as cli_main
 from su2quant.diffop import LeftInvariantOperator, radial_symbol_table
 from su2quant.euclid import HermiteExpansion, euclid_toeplitz_check
-from su2quant.heat import (
-    HeatKernelK,
-    calibrate_nu,
-    choose_two_jmax,
-    convolve_on_traces,
-)
+from su2quant.heat import calibrate_nu, semigroup_sup_error
 from su2quant.sde import (
     BrownianPath,
     character_moment,
@@ -89,34 +84,11 @@ def test_criterion_01_calibration():
 def test_criterion_02_semigroup():
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
-    grid = random_su2(rng, 1000)
+    traces = np.einsum("paa->p", random_su2(rng, 1000)).real
     times = (0.2, 0.5)
-    jmax = {t: choose_two_jmax(t, 0.0, 2e-9) for t in times}
-    kern = {t: HeatKernelK(t, jmax[t], 0.0, 0.0) for t in times}
-    grid_flat = grid.reshape(len(grid), 4)
-    sup_err = 0.0
-    for i, t in enumerate(times):
-        for s in times[i:]:
-            rule = haar_rule(jmax[t] + jmax[s])
-            kts = HeatKernelK.build(t + s, tol=1e-12)
-            node_conj = np.conj(rule.nodes.reshape(len(rule.weights), 4))
-            node_tr = np.ascontiguousarray(np.einsum("qaa->q", rule.nodes).real)
-            rho_s_nodes, rho_t_nodes = kern[s].pair_on_traces(kern[t], node_tr)
-            w_s = rule.weights * rho_s_nodes
-            w_t = rule.weights * rho_t_nodes
-            for start in range(0, len(grid), 100):
-                gp = grid_flat[start:start + 100]
-                # tr(g x^{-1}) = sum_ab g_ab conj(x_ab) on SU(2), real part
-                tr = (gp.real @ node_conj.real.T + gp.imag @ (-node_conj.imag.T))
-                direct = kts.on_traces(
-                    np.ascontiguousarray(gp[:, 0].real + gp[:, 3].real)
-                )
-                # both convolution orders share the same trace matrix
-                pairs = [(kern[t], w_s)]
-                if s != t:
-                    pairs.append((kern[s], w_t))
-                for conv in convolve_on_traces(tr, pairs):
-                    sup_err = max(sup_err, float(np.max(np.abs(conv - direct))))
+    sup_err = max(
+        semigroup_sup_error(t, s, traces) for i, t in enumerate(times) for s in times[i:]
+    )
     dt = time.perf_counter() - t0
     ok = sup_err <= 1e-8 and dt < 30.0
     record_gate(

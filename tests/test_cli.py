@@ -47,6 +47,13 @@ def test_load_config_diagnostics(tmp_path):
         ({"n_paths": True}, "n_paths"),
         ({"euclid_degree_max": False}, "euclid_degree_max"),
         ({"quadrature": {"n_r": 8, "n_rho": 4}}, "quadrature.n_rho"),
+        ({"n_paths": 10, "n_steps": 20}, "n_paths"),
+        ({"t": -1.0}, "'t'"),
+        ({"t": 0}, "'t'"),
+        ({"t_values": [-0.5]}, "t_values"),
+        ({"t_values": []}, "t_values"),
+        ({"t_values": [0.5, True]}, "t_values"),
+        ({"t_values": [0.5, "1"]}, "t_values"),
     ],
 )
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):

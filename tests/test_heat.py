@@ -8,6 +8,7 @@ from su2quant.algebra import (
     haar_rule,
     kc_quadrature,
     random_su2,
+    weyl_rule,
 )
 from su2quant.errors import IllConditioned, TruncationError
 from su2quant.heat import (
@@ -20,8 +21,9 @@ from su2quant.heat import (
     nu_radial,
     rho,
     rho_tail_bound,
+    semigroup_sup_error,
 )
-from su2quant.wigner import BandLimited
+from su2quant.wigner import BandLimited, character
 
 
 def test_rho_mass_one():
@@ -105,6 +107,59 @@ def test_shared_pass_class_evaluations():
     ca, cb = convolve_on_traces(tr, [(ka, w), (kb, w)])
     np.testing.assert_allclose(ca, ka.on_traces(tr) @ w, atol=1e-12)
     np.testing.assert_allclose(cb, kb.on_traces(tr) @ w, atol=1e-12)
+
+
+def test_weyl_rule_mass_and_character_orthogonality():
+    from scipy.special import eval_chebyu
+
+    total = 12
+    rule = weyl_rule(total, 4)
+    assert rule.weights.sum() == pytest.approx(VOL_K, rel=1e-14)
+    # chi_j(h) = U_{2j}(cos b); chi_j chi_j' has degree 2j + 2j' in cos b
+    for two_j in range(total + 1):
+        for two_jp in range(total - two_j + 1):
+            got = rule.weights @ (eval_chebyu(two_j, rule.cos_b) * eval_chebyu(two_jp, rule.cos_b))
+            assert got == pytest.approx(VOL_K * (two_j == two_jp), abs=1e-11)
+
+
+def test_weyl_rule_convolves_characters():
+    # int_K chi_j(g h^{-1}) chi_j'(h) dh = delta_jj' Vol(K) chi_j(g) / (2j + 1)
+    from scipy.special import eval_chebyu
+
+    rng = np.random.default_rng(5)
+    g = random_su2(rng, 7)
+    tr_g = np.einsum("paa->p", g).real
+    rule = weyl_rule(10, 6)
+    cross = 0.5 * rule.traces_against(tr_g)
+    for two_j in range(7):
+        for two_jp in range(10 - two_j + 1):
+            got = eval_chebyu(two_j, cross) @ (rule.weights * eval_chebyu(two_jp, rule.cos_b))
+            expect = (two_j == two_jp) * VOL_K * character(two_j / 2.0, g).real / (two_j + 1)
+            np.testing.assert_allclose(got, expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("t, s", [(0.2, 0.5), (0.5, 0.5)])
+def test_weyl_convolution_matches_haar_rule(t, s):
+    """The 2-D Weyl route against the 3-D Euler-angle Haar rule on 20 points."""
+    rng = np.random.default_rng(11)
+    g = random_su2(rng, 20)
+    jt = choose_two_jmax(t, 0.0, 2e-9)
+    js = choose_two_jmax(s, 0.0, 2e-9)
+    kt = HeatKernelK(t, jt, 0.0, 0.0)
+    ks = HeatKernelK(s, js, 0.0, 0.0)
+
+    haar = haar_rule(jt + js)
+    inv = np.conj(np.swapaxes(haar.nodes, -1, -2))
+    tr3 = np.einsum("pab,qba->pq", g, inv).real
+    w3 = haar.weights * ks.on_traces(np.einsum("qaa->q", haar.nodes).real)
+    conv3 = kt.on_traces(tr3) @ w3
+
+    weyl = weyl_rule(jt + js, jt)
+    tr2 = weyl.traces_against(np.einsum("paa->p", g).real)
+    conv2 = kt.on_traces(tr2) @ (weyl.weights * ks.on_traces(weyl.traces))
+
+    np.testing.assert_allclose(conv2, conv3, rtol=0, atol=1e-12)
+    assert semigroup_sup_error(t, s, np.einsum("paa->p", g).real) <= 1e-12
 
 
 def test_heat_flow_forward_backward_roundtrip():
