@@ -81,21 +81,47 @@ def algebra_entries(z):
     return -0.5j * z3, -0.5j * z1 - 0.5 * z2, -0.5j * z1 + 0.5 * z2
 
 
-def exp_entries(m00, m01, m10):
+def exp_entries(m00, m01, m10, out=None):
     """Entries ``(e00, e01, e10, e11)`` of exp(M), M = [[m00, m01], [m10, -m00]].
 
-    Elementwise over arrays of any shape.  Uses ``M^2 = mu^2 I`` with
+    Elementwise over arrays of any shape; returns an array (4, ...), written
+    into ``out`` when given.  Uses ``M^2 = mu^2 I`` with
     ``mu^2 = m00^2 + m01 m10 = -det M``: ``exp(M) = cosh(mu) I + sinhc(mu) M``.
-    Both factors are even in ``mu``, so the branch of the root does not matter.
+    Both factors are even in ``mu``, so any root serves.  With mu = x + iy
+    they are formed from real cosh, sinh, cos and sin of x and y, which cost
+    a fraction of their complex counterparts.
     """
-    mu = np.sqrt(m00 * m00 + m01 * m10 + 0j)
-    c = np.cosh(mu)
-    # sinh(mu)/mu with a series fallback near 0
-    small = np.abs(mu) < 1e-6
-    mu_safe = np.where(small, 1.0, mu)
-    s = np.where(small, 1.0 + mu * mu / 6.0, np.sinh(mu_safe) / mu_safe)
+    w = np.asarray(m00 * m00 + m01 * m10, dtype=complex)
+    u, v = w.real, w.imag
+    # p + iq (u >= 0) or q + ip (u < 0) squares to w; neither loses digits.
+    # Temporaries are dropped as soon as they are spent: a chunk's working
+    # set is held once per --workers thread.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.sqrt(0.5 * (np.sqrt(u * u + v * v) + np.abs(u)))
+        q = 0.5 * v / p
+        right = u >= 0
+        zero = p == 0  # mu = 0 exactly: exp(M) = I + M
+        x, y = np.where(right, p, q), np.where(right, q, p)
+        del p, q, right
+        chx, shx, cy, sy = np.cosh(x), np.sinh(x), np.cos(y), np.sin(y)
+        mu = w  # w is spent: its buffer takes mu
+        mu.real, mu.imag = x, y
+        del x, y
+        c = np.empty(w.shape, dtype=complex)
+        c.real, c.imag = chx * cy, shx * sy
+        s = np.empty(w.shape, dtype=complex)
+        s.real, s.imag = shx * cy, chx * sy  # sinh(mu)
+        s /= mu
+    if zero.any():
+        c[zero], s[zero] = 1.0, 1.0
+    if out is None:
+        out = np.empty((4,) + w.shape, dtype=complex)
     sm00 = s * m00
-    return c + sm00, s * m01, s * m10, c - sm00
+    np.add(c, sm00, out=out[0, ...])
+    np.multiply(s, m01, out=out[1, ...])
+    np.multiply(s, m10, out=out[2, ...])
+    np.subtract(c, sm00, out=out[3, ...])
+    return out
 
 
 def matrix_from_entries(e00, e01, e10, e11) -> np.ndarray:
@@ -147,16 +173,6 @@ def random_su2(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
 # polar decomposition and the adjoint action
 # ---------------------------------------------------------------------------
 
-def vector_from_su2_matrix(m: np.ndarray) -> np.ndarray:
-    """Coordinates y_k of a (near) su(2) matrix, via y_k = i tr(M sigma_k)."""
-    m = np.asarray(m, dtype=complex)
-    y = np.stack(
-        [1j * np.einsum("...ab,ba->...", m, PAULI[k]) for k in range(3)],
-        axis=-1,
-    )
-    return np.real(y)
-
-
 def polar_radius(g: np.ndarray) -> np.ndarray:
     """|Y| in the decomposition g = x exp(iY), from tr(g^dag g) = 2 cosh|Y|."""
     g = np.asarray(g, dtype=complex)
@@ -197,13 +213,27 @@ def polar_decompose(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ad_action(x: np.ndarray, y) -> np.ndarray:
-    """Coordinates of Ad_x Y = x Y x^{-1} for x in SU(2); norm preserving."""
+    """Coordinates of Ad_x Y = x Y x^{-1} for x in SU(2); norm preserving.
+
+    ``x`` (..., 2, 2) and ``y`` (..., 3) broadcast against each other.  The
+    products x Y and (x Y) x^dag are taken entry by entry, as elementwise
+    calls, so a stack of states costs a few NumPy calls in all.
+    """
     if isinstance(y, AlgebraVector):
         y = y.coords
-    y = np.asarray(y, dtype=float)
-    m = np.einsum("...k,kab->...ab", y, BASIS)
-    xm = np.asarray(x) @ m @ np.conj(np.swapaxes(np.asarray(x), -1, -2))
-    return vector_from_su2_matrix(xm)
+    m00, m01, m10 = algebra_entries(np.asarray(y, dtype=float))
+    pair = np.broadcast_arrays(
+        np.asarray(x, dtype=complex), matrix_from_entries(m00, m01, m10, -m00)
+    )
+    x, m = (np.moveaxis(a, (-2, -1), (0, 1)) for a in pair)  # entry arrays (2, 2, ...)
+    xm = x[:, :1] * m[0] + x[:, 1:] * m[1]
+    xmx = xm[:, :1] * np.conj(x[:, 0]) + xm[:, 1:] * np.conj(x[:, 1])
+    # y_k = i tr(M sigma_k), real for anti-Hermitian M
+    return np.stack([
+        -(xmx[0, 1] + xmx[1, 0]).imag,
+        -(xmx[0, 1] - xmx[1, 0]).real,
+        -(xmx[0, 0] - xmx[1, 1]).imag,
+    ], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ SCHEMA = "su2quant-report/1"
 DEFAULTS = {
     "t_values": [0.2, 0.5, 1.0],
     "t": 0.5,
-    "s": 1.0,
     "n_paths": 200000,
     "n_steps": 200,
     "n_grid": 1000,
@@ -65,7 +64,6 @@ DEFAULTS = {
 _SCHEMA_TYPES = {
     "t_values": list,
     "t": (int, float),
-    "s": (int, float),
     "n_paths": int,
     "n_steps": int,
     "n_grid": int,

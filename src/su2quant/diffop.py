@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BASIS, polar_radius
+from .algebra import exp_complex, polar_radius
 from .errors import StepUnderflow
 from .heat import nu
 from .wigner import BandLimited, HolomorphicObservable
@@ -111,18 +111,13 @@ def complexify_apply(
 
 def _exp_dir(k: int, h: complex) -> np.ndarray:
     """exp(h X_k) for complex step h (h = i|h| gives the JX direction)."""
-    m = h * BASIS[k - 1]
-    # traceless closed form, scalar version
-    mu = np.sqrt(-np.linalg.det(m) + 0j)
-    if abs(mu) < 1e-8:
-        s = 1.0 + mu * mu / 6.0
-    else:
-        s = np.sinh(mu) / mu
-    return np.cosh(mu) * np.eye(2, dtype=complex) + s * m
+    z = np.zeros(3, dtype=complex)
+    z[k - 1] = h
+    return exp_complex(z)
 
 
-def _holomorphic_derivative(fn, g: np.ndarray, k: int, h: float) -> complex:
-    """X_C fn at g via central differences with real step h.
+def _holomorphic_derivative(fn, g: np.ndarray, k: int, h: float):
+    """X_C fn at g, one matrix or a stack (..., 2, 2), via central differences with real step h.
 
     X_C = (X - i JX)/2 with X the real directional derivative along
     g exp(s X_k) and JX along g exp(i s X_k).
@@ -132,19 +127,20 @@ def _holomorphic_derivative(fn, g: np.ndarray, k: int, h: float) -> complex:
     return 0.5 * (d_re - 1j * d_im)
 
 
-def _word_derivative(fn, g: np.ndarray, word: Word, h: float) -> complex:
+def _word_derivative(fn, g: np.ndarray, word: Word, h: float):
     if not word:
-        return complex(fn(g))
+        return fn(g)
     k, rest = word[0], word[1:]
-    return complex(
-        _holomorphic_derivative(
-            lambda gg: _word_derivative(fn, gg, rest, h), g, k, h
-        )
+    return _holomorphic_derivative(
+        lambda gg: _word_derivative(fn, gg, rest, h), g, k, h
     )
 
 
-def apply_complexified_word(fn, g: np.ndarray, word: Word, h: float) -> complex:
+def apply_complexified_word(fn, g: np.ndarray, word: Word, h: float):
     """(X_C)_{k_1} ... (X_C)_{k_N} fn at g, Richardson-extrapolated.
+
+    ``g`` is one matrix or a stack (..., 2, 2); ``fn`` maps either to one
+    value per matrix.
 
     Central differences are O(h^2); combining steps h and h/2 removes the
     leading term, leaving O(h^4).
@@ -159,12 +155,13 @@ DEGREE_CAP = 4
 
 def apply_transpose_to_nu(
     a: LeftInvariantOperator, t: float, g: np.ndarray, h: float | None = None
-) -> complex:
+):
     """A_C^tr nu_t evaluated at g; the numerator of the symbol phi_{1,A}.
 
     The transpose is formed on words first, then each transposed word is
     applied to the closed-form kernel by nested holomorphic central
-    differences.
+    differences.  ``g`` is one matrix or a stack (..., 2, 2), with one value
+    per matrix.
     """
     if a.degree > DEGREE_CAP:
         raise ValueError(f"degree {a.degree} exceeds the cap {DEGREE_CAP}")
@@ -173,22 +170,18 @@ def apply_transpose_to_nu(
     g = np.asarray(g, dtype=complex)
     if h is None:
         h = 5e-3
-    r = float(polar_radius(g))
+    r = float(np.max(polar_radius(g)))
     if h < 1e-6 * (1.0 + r):
         raise StepUnderflow(f"step {h:.2e} below the resolvable scale at |Y|={r:.2f}")
-
-    def fn(gg):
-        return complex(nu(t, gg))
-
     total = 0.0 + 0.0j
     for coeff, word in a.transpose().terms:
-        total += coeff * apply_complexified_word(fn, g, word, h)
-    return complex(total)
+        total = total + coeff * apply_complexified_word(lambda gg: nu(t, gg), g, word, h)
+    return total
 
 
-def phi_identity_symbol(a: LeftInvariantOperator, t: float, g: np.ndarray) -> complex:
-    """phi_{1,A}(g) = (A_C^tr nu_t)(g) / nu_t(g)."""
-    return apply_transpose_to_nu(a, t, g) / complex(nu(t, np.asarray(g, dtype=complex)))
+def phi_identity_symbol(a: LeftInvariantOperator, t: float, g: np.ndarray):
+    """phi_{1,A}(g) = (A_C^tr nu_t)(g) / nu_t(g), one value per matrix of g."""
+    return apply_transpose_to_nu(a, t, g) / nu(t, np.asarray(g, dtype=complex))
 
 
 def radial_symbol_table(
@@ -198,11 +191,9 @@ def radial_symbol_table(
 
     For conjugation-invariant operators (powers of the Laplacian) the symbol
     is a function of |Y| alone, so this table determines it everywhere.
+    Every radius is evaluated in one batch.
     """
-    from .algebra import exp_complex
-
-    out = np.empty(len(radii), dtype=complex)
-    for i, r in enumerate(np.asarray(radii, dtype=float)):
-        g = exp_complex(np.array([0.0, 0.0, 1j * r]))
-        out[i] = phi_identity_symbol(a, t, g)
-    return out
+    r = np.asarray(radii, dtype=float)
+    z = np.zeros(r.shape + (3,), dtype=complex)
+    z[..., 2] = 1j * r
+    return np.asarray(phi_identity_symbol(a, t, exp_complex(z)), dtype=complex)

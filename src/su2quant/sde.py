@@ -13,14 +13,20 @@ Endpoint laws produced here:
   two-parameter measure mu_{s,t} on SL(2,C);
 * the slice A = 0 (s = t/2): the subelliptic kernel mu_{t/2,t}.
 
-Every path runs through one kernel, ``_walk``: a batch of group elements is
-held as four complex entry arrays, and a step is a few elementwise products
-with the entries of the closed-form step exponential.
+Every path runs through one kernel, ``_advance``: a batch of group elements
+is held as one (2, 2, ...) entry array, and a step is three elementwise
+calls against the entries of its step exponential.  The exponentials are
+formed CHUNK_STEPS steps at a time by the closed form
+``algebra.exp_entries``, in real arithmetic, so the NumPy calls per
+path-step are few; the scheme is the exp-of-increment Lie-group method of
+Malham & Wiese, SIAM J. Sci. Comput. 30 (2008).
 
 Reductions are deterministic and independent of the worker count: paths are
 organized in a fixed number of blocks, each block owns a generator derived
 from the master seed by its block index, and block results are combined in
-block order.  Workers map over slabs of consecutive blocks.
+block order.  A block draws the normals of a chunk of steps in one call, in
+the order one call per step would give.  Workers map over slabs of
+consecutive blocks; each slab allocates its buffers once.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ad_action, algebra_entries, exp_entries, matrix_from_entries
+from .algebra import ad_action, algebra_entries, exp_entries
 from .wigner import character
 
 DEFAULT_N_BLOCKS = 40
@@ -38,6 +44,10 @@ REPROJECT_EVERY = 64
 # Consecutive blocks share a slab of up to this many paths.  Narrow slabs
 # keep the working set in cache and the peak memory flat.
 SLAB_PATHS = 2048
+# Steps whose normals and exponentials are formed in one call per block.
+# Fewer, larger NumPy calls per path-step are what let --workers threads
+# run at once instead of queueing on the interpreter lock.
+CHUNK_STEPS = 8
 
 
 @dataclass
@@ -69,12 +79,22 @@ def sample_path(sigma_sq: float, n_steps: int, seed: int) -> BrownianPath:
 
 
 # ---------------------------------------------------------------------------
-# the kernel: a batch of group elements as four entry arrays
+# the kernel: a batch of group elements as a (2, 2, ...) entry array
 # ---------------------------------------------------------------------------
 
+def _identity(shape) -> np.ndarray:
+    g = np.zeros((2, 2) + shape, dtype=complex)
+    g[0, 0] = g[1, 1] = 1.0
+    return g
+
+
+def _matrices(g: np.ndarray) -> np.ndarray:
+    """Entry array (2, 2, ...) as matrices (..., 2, 2)."""
+    return np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))
+
+
 def _project_sl2c(g):
-    root = np.sqrt(g[0] * g[3] - g[1] * g[2])
-    return tuple(e / root for e in g)
+    return g / np.sqrt(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
 
 
 def _project_su2(g):
@@ -83,40 +103,53 @@ def _project_su2(g):
     One Newton step toward the unitary polar factor, g <- (g + g^{-dag}) / 2,
     then unit determinant; the drift is O(eps) per step, so one suffices.
     """
-    g00, g01, g10, g11 = g
-    cdet = np.conj(g00 * g11 - g01 * g10)
-    return _project_sl2c((
-        0.5 * (g00 + np.conj(g11) / cdet),
-        0.5 * (g01 - np.conj(g10) / cdet),
-        0.5 * (g10 - np.conj(g01) / cdet),
-        0.5 * (g11 + np.conj(g00) / cdet),
-    ))
+    cofactor = np.conj(g[::-1, ::-1])
+    cofactor[0, 1] *= -1.0
+    cofactor[1, 0] *= -1.0  # now conj(det g) g^{-dag}
+    cdet = np.conj(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+    return _project_sl2c(0.5 * (g + cofactor / cdet))
 
 
-def _walk(shape, steps, project):
-    """Yield the states g_0 = 1, g_{k+1} = g_k exp(M_k) as entry tuples.
+def _step_exps(z) -> np.ndarray:
+    """exp(sum_k z_k X_k) for coordinates z (c, ..., 3), as entries (2, 2, c, ...)."""
+    e = exp_entries(*algebra_entries(z))
+    return e.reshape((2, 2) + e.shape[1:])
 
-    ``steps`` yields the entries (m00, m01, m10) of each traceless M_k; every
-    REPROJECT_EVERY steps the state is pulled back onto the group.
+
+def _advance(g, e, k0: int, project, states=None) -> None:
+    """Take the steps k0, k0 + 1, ... of one chunk in place: g <- g exp(M_k).
+
+    ``g`` is (2, 2, ...) and ``e`` (2, 2, c, ...) holds the chunk's step
+    exponentials, exp(M_{k0+i}) at ``e[:, :, i]``; the product is three
+    elementwise calls per step.  Every REPROJECT_EVERY steps the state is
+    pulled back onto the group.  When ``states`` is given, the state entering
+    step k0 + i is copied into ``states[:, :, i]``.
     """
-    one, zero = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
-    g00, g01, g10, g11 = g = (one, zero, zero, one)
-    yield g
-    for k, m in enumerate(steps):
-        e00, e01, e10, e11 = exp_entries(*m)
-        g = (g00 * e00 + g01 * e10, g00 * e01 + g01 * e11,
-             g10 * e00 + g11 * e10, g10 * e01 + g11 * e11)
-        if (k + 1) % REPROJECT_EVERY == 0:
-            g = project(g)
-        g00, g01, g10, g11 = g
-        yield g
+    t, u = np.empty_like(g), np.empty_like(g)
+    g0, g1, e0, e1 = g[:, :1], g[:, 1:], e[0], e[1]  # g[a, b] e[b, c] for b = 0, 1
+    for i in range(e.shape[2]):
+        if states is not None:
+            states[:, :, i] = g
+        np.multiply(g0, e0[:, i], out=t)
+        np.multiply(g1, e1[:, i], out=u)
+        np.add(t, u, out=g)
+        if (k0 + i + 1) % REPROJECT_EVERY == 0:
+            g[...] = project(g)
 
 
-def _last(states) -> np.ndarray:
-    """The final state of a walk as matrices (..., 2, 2)."""
-    for g in states:
-        pass
-    return matrix_from_entries(*g)
+def _chunks(increments):
+    """(k0, z) for the steps of (..., n_steps, 3) increments, CHUNK_STEPS at a time; z is (c, ..., 3)."""
+    z = np.moveaxis(increments, -2, 0)
+    for k0 in range(0, len(z), CHUNK_STEPS):
+        yield k0, z[k0:k0 + CHUNK_STEPS]
+
+
+def _endpoints(z, project) -> np.ndarray:
+    """Endpoints (..., 2, 2) of the walk with coordinate increments z (..., n_steps, 3)."""
+    g = _identity(z.shape[:-2])
+    for k0, zc in _chunks(z):
+        _advance(g, _step_exps(zc), k0, project)
+    return _matrices(g)
 
 
 def _check_grid(a: BrownianPath, b: BrownianPath) -> None:
@@ -124,29 +157,26 @@ def _check_grid(a: BrownianPath, b: BrownianPath) -> None:
         raise ValueError("paths must share the step grid")
 
 
-def _real_states(a: BrownianPath):
-    steps = (algebra_entries(a.increments[..., k, :]) for k in range(a.n_steps))
-    return _walk(a.increments.shape[:-2], steps, _project_su2)
+def _rotated_chunks(b: BrownianPath, a: BrownianPath, x):
+    """Advance x through theta(A) in place; yield (k0, dB'_k for the chunk, (c, ..., 3)).
 
-
-def _rotated(b: BrownianPath, states):
-    """Coordinates of Ad_{x_k} dB_k, taking x_0, x_1, ... from ``states``."""
-    # zip stops on the range before it draws x_n, which ``states`` yields next
-    for k, x in zip(range(b.n_steps), states):
-        yield ad_action(matrix_from_entries(*x), b.increments[..., k, :])
+    dB'_k = Ad_{x_k} dB_k with x_k the state entering step k (left-point rule).
+    """
+    xs = np.empty((2, 2, CHUNK_STEPS) + x.shape[2:], dtype=complex)
+    for (k0, za), (_, zb) in zip(_chunks(a.increments), _chunks(b.increments)):
+        _advance(x, _step_exps(za), k0, _project_su2, states=xs)
+        yield k0, ad_action(np.moveaxis(xs[:, :, :len(za)], (0, 1), (-2, -1)), zb)
 
 
 def ito_map_K(path: BrownianPath) -> np.ndarray:
     """Endpoints (..., 2, 2) of dx = x o dA on SU(2)."""
-    return _last(_real_states(path))
+    return _endpoints(path.increments, _project_su2)
 
 
 def ito_map_KC(a: BrownianPath, b: BrownianPath) -> np.ndarray:
     """Endpoints (..., 2, 2) of dg = g o d(A + iB) on SL(2,C)."""
     _check_grid(a, b)
-    za, zb = a.increments, b.increments
-    steps = (algebra_entries(za[..., k, :] + 1j * zb[..., k, :]) for k in range(a.n_steps))
-    return _last(_walk(za.shape[:-2], steps, _project_sl2c))
+    return _endpoints(a.increments + 1j * b.increments, _project_sl2c)
 
 
 def rotated_path(b: BrownianPath, a: BrownianPath) -> BrownianPath:
@@ -157,8 +187,9 @@ def rotated_path(b: BrownianPath, a: BrownianPath) -> BrownianPath:
     factorization identity work.
     """
     _check_grid(a, b)
-    inc = np.stack(list(_rotated(b, _real_states(a))), axis=-2)
-    return BrownianPath(increments=inc, sigma_sq=b.sigma_sq, seed=b.seed)
+    x = _identity(a.increments.shape[:-2])
+    inc = np.concatenate([db for _, db in _rotated_chunks(b, a, x)])
+    return BrownianPath(increments=np.moveaxis(inc, 0, -2), sigma_sq=b.sigma_sq, seed=b.seed)
 
 
 def pathwise_identity_residual(a: BrownianPath, b: BrownianPath):
@@ -167,16 +198,18 @@ def pathwise_identity_residual(a: BrownianPath, b: BrownianPath):
     Both sides are computed from the same increments at the same
     discretization; the residual measures only the discretization error of
     the factorization identity.  A pair of single paths gives a float, a
-    batch an array with one residual per draw.  theta(A) and theta_C(iB')
-    advance in lockstep, so each rotated increment is formed when its step
-    is taken and never stored.
+    batch an array with one residual per draw.  theta(A) leads by one chunk
+    of steps; theta_C(A+iB) and theta_C(iB') then take that chunk side by
+    side as one batch, so only a chunk of rotated increments is held at once.
     """
     _check_grid(a, b)
-    states = _real_states(a)
-    steps = (algebra_entries(1j * db) for db in _rotated(b, states))
-    rhs = _last(_walk(a.increments.shape[:-2], steps, _project_sl2c))
-    rhs = rhs @ matrix_from_entries(*next(states))
-    res = np.linalg.norm(ito_map_KC(a, b) - rhs, axis=(-2, -1))
+    shape = a.increments.shape[:-2]
+    x, g = _identity(shape), _identity((2,) + shape)
+    both = zip(_chunks(a.increments + 1j * b.increments), _rotated_chunks(b, a, x))
+    for (k0, zab), (_, db) in both:
+        _advance(g, _step_exps(np.stack([zab, 1j * db], axis=1)), k0, _project_sl2c)
+    lhs, rhs = _matrices(g[:, :, 0]), _matrices(g[:, :, 1]) @ _matrices(x)
+    res = np.linalg.norm(lhs - rhs, axis=(-2, -1))
     return float(res) if res.ndim == 0 else res
 
 
@@ -245,25 +278,35 @@ def endpoint_ensemble_KC(
     per_slab = max(1, SLAB_PATHS // max(1, max(sizes)))
     slabs = [range(i, min(i + per_slab, n_blocks)) for i in range(0, n_blocks, per_slab)]
 
+    # per step, each block draws its da (when var_a > 0), then its db (when
+    # var_b > 0) from its own generator
+    n_drawn = int(var_a > 0) + int(var_b > 0)
+
     def run_slab(blocks: range) -> np.ndarray:
-        # at every step each block draws its real, then its imaginary
-        # increments from its own generator into its rows of the slab buffers
         n = [sizes[i] for i in blocks]
-        da, db = np.zeros((sum(n), 3)), np.zeros((sum(n), 3))
-        cuts = np.cumsum(n)[:-1]
+        cuts = np.cumsum([0] + n)
         rngs = [_block_rng(master_seed, i) for i in blocks]
-        draws = list(zip(rngs, np.split(da, cuts), np.split(db, cuts)))
-
-        def steps():
-            for _ in range(n_steps):
-                for rng, da_rows, db_rows in draws:
-                    if var_a > 0:
-                        rng.standard_normal(out=da_rows)
-                    if var_b > 0:
-                        rng.standard_normal(out=db_rows)
-                yield algebra_entries(sa * da + 1j * (sb * db))
-
-        return _last(_walk(sum(n), steps(), _project_sl2c))
+        # one chunk of one block at a time: its normals, laid out (steps,
+        # {da, db}, rows, 3), and its complex coordinates sa da + i sb db
+        normals = np.empty(CHUNK_STEPS * n_drawn * max(n) * 3)
+        coords = np.zeros(CHUNK_STEPS * max(n) * 3, dtype=complex)
+        # step exponentials of the chunk, every block writing its own columns
+        e = np.empty((2, 2, CHUNK_STEPS, cuts[-1]), dtype=complex)
+        e_rows = e.reshape(4, CHUNK_STEPS, cuts[-1])
+        g = _identity((cuts[-1],))
+        for k0 in range(0, n_steps, CHUNK_STEPS):
+            c = min(CHUNK_STEPS, n_steps - k0)
+            for i, (rng, m) in enumerate(zip(rngs, n)):
+                draw = normals[:c * n_drawn * m * 3].reshape(c, n_drawn, m, 3)
+                z = coords[:c * m * 3].reshape(c, m, 3)
+                rng.standard_normal(out=draw)
+                if var_a > 0:
+                    np.multiply(sa, draw[:, 0], out=z.real)
+                if var_b > 0:
+                    np.multiply(sb, draw[:, -1], out=z.imag)
+                exp_entries(*algebra_entries(z), out=e_rows[:, :c, cuts[i]:cuts[i + 1]])
+            _advance(g, e[:, :, :c], k0, _project_sl2c)
+        return _matrices(g)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -287,9 +330,8 @@ def endpoint_ensemble_K(
     ens = endpoint_ensemble_KC(
         s + 0.0, 0.0, n_paths, n_steps, master_seed, workers=workers, n_blocks=n_blocks
     )
-    # var_b = 0 so the endpoints are already in SU(2) up to drift; the rows
-    # of values.reshape(-1, 4).T are the entries g00, g01, g10, g11
-    ens.values = matrix_from_entries(*_project_su2(tuple(ens.values.reshape(-1, 4).T)))
+    # var_b = 0 so the endpoints are already in SU(2) up to drift
+    ens.values = _matrices(_project_su2(np.moveaxis(ens.values, (-2, -1), (0, 1))))
     return ens
 
 

@@ -16,12 +16,18 @@ side <F1, T_phi F2> is evaluated two ways:
   route), deterministic quadrature over the polar rule on SL(2,C).
 
 The x-integral uses an exact Haar rule, so all Monte Carlo error lives in
-the w-average.  Per-block moment tensors
+the w-average.  Because D(w x) = D(w) D(x), a block's endpoints enter only
+through one moment matrix per spin pair,
 
-    M[q, a, b, c, d] = mean_w conj(D^{j1}(w x_q))_{ab} D^{j2}(w x_q)_{cd}
+    P[a, e, c, f] = mean_w conj(D^{j1}(w))_{ae} D^{j2}(w)_{cf},
 
-are cached per spin pair and reused across every (V~, f1, f2, A) combination
-that shares the endpoint ensemble.
+which is contracted with the Haar nodes afterwards into the tensors
+
+    M[q, a, b, c, d] = sum_{e,f} P[a, e, c, f] conj(D^{j1}(x_q))_{eb} D^{j2}(x_q)_{fd}
+                     = mean_w conj(D^{j1}(w x_q))_{ab} D^{j2}(w x_q)_{cd}.
+
+These are cached per spin pair and reused across every (V~, f1, f2, A)
+combination that shares the endpoint ensemble.
 """
 
 from __future__ import annotations
@@ -104,25 +110,29 @@ class ToeplitzSampler:
         return self._dx[two_j]
 
     def moment_tensors(self, tj1: int, tj2: int) -> np.ndarray:
-        """Per-block tensors, shape (n_blocks, n_q, d1, d1, d2, d2)."""
+        """Per-block tensors, shape (n_blocks, n_q, d1, d1, d2, d2).
+
+        Entry [n, q, a, b, c, d] is mean_w conj(D^{j1}(w x_q))_{ab}
+        D^{j2}(w x_q)_{cd} over block n.  D(w x) = D(w) D(x), so each block
+        averages one d1^2 x d2^2 moment matrix over its endpoints and the
+        node representations are contracted with it afterwards.
+        """
         key = (tj1, tj2)
         if key not in self._tensors:
             dx1 = self._node_reps(tj1)
             dx2 = dx1 if tj2 == tj1 else self._node_reps(tj2)
-            out = []
+            moments = []
             for wb in self.ensemble.block_views():
-                dw1 = wigner_matrix(tj1 / 2.0, wb)
-                dw2 = dw1 if tj2 == tj1 else wigner_matrix(tj2 / 2.0, wb)
-                # D(w x_q) for every pair, then the averaged outer product
-                m1 = np.einsum("wac,qcb->wqab", dw1, dx1, optimize=True)
-                m2 = m1 if tj2 == tj1 else np.einsum(
-                    "wac,qcb->wqab", dw2, dx2, optimize=True
-                )
-                out.append(
-                    np.einsum("wqab,wqcd->qabcd", np.conj(m1), m2, optimize=True)
-                    / wb.shape[0]
-                )
-            self._tensors[key] = np.array(out)
+                dw1 = wigner_matrix(tj1 / 2.0, wb).reshape(len(wb), -1)
+                dw2 = dw1 if tj2 == tj1 else wigner_matrix(tj2 / 2.0, wb).reshape(len(wb), -1)
+                moments.append(np.conj(dw1).T @ dw2 / len(wb))
+            d1, d2 = dx1.shape[-1], dx2.shape[-1]
+            # P[n, a, e, c, f] = mean_w conj(D^{j1}(w))_{ae} D^{j2}(w)_{cf}
+            p = np.array(moments).reshape(self.n_blocks, d1, d1, d2, d2)
+            # contiguous, as the contraction of every entry reads it
+            self._tensors[key] = np.ascontiguousarray(np.einsum(
+                "naecf,qeb,qfd->nqabcd", p, np.conj(dx1), dx2, optimize=True
+            ))
         return self._tensors[key]
 
     def entry(

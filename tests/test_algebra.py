@@ -6,13 +6,16 @@ from su2quant.algebra import (
     VOL_K,
     AlgebraVector,
     ad_action,
+    algebra_entries,
     algebra_inner,
     default_cutoff,
     exp_algebra,
     exp_complex,
+    exp_entries,
     expm_traceless,
     haar_rule,
     kc_quadrature,
+    matrix_from_entries,
     polar_decompose,
     polar_radius,
     radial_jacobian,
@@ -44,6 +47,37 @@ def test_exp_closed_form_vs_scipy():
         np.testing.assert_allclose(
             expm_traceless(m), scipy_linalg.expm(m), atol=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "kind", ["real", "imaginary", "complex", "large", "tiny", "zero"]
+)
+def test_exp_entries_matches_expm(kind):
+    # the real-arithmetic closed form against scipy, batched and 0-d
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal((2, 4, 5, 3))
+    unit = (a + 1j * b) / np.linalg.norm(a + 1j * b, axis=-1, keepdims=True)
+    z = {
+        "real": a + 0j,
+        "imaginary": 1j * b,
+        "complex": a + 1j * b,
+        "large": 10.0 * unit,
+        "tiny": 1e-9 * unit,
+        "zero": np.zeros_like(unit),
+    }[kind]
+    m = np.einsum("...k,kab->...ab", z, BASIS)
+    ref = np.array([scipy_linalg.expm(mm) for mm in m.reshape(-1, 2, 2)]).reshape(m.shape)
+    atol = 1e-13 * max(1.0, np.max(np.abs(ref)))
+    batch = matrix_from_entries(*exp_entries(*algebra_entries(z)))
+    assert batch.shape == z.shape[:-1] + (2, 2)
+    np.testing.assert_allclose(batch, ref, rtol=0, atol=atol)
+    for zz, expected in zip(z.reshape(-1, 3), batch.reshape(-1, 2, 2)):
+        e = exp_entries(*algebra_entries(zz))
+        assert e.shape == (4,)
+        np.testing.assert_allclose(matrix_from_entries(*e), expected, rtol=0, atol=atol)
+    if kind == "zero":
+        np.testing.assert_array_equal(batch, np.broadcast_to(np.eye(2), batch.shape))
 
 
 def test_exp_algebra_is_unitary_and_periodic():
@@ -93,6 +127,19 @@ def test_ad_action_is_isometry():
     np.testing.assert_allclose(
         np.linalg.norm(y2, axis=-1), np.linalg.norm(y, axis=-1), rtol=1e-12
     )
+
+
+def test_ad_action_matches_matrix_conjugation():
+    # reference: y'_k = i tr(x Y x^dag sigma_k) by matrix products
+    from su2quant.algebra import PAULI
+
+    rng = np.random.default_rng(4)
+    x = random_su2(rng, 12).reshape(3, 4, 2, 2)
+    y = rng.standard_normal((4, 3))  # broadcasts against x's leading axes
+    xm = x @ np.einsum("...k,kab->...ab", y, BASIS) @ np.conj(np.swapaxes(x, -1, -2))
+    ref = np.stack([np.real(1j * np.einsum("...ab,ba->...", xm, s)) for s in PAULI], axis=-1)
+    np.testing.assert_allclose(ad_action(x, y), ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ad_action(x[0, 0], AlgebraVector(y[0])), ref[0, 0], atol=1e-14)
 
 
 def test_haar_rule_total_mass():

@@ -20,7 +20,7 @@ def test_load_config_defaults_and_override(tmp_path):
     assert cfg["t"] == 0.3
     assert cfg["n_paths"] == 500
     assert cfg["master_seed"] == 99
-    assert cfg["s"] == DEFAULTS["s"]
+    assert cfg["n_steps"] == DEFAULTS["n_steps"]
 
 
 def test_load_config_diagnostics(tmp_path):
@@ -62,6 +62,17 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
     code = main(["toeplitz-diff", "--config", str(p), "--out", str(tmp_path)])
     assert code == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_field_s_is_unknown(tmp_path, capsys):
+    # no subcommand reads a variance s, so a config that sets one is an error
+    assert "s" not in DEFAULTS
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"s": -3}))
+    code = main(["sde-check", "--config", str(p), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config field 's': unknown field" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

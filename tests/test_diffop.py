@@ -132,6 +132,14 @@ def test_laplacian_symbol_is_linear_in_r_squared():
     assert resid < 1e-4
 
 
+def test_radial_symbol_table_batch_matches_loop():
+    t = 0.5
+    rr = np.linspace(0.05, 3.0, 9)
+    for a in (LeftInvariantOperator.laplacian(), LeftInvariantOperator.vector_field(3)):
+        loop = [phi_identity_symbol(a, t, exp_complex(np.array([0.0, 0.0, 1j * r]))) for r in rr]
+        np.testing.assert_allclose(radial_symbol_table(a, t, rr), loop, rtol=1e-12, atol=0)
+
+
 def test_degree_cap_and_step_underflow():
     t = 0.5
     g = np.eye(2, dtype=complex)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from su2quant.algebra import polar_radius
+from su2quant.algebra import exp_complex, polar_radius
 from su2quant.sde import (
+    CHUNK_STEPS,
     BrownianPath,
     character_moment,
     endpoint_ensemble_K,
@@ -110,6 +111,19 @@ def test_rotated_path_properties():
     np.testing.assert_allclose(same.increments, b.increments, atol=1e-14)
 
 
+def test_rotated_path_matches_ad_action_loop():
+    # reference: x_k as a product of matrix exponentials, one step at a time
+    from su2quant.algebra import ad_action, exp_algebra
+
+    a = sample_path(0.7, 45, SEED)
+    b = sample_path(0.3, 45, SEED + 1)
+    x, ref = np.eye(2, dtype=complex), []
+    for da, db in zip(a.increments, b.increments):
+        ref.append(ad_action(x, db))
+        x = x @ exp_algebra(da)
+    np.testing.assert_allclose(rotated_path(b, a).increments, ref, rtol=0, atol=1e-14)
+
+
 def test_rotated_endpoint_distribution_ks():
     from scipy.stats import kstest
 
@@ -144,6 +158,33 @@ def test_ensemble_deterministic_and_worker_independent():
     np.testing.assert_array_equal(e1.values, e2.values)
     e3 = endpoint_ensemble_KC(0.25, 0.5, 2000, 50, SEED + 1)
     assert np.max(np.abs(e1.values - e3.values)) > 1e-3
+
+
+def _per_step_endpoints(s, t, n_paths, n_steps, seed, n_blocks):
+    """Reference: each block draws its da, then its db, at every step; g <- g exp(dZ)."""
+    var_a, var_b = max(s - t / 2.0, 0.0), t / 2.0
+    sa, sb = np.sqrt(var_a / n_steps), np.sqrt(var_b / n_steps)
+    out = []
+    for block, rows in enumerate(np.array_split(np.arange(n_paths), n_blocks)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        g = np.tile(np.eye(2, dtype=complex), (len(rows), 1, 1))
+        for _ in range(n_steps):
+            da = rng.standard_normal((len(rows), 3)) if var_a > 0 else 0.0
+            db = rng.standard_normal((len(rows), 3)) if var_b > 0 else 0.0
+            g = g @ exp_complex(sa * da + 1j * (sb * db))
+        out.append(g)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("s, t", [(0.25, 0.5), (1.0, 0.5), (0.7, 0.0)])
+def test_chunked_ensemble_matches_per_step_loop(s, t):
+    # slice, general SL(2,C) and var_b = 0; 70 steps: a partial last chunk
+    # and one reprojection
+    n_steps = 70
+    assert n_steps % CHUNK_STEPS != 0
+    ref = _per_step_endpoints(s, t, 31, n_steps, SEED, 3)
+    ens = endpoint_ensemble_KC(s, t, 31, n_steps, SEED, n_blocks=3)
+    np.testing.assert_allclose(ens.values, ref, rtol=0, atol=1e-13)
 
 
 def test_real_ensemble_moments():

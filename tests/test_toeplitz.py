@@ -13,7 +13,7 @@ from su2quant.toeplitz import (
     sup_K,
     toeplitz_entry_quadrature,
 )
-from su2quant.wigner import BandLimited, inner_product_K
+from su2quant.wigner import BandLimited, inner_product_K, wigner_matrix
 
 T = 0.5
 SEED = 321
@@ -46,6 +46,25 @@ def test_schrodinger_entry_vs_quadrature(rng):
         np.conj(f1(rule.nodes)) * v(rule.nodes) * a.apply(f2)(rule.nodes)
     )
     assert schrodinger_entry(v, a, f1, f2) == pytest.approx(quad, abs=1e-10)
+
+
+def test_moment_tensors_match_per_node_average():
+    # the per-block moment matrix contracted with D(x_q) against the direct
+    # mean over w of conj(D^{j1}(w x_q)) (x) D^{j2}(w x_q), node by node
+    small = ToeplitzSampler(T, 400, 20, SEED, x_total_two_j=4)
+    nodes = small.x_rule.nodes
+    for tj1, tj2 in ((1, 1), (1, 2), (2, 1), (0, 2)):
+        got = small.moment_tensors(tj1, tj2)
+        d1, d2 = tj1 + 1, tj2 + 1
+        assert got.shape == (small.n_blocks, len(nodes), d1, d1, d2, d2)
+        for n, wb in enumerate(small.ensemble.block_views()):
+            wx = wb[:, None] @ nodes[None]
+            ref = np.einsum(
+                "wqab,wqcd->qabcd",
+                np.conj(wigner_matrix(tj1 / 2.0, wx)),
+                wigner_matrix(tj2 / 2.0, wx),
+            ) / len(wb)
+            np.testing.assert_allclose(got[n], ref, rtol=0, atol=1e-13)
 
 
 def test_constant_symbol_gives_inner_product(sampler):
