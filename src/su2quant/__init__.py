@@ -33,7 +33,6 @@ from .toeplitz import (
     ToeplitzSampler,
     boundedness_check,
     schrodinger_entry,
-    toeplitz_entry_diff_mc,
     toeplitz_entry_mult_mc,
     toeplitz_entry_quadrature,
 )

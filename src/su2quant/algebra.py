@@ -81,17 +81,43 @@ def algebra_entries(z):
     return -0.5j * z3, -0.5j * z1 - 0.5 * z2, -0.5j * z1 + 0.5 * z2
 
 
-def exp_entries(m00, m01, m10, out=None):
-    """Entries ``(e00, e01, e10, e11)`` of exp(M), M = [[m00, m01], [m10, -m00]].
+def exp_entries(a, b, out=None):
+    """Entries ``(e00, e01, e10, e11)`` of exp(sum_k (a_k + i b_k) X_k).
 
-    Elementwise over arrays of any shape; returns an array (4, ...), written
-    into ``out`` when given.  Uses ``M^2 = mu^2 I`` with
-    ``mu^2 = m00^2 + m01 m10 = -det M``: ``exp(M) = cosh(mu) I + sinhc(mu) M``.
-    Both factors are even in ``mu``, so any root serves.  With mu = x + iy
-    they are formed from real cosh, sinh, cos and sin of x and y, which cost
-    a fraction of their complex counterparts.
+    ``a`` and ``b`` are real coordinate arrays (..., 3), and either may be
+    None, meaning zero.  Elementwise over the leading axes; returns an array
+    (4, ...), written into ``out`` when given.  With M the exponent,
+    ``M^2 = mu^2 I`` and ``exp(M) = cosh(mu) I + (sinh(mu) / mu) M``; both
+    factors are even in mu, so any root serves, and
+    ``mu^2 = (|b|^2 - |a|^2) / 4 - i (a . b) / 2``.  The branch follows from
+    which parts are given:
+
+    * only b (the subelliptic slice): M is Hermitian and mu = |b|/2 is
+      real, so exp(M) is Hermitian and built from real cosh and sinh;
+    * only a (SU(2)): mu = i|a|/2, and exp(M) is unitary, built from real
+      cos and sin;
+    * both: mu = x + iy is complex, and the factors are formed from real
+      cosh, sinh, cos and sin of x and y.  mu^2 is taken as
+      ``(n00^2 + n01 n10) / 4`` from the entries of n = 2M, which the last
+      step needs anyway; the dot products above cost more calls on
+      strided data.
     """
-    w = np.asarray(m00 * m00 + m01 * m10, dtype=complex)
+    if a is None or b is None:
+        return _exp_one_part(b if a is None else a, a is None, out)
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    # n = 2M = [[b3 - i a3, (b1 - a2) - i (a1 + b2)], [(b1 + a2) + i (b2 - a1), -n00]],
+    # written straight from the parts: a complex copy a + ib measured slower
+    n00, n01, n10 = (np.empty(np.shape(a1), dtype=complex) for _ in range(3))
+    n00.real = b3
+    np.negative(a3, out=n00.imag)
+    np.subtract(b1, a2, out=n01.real)
+    np.add(a1, b2, out=n01.imag)
+    np.negative(n01.imag, out=n01.imag)
+    np.add(b1, a2, out=n10.real)
+    np.subtract(b2, a1, out=n10.imag)
+    w = np.asarray(n00 * n00 + n01 * n10, dtype=complex)
+    w *= 0.25
     u, v = w.real, w.imag
     # p + iq (u >= 0) or q + ip (u < 0) squares to w; neither loses digits.
     # Temporaries are dropped as soon as they are spent: a chunk's working
@@ -114,13 +140,50 @@ def exp_entries(m00, m01, m10, out=None):
         s /= mu
     if zero.any():
         c[zero], s[zero] = 1.0, 1.0
+    s *= 0.5  # s M = (s / 2) n
     if out is None:
         out = np.empty((4,) + w.shape, dtype=complex)
-    sm00 = s * m00
+    sm00 = s * n00
     np.add(c, sm00, out=out[0, ...])
-    np.multiply(s, m01, out=out[1, ...])
-    np.multiply(s, m10, out=out[2, ...])
+    np.multiply(s, n01, out=out[1, ...])
+    np.multiply(s, n10, out=out[2, ...])
     np.subtract(c, sm00, out=out[3, ...])
+    return out
+
+
+def _exp_one_part(v, hermitian: bool, out):
+    """exp_entries with one part: exp(sum_k v_k iX_k) when ``hermitian``, else exp(sum_k v_k X_k).
+
+    sum_k v_k iX_k = H / 2 with H = [[v3, v1 - i v2], [v1 + i v2, -v3]] and
+    H^2 = r^2 I, r = |v|; sum_k v_k X_k = -iH / 2.  So exp(M) = c I + s H
+    with c = cosh(r/2), s = sinh(r/2) / r, or c = cos(r/2) and -i sin(r/2) / r
+    in place of s.
+    """
+    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
+    r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    h = 0.5 * r
+    c = np.cosh(h) if hermitian else np.cos(h)
+    s = np.divide(np.sinh(h) if hermitian else np.sin(h), r,
+                  out=np.full(r.shape, 0.5), where=r > 0)  # sinh(h) / r -> 1/2 at r = 0
+    if out is None:
+        out = np.empty((4,) + r.shape, dtype=complex)
+    e00, e01, e10, e11 = (out[k, ...] for k in range(4))  # views, 0-d included
+    s3 = s * v3
+    if hermitian:  # e00, e11 = c +- s v3; e01, e10 = s v1 -+ i s v2
+        np.add(c, s3, out=e00.real)
+        np.subtract(c, s3, out=e11.real)
+        out[::3].imag = 0.0
+        np.multiply(s, v1, out=e01.real)
+        e10.real = e01.real
+        np.multiply(s, v2, out=e10.imag)
+        np.negative(e10.imag, out=e01.imag)
+    else:  # e00, e11 = c -+ i s v3; e01, e10 = -+s v2 - i s v1
+        out[::3].real = c
+        np.negative(s3, out=e00.imag)
+        e11.imag = s3
+        np.multiply(s, v2, out=e10.real)
+        np.negative(e10.real, out=e01.real)
+        np.negative(s * v1, out=out[1:3].imag)
     return out
 
 
@@ -129,12 +192,6 @@ def matrix_from_entries(e00, e01, e10, e11) -> np.ndarray:
     out = np.empty(np.shape(e00) + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = e00, e01, e10, e11
     return out
-
-
-def expm_traceless(m: np.ndarray) -> np.ndarray:
-    """exp of traceless 2x2 matrices, vectorized over leading axes."""
-    m = np.asarray(m, dtype=complex)
-    return matrix_from_entries(*exp_entries(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0]))
 
 
 def exp_algebra(y, scale: float = 1.0) -> np.ndarray:
@@ -151,7 +208,7 @@ def exp_algebra(y, scale: float = 1.0) -> np.ndarray:
 def exp_complex(z) -> np.ndarray:
     """exp(sum_k z_k X_k) in SL(2,C) for complex coordinates z (..., 3)."""
     z = np.asarray(z, dtype=complex)
-    return matrix_from_entries(*exp_entries(*algebra_entries(z)))
+    return matrix_from_entries(*exp_entries(z.real, z.imag))
 
 
 def random_su2(rng: np.random.Generator, n: int | None = None) -> np.ndarray:

@@ -40,11 +40,12 @@ from .sde import (
     expected_character_K,
     expected_character_KC,
     pathwise_identity_residual,
-    sample_path,
+    pathwise_medians,
+    sample_path,  # noqa: F401 (unused here; bench/tests calls cli.sample_path)
 )
 from .toeplitz import ToeplitzSampler, schrodinger_entry, sup_K, toeplitz_entry_quadrature
 from .transform import adjoint_inversion_oracle, inverse_C, transform_C
-from .wigner import BandLimited, inner_product_K
+from .wigner import TWO_J_CAP, BandLimited, inner_product_K
 
 SCHEMA = "su2quant-report/1"
 
@@ -76,10 +77,6 @@ _SCHEMA_TYPES = {
 
 _POSITIVE_COUNTS = ("n_paths", "n_steps", "n_grid", "euclid_degree_max")
 
-# Draws per batched call of the pathwise identity (200 in all): small enough
-# that the batch's increments stay far below the process's resident set.
-PATHWISE_BATCH = 40
-
 
 class ConfigError(Exception):
     pass
@@ -91,6 +88,17 @@ def _positive_time(value) -> bool:
         and isinstance(value, (int, float))
         and math.isfinite(value)
         and value > 0
+    )
+
+
+def _spin(value) -> bool:
+    """A half-integer j with 0 <= j <= TWO_J_CAP / 2."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and math.isfinite(value)
+        and 2 * value == int(2 * value)
+        and 0 <= 2 * value <= TWO_J_CAP
     )
 
 
@@ -126,6 +134,18 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
                     f"config field 't_values': expected a non-empty list of finite numbers > 0, "
                     f"got {value}"
                 )
+            if key == "spins" and not (value and all(map(_spin, value))):
+                raise ConfigError(
+                    f"config field 'spins': expected a non-empty list of half-integers j "
+                    f"with 0 <= j <= {TWO_J_CAP // 2}, got {value}"
+                )
+            if key == "master_seed" and value < 0:
+                raise ConfigError(f"config field 'master_seed': must be >= 0, got {value}")
+            if key == "radial_cutoff" and not (value is None or _positive_time(value)):
+                raise ConfigError(
+                    f"config field 'radial_cutoff': expected null or a finite number > 0, "
+                    f"got {value}"
+                )
             if key == "quadrature":
                 for q_key, q_value in value.items():
                     if q_key not in DEFAULTS["quadrature"]:
@@ -137,8 +157,15 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
                 value = {**cfg["quadrature"], **value}
             cfg[key] = value
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {seed_override}")
         cfg["master_seed"] = seed_override
     return cfg
+
+
+def _cutoff(cfg: dict, t: float) -> float:
+    """The configured radial cutoff, or the default one for t."""
+    return default_cutoff(t) if cfg["radial_cutoff"] is None else cfg["radial_cutoff"]
 
 
 def _check(name: str, value, gate: str, passed: bool, **extra) -> dict:
@@ -198,7 +225,7 @@ def cmd_transform_check(cfg: dict, workers: int):
     q = cfg["quadrature"]
     rng = np.random.default_rng(cfg["master_seed"])
     for t in cfg["t_values"]:
-        R = (cfg["radial_cutoff"] or default_cutoff(t)) + 1.5
+        R = _cutoff(cfg, t) + 1.5
         rule = kc_quadrature(
             R, k_two_jmax=3, n_r=q["n_r"], n_theta=q["n_theta"], n_phi=q["n_phi"]
         )
@@ -225,14 +252,6 @@ def cmd_transform_check(cfg: dict, workers: int):
         gap = float(np.max(np.abs(rec.blocks[1] - f.blocks[1])))
         checks.append(_check(f"adjoint inversion oracle t={t}", gap, "< 1e-4", gap < 1e-4))
     return checks, []
-
-
-def _draws(sigma_sq: float, n_steps: int, first_seed: int) -> BrownianPath:
-    """The paths sample_path gives for PATHWISE_BATCH seeds from first_seed, as one batch."""
-    inc = np.empty((PATHWISE_BATCH, n_steps, 3))
-    for k in range(PATHWISE_BATCH):
-        inc[k] = sample_path(sigma_sq, n_steps, first_seed + k).increments
-    return BrownianPath(inc, sigma_sq)
 
 
 def cmd_sde_check(cfg: dict, workers: int):
@@ -281,16 +300,8 @@ def cmd_sde_check(cfg: dict, workers: int):
             for i, bv in enumerate(vals):
                 blocks.append((f"trace blocks s={s} t={t}", i, float(bv), 0.0))
     # pathwise identity
-    meds = []
     steps = [100, 200, 400, 800]
-    for n in steps:
-        rs = [
-            pathwise_identity_residual(
-                _draws(0.75, n, seed + 10000 + k), _draws(0.25, n, seed + 20000 + k)
-            )
-            for k in range(0, 200, PATHWISE_BATCH)
-        ]
-        meds.append(float(np.median(np.concatenate(rs))))
+    meds = pathwise_medians(steps, seed)
     slope = float(-np.polyfit(np.log(steps), np.log(meds), 1)[0])
     checks.append(
         _check(
@@ -435,7 +446,7 @@ def cmd_toeplitz_diff(cfg: dict, workers: int):
                     blocks.append((name, i, float(bv.real), float(bv.imag)))
     # deterministic V = 1 route with the radial Laplacian symbol
     q = cfg["quadrature"]
-    R = (cfg["radial_cutoff"] or default_cutoff(t)) + 1.5
+    R = _cutoff(cfg, t) + 1.5
     rule = kc_quadrature(R, k_two_jmax=1, n_r=q["n_r"], n_theta=q["n_theta"], n_phi=q["n_phi"])
     lap = LeftInvariantOperator.laplacian()
     # evaluate the symbol at exactly the rule's radial nodes

@@ -19,7 +19,11 @@ calls against the entries of its step exponential.  The exponentials are
 formed CHUNK_STEPS steps at a time by the closed form
 ``algebra.exp_entries``, in real arithmetic, so the NumPy calls per
 path-step are few; the scheme is the exp-of-increment Lie-group method of
-Malham & Wiese, SIAM J. Sci. Comput. 30 (2008).
+Malham & Wiese, SIAM J. Sci. Comput. 30 (2008).  The real and imaginary
+parts of the increments are passed separately, a part that is zero as None:
+walks on SU(2) and on the slice then take the one-part branches of
+``exp_entries`` (real cos and sin, or cosh and sinh, of |increment| / 2),
+and only walks with both parts take its complex-mu route.
 
 Reductions are deterministic and independent of the worker count: paths are
 organized in a fixed number of blocks, each block owns a generator derived
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ad_action, algebra_entries, exp_entries
+from .algebra import ad_action, exp_entries
 from .wigner import character
 
 DEFAULT_N_BLOCKS = 40
@@ -110,9 +114,12 @@ def _project_su2(g):
     return _project_sl2c(0.5 * (g + cofactor / cdet))
 
 
-def _step_exps(z) -> np.ndarray:
-    """exp(sum_k z_k X_k) for coordinates z (c, ..., 3), as entries (2, 2, c, ...)."""
-    e = exp_entries(*algebra_entries(z))
+def _step_exps(a, b=None) -> np.ndarray:
+    """exp(sum_k (a_k + i b_k) X_k) for real coordinates (c, ..., 3), as entries (2, 2, c, ...).
+
+    Either part may be None, meaning zero; see ``exp_entries``.
+    """
+    e = exp_entries(a, b)
     return e.reshape((2, 2) + e.shape[1:])
 
 
@@ -137,18 +144,21 @@ def _advance(g, e, k0: int, project, states=None) -> None:
             g[...] = project(g)
 
 
-def _chunks(increments):
-    """(k0, z) for the steps of (..., n_steps, 3) increments, CHUNK_STEPS at a time; z is (c, ..., 3)."""
-    z = np.moveaxis(increments, -2, 0)
-    for k0 in range(0, len(z), CHUNK_STEPS):
-        yield k0, z[k0:k0 + CHUNK_STEPS]
+def _chunk(increments, k0: int):
+    """Steps k0, ..., k0 + CHUNK_STEPS - 1 of (..., n_steps, 3) increments as (c, ..., 3); None stays None."""
+    if increments is None:
+        return None
+    return np.moveaxis(increments[..., k0:k0 + CHUNK_STEPS, :], -2, 0)
 
 
-def _endpoints(z, project) -> np.ndarray:
-    """Endpoints (..., 2, 2) of the walk with coordinate increments z (..., n_steps, 3)."""
-    g = _identity(z.shape[:-2])
-    for k0, zc in _chunks(z):
-        _advance(g, _step_exps(zc), k0, project)
+def _endpoints(a, b, project) -> np.ndarray:
+    """Endpoints (..., 2, 2) of the walk with coordinate increments a + i b (..., n_steps, 3).
+
+    ``b`` may be None, meaning zero.
+    """
+    g = _identity(a.shape[:-2])
+    for k0 in range(0, a.shape[-2], CHUNK_STEPS):
+        _advance(g, _step_exps(_chunk(a, k0), _chunk(b, k0)), k0, project)
     return _matrices(g)
 
 
@@ -163,20 +173,21 @@ def _rotated_chunks(b: BrownianPath, a: BrownianPath, x):
     dB'_k = Ad_{x_k} dB_k with x_k the state entering step k (left-point rule).
     """
     xs = np.empty((2, 2, CHUNK_STEPS) + x.shape[2:], dtype=complex)
-    for (k0, za), (_, zb) in zip(_chunks(a.increments), _chunks(b.increments)):
+    for k0 in range(0, a.n_steps, CHUNK_STEPS):
+        za, zb = _chunk(a.increments, k0), _chunk(b.increments, k0)
         _advance(x, _step_exps(za), k0, _project_su2, states=xs)
         yield k0, ad_action(np.moveaxis(xs[:, :, :len(za)], (0, 1), (-2, -1)), zb)
 
 
 def ito_map_K(path: BrownianPath) -> np.ndarray:
     """Endpoints (..., 2, 2) of dx = x o dA on SU(2)."""
-    return _endpoints(path.increments, _project_su2)
+    return _endpoints(path.increments, None, _project_su2)
 
 
 def ito_map_KC(a: BrownianPath, b: BrownianPath) -> np.ndarray:
     """Endpoints (..., 2, 2) of dg = g o d(A + iB) on SL(2,C)."""
     _check_grid(a, b)
-    return _endpoints(a.increments + 1j * b.increments, _project_sl2c)
+    return _endpoints(a.increments, b.increments, _project_sl2c)
 
 
 def rotated_path(b: BrownianPath, a: BrownianPath) -> BrownianPath:
@@ -201,16 +212,54 @@ def pathwise_identity_residual(a: BrownianPath, b: BrownianPath):
     batch an array with one residual per draw.  theta(A) leads by one chunk
     of steps; theta_C(A+iB) and theta_C(iB') then take that chunk side by
     side as one batch, so only a chunk of rotated increments is held at once.
+    The step exponentials of theta_C(iB') take the Hermitian branch of
+    ``exp_entries``.
     """
     _check_grid(a, b)
     shape = a.increments.shape[:-2]
     x, g = _identity(shape), _identity((2,) + shape)
-    both = zip(_chunks(a.increments + 1j * b.increments), _rotated_chunks(b, a, x))
-    for (k0, zab), (_, db) in both:
-        _advance(g, _step_exps(np.stack([zab, 1j * db], axis=1)), k0, _project_sl2c)
+    e = np.empty((2, 2, CHUNK_STEPS, 2) + shape, dtype=complex)
+    e_rows = e.reshape((4, CHUNK_STEPS, 2) + shape)
+    for k0, db in _rotated_chunks(b, a, x):
+        c = len(db)
+        exp_entries(_chunk(a.increments, k0), _chunk(b.increments, k0), out=e_rows[:, :c, 0])
+        exp_entries(None, db, out=e_rows[:, :c, 1])
+        _advance(g, e[:, :, :c], k0, _project_sl2c)
     lhs, rhs = _matrices(g[:, :, 0]), _matrices(g[:, :, 1]) @ _matrices(x)
     res = np.linalg.norm(lhs - rhs, axis=(-2, -1))
     return float(res) if res.ndim == 0 else res
+
+
+# Draws per batched call of the pathwise identity: small enough that the
+# batch's increments stay far below the process's resident set.
+PATHWISE_BATCH = 40
+
+
+def _draws(sigma_sq: float, n_steps: int, first_seed: int) -> BrownianPath:
+    """The paths sample_path gives for PATHWISE_BATCH seeds from first_seed, as one batch."""
+    inc = np.empty((PATHWISE_BATCH, n_steps, 3))
+    for k in range(PATHWISE_BATCH):
+        inc[k] = sample_path(sigma_sq, n_steps, first_seed + k).increments
+    return BrownianPath(inc, sigma_sq)
+
+
+def pathwise_medians(steps, seed: int) -> list[float]:
+    """Median pathwise_identity_residual over 200 pairs of paths at each step count n.
+
+    Draw k pairs A = sample_path(0.75, n, seed + 10000 + k) with
+    B = sample_path(0.25, n, seed + 20000 + k); the pairs are run
+    PATHWISE_BATCH at a time, which gives the residuals of single pairs.
+    """
+    meds = []
+    for n in steps:
+        rs = [
+            pathwise_identity_residual(
+                _draws(0.75, n, seed + 10000 + k), _draws(0.25, n, seed + 20000 + k)
+            )
+            for k in range(0, 200, PATHWISE_BATCH)
+        ]
+        meds.append(float(np.median(np.concatenate(rs))))
+    return meds
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +327,20 @@ def endpoint_ensemble_KC(
     per_slab = max(1, SLAB_PATHS // max(1, max(sizes)))
     slabs = [range(i, min(i + per_slab, n_blocks)) for i in range(0, n_blocks, per_slab)]
 
-    # per step, each block draws its da (when var_a > 0), then its db (when
-    # var_b > 0) from its own generator
-    n_drawn = int(var_a > 0) + int(var_b > 0)
+    # per step, each block draws its da, then its db, from its own
+    # generator, each only when its variance is > 0; with one part not
+    # drawn, exp_entries takes its one-part branch.  At var_a = var_b = 0
+    # the da are drawn all the same and scaled to zero: every endpoint is I.
+    draw_a, draw_b = var_a > 0 or var_b == 0, var_b > 0
+    n_drawn = int(draw_a) + int(draw_b)
 
     def run_slab(blocks: range) -> np.ndarray:
         n = [sizes[i] for i in blocks]
         cuts = np.cumsum([0] + n)
         rngs = [_block_rng(master_seed, i) for i in blocks]
         # one chunk of one block at a time: its normals, laid out (steps,
-        # {da, db}, rows, 3), and its complex coordinates sa da + i sb db
+        # {da, db}, rows, 3), scaled in place to the coordinates sa da, sb db
         normals = np.empty(CHUNK_STEPS * n_drawn * max(n) * 3)
-        coords = np.zeros(CHUNK_STEPS * max(n) * 3, dtype=complex)
         # step exponentials of the chunk, every block writing its own columns
         e = np.empty((2, 2, CHUNK_STEPS, cuts[-1]), dtype=complex)
         e_rows = e.reshape(4, CHUNK_STEPS, cuts[-1])
@@ -298,13 +349,10 @@ def endpoint_ensemble_KC(
             c = min(CHUNK_STEPS, n_steps - k0)
             for i, (rng, m) in enumerate(zip(rngs, n)):
                 draw = normals[:c * n_drawn * m * 3].reshape(c, n_drawn, m, 3)
-                z = coords[:c * m * 3].reshape(c, m, 3)
                 rng.standard_normal(out=draw)
-                if var_a > 0:
-                    np.multiply(sa, draw[:, 0], out=z.real)
-                if var_b > 0:
-                    np.multiply(sb, draw[:, -1], out=z.imag)
-                exp_entries(*algebra_entries(z), out=e_rows[:, :c, cuts[i]:cuts[i + 1]])
+                da = np.multiply(sa, draw[:, 0], out=draw[:, 0]) if draw_a else None
+                db = np.multiply(sb, draw[:, -1], out=draw[:, -1]) if draw_b else None
+                exp_entries(da, db, out=e_rows[:, :c, cuts[i]:cuts[i + 1]])
             _advance(g, e[:, :, :c], k0, _project_sl2c)
         return _matrices(g)
 

@@ -141,7 +141,6 @@ class ToeplitzSampler:
         f1: BandLimited,
         f2: BandLimited,
         a: LeftInvariantOperator | None = None,
-        diagnose: bool = False,
     ) -> ToeplitzEstimate:
         """Weak Toeplitz entry <C_t f1, T C_t f2> for the symbol of (V~, A)."""
         F1 = transform_C(self.t, f1)
@@ -178,7 +177,7 @@ class ToeplitzSampler:
                 / self.n_blocks
             )
         )
-        est = ToeplitzEstimate(
+        return ToeplitzEstimate(
             value=value,
             stderr=stderr,
             n_paths=self.n_paths,
@@ -187,9 +186,6 @@ class ToeplitzSampler:
             method="MC",
             block_values=block_vals,
         )
-        if diagnose:
-            check_convergence(est)
-        return est
 
 
 def toeplitz_entry_mult_mc(
@@ -202,7 +198,6 @@ def toeplitz_entry_mult_mc(
     master_seed: int,
     workers: int = 1,
     sampler: ToeplitzSampler | None = None,
-    diagnose: bool = False,
 ) -> ToeplitzEstimate:
     """Multiplication-theorem entry: symbol of V = e^{t Delta/4} V~, no operator."""
     if sampler is None:
@@ -210,29 +205,7 @@ def toeplitz_entry_mult_mc(
             t, n_paths, n_steps, master_seed, workers=workers,
             x_total_two_j=v_tilde.two_jmax + f1.two_jmax + f2.two_jmax,
         )
-    return sampler.entry(v_tilde, f1, f2, diagnose=diagnose)
-
-
-def toeplitz_entry_diff_mc(
-    t: float,
-    v_tilde: BandLimited,
-    a: LeftInvariantOperator,
-    f1: BandLimited,
-    f2: BandLimited,
-    n_paths: int,
-    n_steps: int,
-    master_seed: int,
-    workers: int = 1,
-    sampler: ToeplitzSampler | None = None,
-    diagnose: bool = False,
-) -> ToeplitzEstimate:
-    """Differential-operator entry: A_C moved onto F2 by integration by parts."""
-    if sampler is None:
-        sampler = ToeplitzSampler(
-            t, n_paths, n_steps, master_seed, workers=workers,
-            x_total_two_j=v_tilde.two_jmax + f1.two_jmax + f2.two_jmax,
-        )
-    return sampler.entry(v_tilde, f1, f2, a=a, diagnose=diagnose)
+    return sampler.entry(v_tilde, f1, f2)
 
 
 def check_convergence(est: ToeplitzEstimate, factor: float = 1.5) -> None:

@@ -423,16 +423,6 @@ class HolomorphicObservable(BandLimited):
     """
 
 
-def left_derivative(word, f: BandLimited) -> BandLimited:
-    """Apply a product of basis vector fields (or a LeftInvariantOperator)."""
-    if hasattr(word, "terms"):  # LeftInvariantOperator without a circular import
-        out = BandLimited({})
-        for coeff, w in word.terms:
-            out = out + coeff * f.apply_word(tuple(w))
-        return out
-    return f.apply_word(tuple(word))
-
-
 def inner_product_K(f1: BandLimited, f2: BandLimited) -> complex:
     """<f1, f2> over L^2(K), conjugate-linear in f1, via Schur orthogonality."""
     total = 0.0 + 0.0j

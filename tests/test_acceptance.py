@@ -25,7 +25,7 @@ from su2quant.sde import (
     expected_character_K,
     expected_character_KC,
     pathwise_identity_residual,
-    sample_path,
+    pathwise_medians,
 )
 from su2quant.toeplitz import (
     ToeplitzSampler,
@@ -143,16 +143,7 @@ def test_criterion_04_complex_endpoint_moments():
 def test_criterion_05_pathwise_identity():
     t0 = time.perf_counter()
     steps = [100, 200, 400, 800]
-    meds = []
-    for n in steps:
-        rs = [
-            pathwise_identity_residual(
-                sample_path(0.75, n, SEED + 10000 + k),
-                sample_path(0.25, n, SEED + 20000 + k),
-            )
-            for k in range(200)
-        ]
-        meds.append(float(np.median(rs)))
+    meds = pathwise_medians(steps, SEED)
     slope = float(-np.polyfit(np.log(steps), np.log(meds), 1)[0])
     det = []
     for n in steps:

@@ -3,16 +3,15 @@ import pytest
 
 from su2quant.algebra import (
     BASIS,
+    PAULI,
     VOL_K,
     AlgebraVector,
     ad_action,
-    algebra_entries,
     algebra_inner,
     default_cutoff,
     exp_algebra,
     exp_complex,
     exp_entries,
-    expm_traceless,
     haar_rule,
     kc_quadrature,
     matrix_from_entries,
@@ -39,45 +38,68 @@ def test_algebra_vector_inner_matches_matrix_form():
 
 
 def test_exp_closed_form_vs_scipy():
+    # exp_complex of a random traceless matrix m, through its coordinates
+    # z_k = i tr(m sigma_k)
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(0)
     for _ in range(10):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         m -= 0.5 * np.trace(m) * np.eye(2)
-        np.testing.assert_allclose(
-            expm_traceless(m), scipy_linalg.expm(m), atol=1e-12
-        )
+        z = 1j * np.einsum("ab,kba->k", m, PAULI)
+        np.testing.assert_allclose(exp_complex(z), scipy_linalg.expm(m), atol=1e-12)
 
 
 @pytest.mark.parametrize(
     "kind", ["real", "imaginary", "complex", "large", "tiny", "zero"]
 )
 def test_exp_entries_matches_expm(kind):
-    # the real-arithmetic closed form against scipy, batched and 0-d
+    # every branch of the closed form against scipy, batched and 0-d: a only
+    # (SU(2)), b only (the slice) and both; at |z| = 10, 1e-9 and 0 all three
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(17)
     a, b = rng.standard_normal((2, 4, 5, 3))
-    unit = (a + 1j * b) / np.linalg.norm(a + 1j * b, axis=-1, keepdims=True)
-    z = {
-        "real": a + 0j,
-        "imaginary": 1j * b,
-        "complex": a + 1j * b,
-        "large": 10.0 * unit,
-        "tiny": 1e-9 * unit,
-        "zero": np.zeros_like(unit),
-    }[kind]
-    m = np.einsum("...k,kab->...ab", z, BASIS)
-    ref = np.array([scipy_linalg.expm(mm) for mm in m.reshape(-1, 2, 2)]).reshape(m.shape)
-    atol = 1e-13 * max(1.0, np.max(np.abs(ref)))
-    batch = matrix_from_entries(*exp_entries(*algebra_entries(z)))
-    assert batch.shape == z.shape[:-1] + (2, 2)
-    np.testing.assert_allclose(batch, ref, rtol=0, atol=atol)
-    for zz, expected in zip(z.reshape(-1, 3), batch.reshape(-1, 2, 2)):
-        e = exp_entries(*algebra_entries(zz))
-        assert e.shape == (4,)
-        np.testing.assert_allclose(matrix_from_entries(*e), expected, rtol=0, atol=atol)
-    if kind == "zero":
-        np.testing.assert_array_equal(batch, np.broadcast_to(np.eye(2), batch.shape))
+
+    def unit(v):
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    u = unit(a + 1j * b)
+    scale = {"large": 10.0, "tiny": 1e-9, "zero": 0.0}.get(kind)
+    parts = {
+        "real": [(a, None)],
+        "imaginary": [(None, b)],
+        "complex": [(a, b)],
+    }.get(kind) or [
+        (scale * unit(a), None),
+        (None, scale * unit(b)),
+        (scale * u.real, scale * u.imag),
+    ]
+    for pa, pb in parts:
+        z = (0.0 if pa is None else pa) + 1j * (0.0 if pb is None else pb)
+        m = np.einsum("...k,kab->...ab", z, BASIS)
+        ref = np.array([scipy_linalg.expm(mm) for mm in m.reshape(-1, 2, 2)]).reshape(m.shape)
+        atol = 1e-13 * max(1.0, np.max(np.abs(ref)))
+        batch = matrix_from_entries(*exp_entries(pa, pb))
+        assert batch.shape == z.shape[:-1] + (2, 2)
+        np.testing.assert_allclose(batch, ref, rtol=0, atol=atol)
+        for i, expected in enumerate(batch.reshape(-1, 2, 2)):
+            e = exp_entries(*(None if p is None else p.reshape(-1, 3)[i] for p in (pa, pb)))
+            assert e.shape == (4,)
+            np.testing.assert_allclose(matrix_from_entries(*e), expected, rtol=0, atol=atol)
+        if kind == "zero":
+            np.testing.assert_array_equal(batch, np.broadcast_to(np.eye(2), batch.shape))
+
+
+def test_exp_entries_one_part_structure():
+    # b only: exp of a Hermitian matrix is Hermitian; a only: it lies in SU(2)
+    rng = np.random.default_rng(5)
+    v = 2.0 * rng.standard_normal((50, 3))
+    e00, e01, e10, e11 = exp_entries(None, v)
+    assert not np.any(e00.imag) and not np.any(e11.imag)
+    np.testing.assert_array_equal(e10, np.conj(e01))
+    u = matrix_from_entries(*exp_entries(v, None))
+    np.testing.assert_allclose(u @ np.conj(np.swapaxes(u, -1, -2)),
+                               np.broadcast_to(np.eye(2), u.shape), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.det(u), 1.0, rtol=0, atol=1e-14)
 
 
 def test_exp_algebra_is_unitary_and_periodic():

@@ -54,6 +54,14 @@ def test_load_config_diagnostics(tmp_path):
         ({"t_values": []}, "t_values"),
         ({"t_values": [0.5, True]}, "t_values"),
         ({"t_values": [0.5, "1"]}, "t_values"),
+        ({"spins": [0.3]}, "spins"),
+        ({"spins": [13]}, "spins"),
+        ({"spins": [-0.5]}, "spins"),
+        ({"spins": []}, "spins"),
+        ({"spins": [0.5, True]}, "spins"),
+        ({"master_seed": -1}, "master_seed"),
+        ({"radial_cutoff": -5}, "radial_cutoff"),
+        ({"radial_cutoff": 0}, "radial_cutoff"),
     ],
 )
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
@@ -63,6 +71,21 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    code = main(["sde-check", "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_spins_up_to_the_cap_load(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"spins": [0, 1.5, 12], "radial_cutoff": 4}))
+    cfg = load_config(str(p), 0)
+    assert cfg["spins"] == [0, 1.5, 12] and cfg["radial_cutoff"] == 4
+    assert cfg["master_seed"] == 0
 
 
 def test_field_s_is_unknown(tmp_path, capsys):
