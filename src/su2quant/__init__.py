@@ -22,6 +22,7 @@ from .sde import (
     EndpointEnsemble,
     endpoint_ensemble_K,
     endpoint_ensemble_KC,
+    endpoint_ensembles_KC,
     ito_map_K,
     ito_map_KC,
     pathwise_identity_residual,
@@ -31,9 +32,7 @@ from .sde import (
 from .toeplitz import (
     ToeplitzEstimate,
     ToeplitzSampler,
-    boundedness_check,
     schrodinger_entry,
-    toeplitz_entry_mult_mc,
     toeplitz_entry_quadrature,
 )
 from .transform import TransformedPair, inverse_C, transform_B, transform_C

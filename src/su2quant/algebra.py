@@ -194,6 +194,14 @@ def matrix_from_entries(e00, e01, e10, e11) -> np.ndarray:
     return out
 
 
+def _exp_matrices(a, b) -> np.ndarray:
+    """exp_entries(a, b) written in place as matrices (..., 2, 2): no entry array to copy."""
+    shape = np.shape(a if b is None else b)[:-1]
+    m = np.empty(shape + (2, 2), dtype=complex)
+    exp_entries(a, b, out=np.moveaxis(m.reshape(shape + (4,)), -1, 0))
+    return m
+
+
 def exp_algebra(y, scale: float = 1.0) -> np.ndarray:
     """exp(scale * Y) in SU(2) for Y in su(2).
 
@@ -202,13 +210,13 @@ def exp_algebra(y, scale: float = 1.0) -> np.ndarray:
     """
     if isinstance(y, AlgebraVector):
         y = y.coords
-    return exp_complex(np.asarray(y, dtype=float) * scale)
+    return _exp_matrices(np.asarray(y, dtype=float) * scale, None)
 
 
 def exp_complex(z) -> np.ndarray:
     """exp(sum_k z_k X_k) in SL(2,C) for complex coordinates z (..., 3)."""
     z = np.asarray(z, dtype=complex)
-    return matrix_from_entries(*exp_entries(z.real, z.imag))
+    return _exp_matrices(z.real, z.imag)
 
 
 def random_su2(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -265,7 +273,7 @@ def polar_decompose(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small = sinh_r < 1e-12
     scale = np.where(small, 1.0, r / np.where(small, 1.0, sinh_r))
     y = scale[..., None] * vec  # for r ~ 0, vec itself is first-order exact
-    x = g @ exp_complex(-1j * y)
+    x = g @ _exp_matrices(None, -y)  # exp(-iY), Hermitian
     return x, y
 
 
@@ -433,7 +441,7 @@ class QuadratureRuleKC:
         """exp(i r u . X) for every fiber node, shape (M, 2, 2)."""
         if self._fiber_nodes is None:
             y = self.radii[:, None] * self.directions
-            self._fiber_nodes = exp_complex(1j * y)
+            self._fiber_nodes = _exp_matrices(None, y)
         return self._fiber_nodes
 
     @property

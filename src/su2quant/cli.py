@@ -45,7 +45,7 @@ from .sde import (
 )
 from .toeplitz import ToeplitzSampler, schrodinger_entry, sup_K, toeplitz_entry_quadrature
 from .transform import adjoint_inversion_oracle, inverse_C, transform_C
-from .wigner import TWO_J_CAP, BandLimited, inner_product_K
+from .wigner import TWO_J_CAP, BandLimited
 
 SCHEMA = "su2quant-report/1"
 
@@ -348,10 +348,11 @@ def cmd_toeplitz_mult(cfg: dict, workers: int):
         ("chi_1/2", BandLimited.character_fn(0.5)),
         ("chi_1", BandLimited.character_fn(1.0)),
     ]
-    for t in (0.5, 1.0):
-        smp = ToeplitzSampler(
-            t, cfg["n_paths"], cfg["n_steps"], seed, workers=workers, x_total_two_j=4
-        )
+    ts = (0.5, 1.0)
+    samplers = ToeplitzSampler.for_times(
+        ts, cfg["n_paths"], cfg["n_steps"], seed, workers=workers, x_total_two_j=4
+    )
+    for t, smp in zip(ts, samplers):
         max_mag = 0.0
         results = []
         for vname, vt in symbols:

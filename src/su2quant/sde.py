@@ -31,6 +31,10 @@ from the master seed by its block index, and block results are combined in
 block order.  A block draws the normals of a chunk of steps in one call, in
 the order one call per step would give.  Workers map over slabs of
 consecutive blocks; each slab allocates its buffers once.
+
+(s, t) enters only through the scales, so ensembles at several (s, t) use
+common normals: ``endpoint_ensembles_KC`` draws each block's chunk once,
+scales it per time and walks the times side by side as rows of one slab.
 """
 
 from __future__ import annotations
@@ -300,6 +304,97 @@ class EndpointEnsemble:
         return mean, stderr
 
 
+def endpoint_ensembles_KC(
+    pairs,
+    n_paths: int,
+    n_steps: int,
+    master_seed: int,
+    workers: int = 1,
+    n_blocks: int = DEFAULT_N_BLOCKS,
+) -> list[EndpointEnsemble]:
+    """Sample mu_{s,t} endpoints for every (s, t) in ``pairs`` from one draw of the normals.
+
+    Each ensemble is the one ``endpoint_ensemble_KC(s, t, ...)`` gives, bit
+    for bit: the pairs share the master seed, so they share the normals, and
+    only the scales differ.  The pairs must draw the same parts (all on the
+    slice s = t/2, all at t = 0, or all off both); ValueError otherwise.
+    The block decomposition, per-block seeds and slabs depend only on
+    (master_seed, n_paths, n_blocks, n_steps, len(pairs)), never on the
+    worker count, so the endpoints are byte-identical whatever ``workers`` is.
+    """
+    variances = []
+    for s, t in pairs:
+        var_a, var_b = s - t / 2.0, t / 2.0
+        if var_a < -1e-12 or var_b < 0:
+            raise ValueError("need s >= t/2 and t >= 0")
+        variances.append((max(var_a, 0.0), var_b))
+    # per step, each block draws its da, then its db, from its own
+    # generator, each only when its variance is > 0; with one part not
+    # drawn, exp_entries takes its one-part branch.  At var_a = var_b = 0
+    # the da are drawn all the same and scaled to zero: every endpoint is I.
+    patterns = {(var_a > 0 or var_b == 0, var_b > 0) for var_a, var_b in variances}
+    if len(patterns) != 1:
+        raise ValueError("pairs must draw the same parts: all on the slice s = t/2 or all off it")
+    ((draw_a, draw_b),) = patterns
+    n_drawn = int(draw_a) + int(draw_b)
+    dt = 1.0 / n_steps
+    scales = [[np.sqrt(v[k] * dt) for v in variances] for k in (0, 1)]
+    n_times = len(pairs)
+    sizes = [len(idx) for idx in np.array_split(np.arange(n_paths), n_blocks)]
+    offsets = np.cumsum([0] + sizes)
+    # block sizes differ by at most one, so each slab takes the same count;
+    # the times stack their rows, so a slab holds fewer paths per time
+    per_slab = max(1, SLAB_PATHS // max(1, n_times * max(sizes)))
+    slabs = [range(i, min(i + per_slab, n_blocks)) for i in range(0, n_blocks, per_slab)]
+    values = [np.empty((n_paths, 2, 2), dtype=complex) for _ in pairs]
+
+    def run_slab(blocks: range) -> None:
+        cuts = offsets[blocks.start:blocks.stop + 1] - offsets[blocks.start]
+        rows = cuts[-1]
+        rngs = [_block_rng(master_seed, i) for i in blocks]
+        # one chunk of one block at a time: its normals, laid out (steps, {da, db}, rows, 3)
+        normals = np.empty(CHUNK_STEPS * n_drawn * max(np.diff(cuts)) * 3)
+        # the chunk's coordinates sa da, sb db, laid out (steps, times, rows, 3),
+        # and step exponentials; every time and block writes its own rows
+        parts = [np.empty((CHUNK_STEPS, n_times, rows, 3)) if d else None for d in (draw_a, draw_b)]
+        e = np.empty((2, 2, CHUNK_STEPS, n_times, rows), dtype=complex)
+        e_rows = e.reshape(4, CHUNK_STEPS, n_times, rows)
+        g = _identity((n_times, rows))
+        for k0 in range(0, n_steps, CHUNK_STEPS):
+            c = min(CHUNK_STEPS, n_steps - k0)
+            for rng, lo, hi in zip(rngs, cuts, cuts[1:]):
+                draw = normals[:c * n_drawn * (hi - lo) * 3].reshape(c, n_drawn, hi - lo, 3)
+                rng.standard_normal(out=draw)
+                for part, scale, z in zip(parts, scales, (draw[:, 0], draw[:, -1])):
+                    if part is not None:
+                        for i, sc in enumerate(scale):
+                            np.multiply(sc, z, out=part[:c, i, lo:hi])
+            a, b = (None if p is None else p[:c] for p in parts)
+            if a is None or b is None:
+                exp_entries(a, b, out=e_rows[:, :c])
+            else:
+                # the complex-mu route, one block of one time per call, so
+                # its complex temporaries stay as small as a block's
+                for i in range(n_times):
+                    for lo, hi in zip(cuts, cuts[1:]):
+                        exp_entries(a[:, i, lo:hi], b[:, i, lo:hi], out=e_rows[:, :c, i, lo:hi])
+            _advance(g, e[:, :, :c], k0, _project_sl2c)
+        first = offsets[blocks.start]
+        for i, out in enumerate(values):
+            out[first:first + rows] = np.moveaxis(g[:, :, i], (0, 1), (-2, -1))
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_slab, slabs))
+    else:
+        for blocks in slabs:
+            run_slab(blocks)
+    return [
+        EndpointEnsemble(out, n_blocks, n_steps, master_seed, var_a, var_b)
+        for out, (var_a, var_b) in zip(values, variances)
+    ]
+
+
 def endpoint_ensemble_KC(
     s: float,
     t: float,
@@ -309,61 +404,8 @@ def endpoint_ensemble_KC(
     workers: int = 1,
     n_blocks: int = DEFAULT_N_BLOCKS,
 ) -> EndpointEnsemble:
-    """Sample mu_{s,t} endpoints; s = t/2 gives the subelliptic kernel.
-
-    The block decomposition, per-block seeds and slabs depend only on
-    (master_seed, n_paths, n_blocks, n_steps), never on the worker count, so
-    the endpoints are byte-identical whatever ``workers`` is.
-    """
-    var_a = s - t / 2.0
-    var_b = t / 2.0
-    if var_a < -1e-12 or var_b < 0:
-        raise ValueError("need s >= t/2 and t >= 0")
-    var_a = max(var_a, 0.0)
-    dt = 1.0 / n_steps
-    sa, sb = np.sqrt(var_a * dt), np.sqrt(var_b * dt)
-    sizes = [len(idx) for idx in np.array_split(np.arange(n_paths), n_blocks)]
-    # block sizes differ by at most one, so each slab takes the same count
-    per_slab = max(1, SLAB_PATHS // max(1, max(sizes)))
-    slabs = [range(i, min(i + per_slab, n_blocks)) for i in range(0, n_blocks, per_slab)]
-
-    # per step, each block draws its da, then its db, from its own
-    # generator, each only when its variance is > 0; with one part not
-    # drawn, exp_entries takes its one-part branch.  At var_a = var_b = 0
-    # the da are drawn all the same and scaled to zero: every endpoint is I.
-    draw_a, draw_b = var_a > 0 or var_b == 0, var_b > 0
-    n_drawn = int(draw_a) + int(draw_b)
-
-    def run_slab(blocks: range) -> np.ndarray:
-        n = [sizes[i] for i in blocks]
-        cuts = np.cumsum([0] + n)
-        rngs = [_block_rng(master_seed, i) for i in blocks]
-        # one chunk of one block at a time: its normals, laid out (steps,
-        # {da, db}, rows, 3), scaled in place to the coordinates sa da, sb db
-        normals = np.empty(CHUNK_STEPS * n_drawn * max(n) * 3)
-        # step exponentials of the chunk, every block writing its own columns
-        e = np.empty((2, 2, CHUNK_STEPS, cuts[-1]), dtype=complex)
-        e_rows = e.reshape(4, CHUNK_STEPS, cuts[-1])
-        g = _identity((cuts[-1],))
-        for k0 in range(0, n_steps, CHUNK_STEPS):
-            c = min(CHUNK_STEPS, n_steps - k0)
-            for i, (rng, m) in enumerate(zip(rngs, n)):
-                draw = normals[:c * n_drawn * m * 3].reshape(c, n_drawn, m, 3)
-                rng.standard_normal(out=draw)
-                da = np.multiply(sa, draw[:, 0], out=draw[:, 0]) if draw_a else None
-                db = np.multiply(sb, draw[:, -1], out=draw[:, -1]) if draw_b else None
-                exp_entries(da, db, out=e_rows[:, :c, cuts[i]:cuts[i + 1]])
-            _advance(g, e[:, :, :c], k0, _project_sl2c)
-        return _matrices(g)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_slab, slabs))
-    else:
-        results = [run_slab(blocks) for blocks in slabs]
-    return EndpointEnsemble(
-        np.concatenate(results), n_blocks, n_steps, master_seed, var_a, var_b
-    )
+    """Sample mu_{s,t} endpoints; s = t/2 gives the subelliptic kernel.  See endpoint_ensembles_KC."""
+    return endpoint_ensembles_KC([(s, t)], n_paths, n_steps, master_seed, workers, n_blocks)[0]
 
 
 def endpoint_ensemble_K(

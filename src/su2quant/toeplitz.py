@@ -19,20 +19,21 @@ The x-integral uses an exact Haar rule, so all Monte Carlo error lives in
 the w-average.  Because D(w x) = D(w) D(x), a block's endpoints enter only
 through one moment matrix per spin pair,
 
-    P[a, e, c, f] = mean_w conj(D^{j1}(w))_{ae} D^{j2}(w)_{cf},
+    P[n, (a, e), (c, f)] = mean_{w in block n} conj(D^{j1}(w))_{ae} D^{j2}(w)_{cf},
 
-which is contracted with the Haar nodes afterwards into the tensors
+held as (n_blocks, d1^2 d2^2) and cached per spin pair.  An entry with
+coefficients c1, c2 of F1, F2 and Haar weights xw_q = weight_q V~(x_q)
+folds the nodes into one matrix of the same size,
 
-    M[q, a, b, c, d] = sum_{e,f} P[a, e, c, f] conj(D^{j1}(x_q))_{eb} D^{j2}(x_q)_{fd}
-                     = mean_w conj(D^{j1}(w x_q))_{ab} D^{j2}(w x_q)_{cd}.
+    W[a, e, c, f] = sum_q xw_q conj(c1 D^{j1}(x_q)^T)[a, e] (c2 D^{j2}(x_q)^T)[c, f],
 
-These are cached per spin pair and reused across every (V~, f1, f2, A)
-combination that shares the endpoint ensemble.
+and its block values are P @ W.ravel(), summed over the spin pairs; P is
+reused by every (V~, f1, f2, A) combination on the same ensemble.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .diffop import LeftInvariantOperator, complexify_apply
 from .errors import StatisticalFailure
 from .heat import nu_radial
 from .hl2 import hl2_inner, hl2_inner_pointwise
-from .sde import DEFAULT_N_BLOCKS, EndpointEnsemble, endpoint_ensemble_KC
+from .sde import DEFAULT_N_BLOCKS, EndpointEnsemble, endpoint_ensemble_KC, endpoint_ensembles_KC
 from .transform import transform_C
 from .wigner import BandLimited, inner_product_K, wigner_matrix
 
@@ -73,7 +74,7 @@ def schrodinger_entry(
 # ---------------------------------------------------------------------------
 
 class ToeplitzSampler:
-    """Shared endpoint ensemble plus cached moment tensors for one t.
+    """Shared endpoint ensemble plus cached moment matrices for one t.
 
     ``x_total_two_j`` must be at least (2 j_V + 2 j_1 + 2 j_2) for every
     combination evaluated through this sampler, so that the Haar rule in x
@@ -89,6 +90,7 @@ class ToeplitzSampler:
         workers: int = 1,
         n_blocks: int = DEFAULT_N_BLOCKS,
         x_total_two_j: int = 4,
+        ensemble: EndpointEnsemble | None = None,
     ):
         self.t = t
         self.n_paths = n_paths
@@ -97,12 +99,36 @@ class ToeplitzSampler:
         self.n_blocks = n_blocks
         self.x_rule: QuadratureRuleK = haar_rule(x_total_two_j)
         self.x_total_two_j = x_total_two_j
-        self.ensemble: EndpointEnsemble = endpoint_ensemble_KC(
-            t / 2.0, t, n_paths, n_steps, master_seed,
-            workers=workers, n_blocks=n_blocks,
-        )
+        if ensemble is None:
+            ensemble = endpoint_ensemble_KC(
+                t / 2.0, t, n_paths, n_steps, master_seed,
+                workers=workers, n_blocks=n_blocks,
+            )
+        self.ensemble: EndpointEnsemble = ensemble
         self._dx: dict[int, np.ndarray] = {}
         self._tensors: dict[tuple[int, int], np.ndarray] = {}
+
+    @classmethod
+    def for_times(
+        cls,
+        ts,
+        n_paths: int,
+        n_steps: int,
+        master_seed: int,
+        workers: int = 1,
+        n_blocks: int = DEFAULT_N_BLOCKS,
+        x_total_two_j: int = 4,
+    ) -> list[ToeplitzSampler]:
+        """One sampler per t in ``ts``, each equal to ``ToeplitzSampler(t, ...)``, from one draw of the normals."""
+        ensembles = endpoint_ensembles_KC(
+            [(t / 2.0, t) for t in ts], n_paths, n_steps, master_seed,
+            workers=workers, n_blocks=n_blocks,
+        )
+        return [
+            cls(t, n_paths, n_steps, master_seed, n_blocks=n_blocks,
+                x_total_two_j=x_total_two_j, ensemble=ens)
+            for t, ens in zip(ts, ensembles)
+        ]
 
     def _node_reps(self, two_j: int) -> np.ndarray:
         if two_j not in self._dx:
@@ -110,29 +136,19 @@ class ToeplitzSampler:
         return self._dx[two_j]
 
     def moment_tensors(self, tj1: int, tj2: int) -> np.ndarray:
-        """Per-block tensors, shape (n_blocks, n_q, d1, d1, d2, d2).
+        """Per-block moment matrices P, shape (n_blocks, d1^2 d2^2).
 
-        Entry [n, q, a, b, c, d] is mean_w conj(D^{j1}(w x_q))_{ab}
-        D^{j2}(w x_q)_{cd} over block n.  D(w x) = D(w) D(x), so each block
-        averages one d1^2 x d2^2 moment matrix over its endpoints and the
-        node representations are contracted with it afterwards.
+        Entry [n, ((a d1 + e) d2 + c) d2 + f] is mean_w conj(D^{j1}(w))_{ae}
+        D^{j2}(w)_{cf} over the endpoints w of block n.
         """
         key = (tj1, tj2)
         if key not in self._tensors:
-            dx1 = self._node_reps(tj1)
-            dx2 = dx1 if tj2 == tj1 else self._node_reps(tj2)
             moments = []
             for wb in self.ensemble.block_views():
                 dw1 = wigner_matrix(tj1 / 2.0, wb).reshape(len(wb), -1)
                 dw2 = dw1 if tj2 == tj1 else wigner_matrix(tj2 / 2.0, wb).reshape(len(wb), -1)
-                moments.append(np.conj(dw1).T @ dw2 / len(wb))
-            d1, d2 = dx1.shape[-1], dx2.shape[-1]
-            # P[n, a, e, c, f] = mean_w conj(D^{j1}(w))_{ae} D^{j2}(w)_{cf}
-            p = np.array(moments).reshape(self.n_blocks, d1, d1, d2, d2)
-            # contiguous, as the contraction of every entry reads it
-            self._tensors[key] = np.ascontiguousarray(np.einsum(
-                "naecf,qeb,qfd->nqabcd", p, np.conj(dx1), dx2, optimize=True
-            ))
+                moments.append((np.conj(dw1).T @ dw2 / len(wb)).ravel())
+            self._tensors[key] = np.array(moments)
         return self._tensors[key]
 
     def entry(
@@ -155,20 +171,14 @@ class ToeplitzSampler:
                 f"x-rule covers total spin {self.x_total_two_j / 2}, "
                 f"combination needs {needed / 2}"
             )
-        vt = v_tilde(self.x_rule.nodes)
-        xw = self.x_rule.weights * vt
+        xw = self.x_rule.weights * v_tilde(self.x_rule.nodes)
         block_vals = np.zeros(self.n_blocks, dtype=complex)
         for tj1, c1 in F1.blocks.items():
+            # xw_q conj(c1 D^{j1}(x_q)^T), rows q, columns (a, e)
+            left = xw[:, None] * np.conj(c1 @ np.swapaxes(self._node_reps(tj1), -1, -2)).reshape(len(xw), -1)
             for tj2, c2 in F2.blocks.items():
-                tensors = self.moment_tensors(tj1, tj2)
-                block_vals += np.einsum(
-                    "q,ab,cd,nqabcd->n",
-                    xw,
-                    np.conj(c1),
-                    c2,
-                    tensors,
-                    optimize=True,
-                )
+                right = (c2 @ np.swapaxes(self._node_reps(tj2), -1, -2)).reshape(len(xw), -1)
+                block_vals += self.moment_tensors(tj1, tj2) @ (left.T @ right).ravel()
         value = complex(np.mean(block_vals))
         stderr = float(
             np.sqrt(
@@ -186,26 +196,6 @@ class ToeplitzSampler:
             method="MC",
             block_values=block_vals,
         )
-
-
-def toeplitz_entry_mult_mc(
-    t: float,
-    v_tilde: BandLimited,
-    f1: BandLimited,
-    f2: BandLimited,
-    n_paths: int,
-    n_steps: int,
-    master_seed: int,
-    workers: int = 1,
-    sampler: ToeplitzSampler | None = None,
-) -> ToeplitzEstimate:
-    """Multiplication-theorem entry: symbol of V = e^{t Delta/4} V~, no operator."""
-    if sampler is None:
-        sampler = ToeplitzSampler(
-            t, n_paths, n_steps, master_seed, workers=workers,
-            x_total_two_j=v_tilde.two_jmax + f1.two_jmax + f2.two_jmax,
-        )
-    return sampler.entry(v_tilde, f1, f2)
 
 
 def check_convergence(est: ToeplitzEstimate, factor: float = 1.5) -> None:
@@ -281,47 +271,3 @@ def sup_K(f: BandLimited, n_grid: int = 20000, seed: int = 12345) -> float:
     pts = random_su2(rng, n_grid)
     vals = np.abs(f(pts))
     return float(max(np.max(vals), abs(f.at_identity())))
-
-
-@dataclass
-class BoundednessReport:
-    value: complex
-    stderr: float
-    sup_v_tilde: float
-    norm_sq: float
-    bound: float
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-
-def boundedness_check(
-    t: float,
-    v_tilde: BandLimited,
-    f: BandLimited,
-    n_paths: int,
-    n_steps: int,
-    master_seed: int,
-    workers: int = 1,
-    sampler: ToeplitzSampler | None = None,
-) -> BoundednessReport:
-    """|<F, T_{phi_V} F>| <= sup|V~| ||f||^2 + 3 stderr.
-
-    The bound comes from |phi_V| <= sup|V~|, which is the unit-mass property
-    of the subelliptic kernel applied to the symbol's defining integral.
-    """
-    est = toeplitz_entry_mult_mc(
-        t, v_tilde, f, f, n_paths, n_steps, master_seed,
-        workers=workers, sampler=sampler,
-    )
-    sup_v = sup_K(v_tilde)
-    bound = sup_v * f.norm_sq()
-    passed = abs(est.value) <= bound + 3.0 * est.stderr
-    return BoundednessReport(
-        value=est.value,
-        stderr=est.stderr,
-        sup_v_tilde=sup_v,
-        norm_sq=f.norm_sq(),
-        bound=bound,
-        passed=passed,
-        details={"n_paths": n_paths, "n_steps": n_steps, "seed": master_seed},
-    )

@@ -44,10 +44,12 @@ _samplers: dict[float, ToeplitzSampler] = {}
 
 
 def _sampler(t: float) -> ToeplitzSampler:
-    if t not in _samplers:
-        _samplers[t] = ToeplitzSampler(
-            t, 200000, 200, SEED, workers=WORKERS, x_total_two_j=4
-        )
+    # t = 0.5 and t = 1.0 are walked from one shared draw of the normals
+    if not _samplers:
+        ts = (0.5, 1.0)
+        _samplers.update(zip(ts, ToeplitzSampler.for_times(
+            ts, 200000, 200, SEED, workers=WORKERS, x_total_two_j=4
+        )))
     return _samplers[t]
 
 

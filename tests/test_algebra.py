@@ -102,6 +102,31 @@ def test_exp_entries_one_part_structure():
     np.testing.assert_allclose(np.linalg.det(u), 1.0, rtol=0, atol=1e-14)
 
 
+def test_one_part_callers_match_the_complex_route():
+    # exp_algebra, polar_decompose and the fiber nodes pass their zero part
+    # as None; the complex-mu route with an explicit zero part is the oracle
+    rng = np.random.default_rng(9)
+    y = 1.5 * rng.standard_normal((200, 3))
+    zero = np.zeros_like(y)
+    eye = np.broadcast_to(np.eye(2), (200, 2, 2))
+    u = exp_algebra(y)
+    np.testing.assert_allclose(u, matrix_from_entries(*exp_entries(y, zero)), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(u @ np.conj(np.swapaxes(u, -1, -2)), eye, rtol=0, atol=1e-14)
+    g = random_su2(rng, 200) @ matrix_from_entries(*exp_entries(zero, y))
+    x, y_back = polar_decompose(g)
+    h = matrix_from_entries(*exp_entries(zero, -y_back))
+    # x = g exp(-iY): the factors' rounding is scaled by |g| |exp(-iY)|
+    np.testing.assert_allclose(x, g @ h, rtol=0,
+                               atol=1e-14 * np.max(np.abs(g)) * np.max(np.abs(h)))
+    np.testing.assert_allclose(x @ np.conj(np.swapaxes(x, -1, -2)), eye, rtol=0, atol=1e-12)
+    rule = kc_quadrature(2.0, k_two_jmax=1, n_r=8, n_theta=4, n_phi=4)
+    fy = rule.radii[:, None] * rule.directions
+    h = rule.fiber_nodes
+    np.testing.assert_allclose(h, matrix_from_entries(*exp_entries(np.zeros_like(fy), fy)),
+                               rtol=0, atol=1e-14 * np.max(np.abs(h)))
+    np.testing.assert_array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
+
+
 def test_exp_algebra_is_unitary_and_periodic():
     y = np.array([0.0, 0.0, 1.0])
     u = exp_algebra(y, scale=4.0 * np.pi)

@@ -154,6 +154,17 @@ def test_report_independent_of_workers(tmp_path):
     assert (out1 / "blocks.csv").read_bytes() == (out2 / "blocks.csv").read_bytes()
 
 
+def test_toeplitz_mult_report_independent_of_workers(tmp_path):
+    # both times come from one shared draw, walked in slabs that threads take
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_paths": 2000, "n_steps": 20}))
+    outs = [tmp_path / f"w{w}" for w in (1, 2, 3)]
+    for w, out in zip((1, 2, 3), outs):
+        main(["toeplitz-mult", "--config", str(cfg), "--out", str(out), "--workers", str(w)])
+    for name in ("report.json", "blocks.csv"):
+        assert len({(out / name).read_bytes() for out in outs}) == 1
+
+
 def test_euclid_subcommand(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"n_paths": 20000, "euclid_degree_max": 3}))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as P
 
 from su2quant.euclid import (
     GaussPoly,

@@ -1,13 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
-from su2quant.algebra import exp_complex, polar_radius
+from su2quant.algebra import exp_complex
 from su2quant.sde import (
     CHUNK_STEPS,
     BrownianPath,
     character_moment,
     endpoint_ensemble_K,
     endpoint_ensemble_KC,
+    endpoint_ensembles_KC,
     expected_character_K,
     expected_character_KC,
     ito_map_K,
@@ -158,6 +161,38 @@ def test_ensemble_deterministic_and_worker_independent():
     np.testing.assert_array_equal(e1.values, e2.values)
     e3 = endpoint_ensemble_KC(0.25, 0.5, 2000, 50, SEED + 1)
     assert np.max(np.abs(e1.values - e3.values)) > 1e-3
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0.25, 0.5), (0.5, 1.0)],  # the subelliptic slice, as toeplitz-mult draws it
+    [(1.0, 0.5), (2.0, 1.0), (0.3, 0.2)],  # general SL(2,C)
+    [(0.7, 0.0), (1.0, 0.0)],  # SU(2)
+])
+@pytest.mark.parametrize("n_paths, n_blocks", [(2000, 40), (31, 3)])
+def test_shared_normals_equal_separate_ensembles(pairs, n_paths, n_blocks):
+    # 70 steps: a partial last chunk and one reprojection; 2000 paths over 40
+    # blocks stack into slabs of several blocks, 31 over 3 into one.  Three
+    # threads, switching often, write their slabs' rows of shared arrays.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        shared = endpoint_ensembles_KC(pairs, n_paths, 70, SEED, workers=3, n_blocks=n_blocks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(shared) == len(pairs)
+    for (s, t), ens in zip(pairs, shared):
+        alone = endpoint_ensemble_KC(s, t, n_paths, 70, SEED, n_blocks=n_blocks)
+        np.testing.assert_array_equal(ens.values, alone.values)
+        assert (ens.var_a, ens.var_b, ens.n_blocks) == (alone.var_a, alone.var_b, alone.n_blocks)
+
+
+def test_shared_normals_need_one_draw_pattern():
+    # the slice draws only db, general pairs draw da and db, t = 0 only da
+    for pairs in ([(0.25, 0.5), (1.0, 0.5)], [(0.5, 0.0), (0.25, 0.5)], [(1.0, 0.5), (1.0, 0.0)]):
+        with pytest.raises(ValueError):
+            endpoint_ensembles_KC(pairs, 200, 10, SEED)
+    with pytest.raises(ValueError):
+        endpoint_ensembles_KC([(0.25, 0.5), (0.1, 0.5)], 200, 10, SEED)  # s < t/2
 
 
 def _per_step_endpoints(s, t, n_paths, n_steps, seed, n_blocks):

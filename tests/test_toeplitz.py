@@ -7,12 +7,12 @@ from su2quant.errors import StatisticalFailure
 from su2quant.toeplitz import (
     ToeplitzEstimate,
     ToeplitzSampler,
-    boundedness_check,
     check_convergence,
     schrodinger_entry,
     sup_K,
     toeplitz_entry_quadrature,
 )
+from su2quant.transform import transform_C
 from su2quant.wigner import BandLimited, inner_product_K, wigner_matrix
 
 T = 0.5
@@ -48,15 +48,27 @@ def test_schrodinger_entry_vs_quadrature(rng):
     assert schrodinger_entry(v, a, f1, f2) == pytest.approx(quad, abs=1e-10)
 
 
+def _node_tensors(smp, tj1, tj2):
+    """The per-block, per-node tensors M[n, q, a, b, c, d] = mean_w conj(D^{j1}(w x_q))_{ab} D^{j2}(w x_q)_{cd}.
+
+    Formed from the moment matrix P by the blocks x nodes contraction the
+    entries once used; kept here as the oracle of the W contraction.
+    """
+    dx1, dx2 = (wigner_matrix(tj / 2.0, smp.x_rule.nodes) for tj in (tj1, tj2))
+    d1, d2 = tj1 + 1, tj2 + 1
+    p = smp.moment_tensors(tj1, tj2).reshape(smp.n_blocks, d1, d1, d2, d2)
+    return np.einsum("naecf,qeb,qfd->nqabcd", p, np.conj(dx1), dx2, optimize=True)
+
+
 def test_moment_tensors_match_per_node_average():
     # the per-block moment matrix contracted with D(x_q) against the direct
     # mean over w of conj(D^{j1}(w x_q)) (x) D^{j2}(w x_q), node by node
     small = ToeplitzSampler(T, 400, 20, SEED, x_total_two_j=4)
     nodes = small.x_rule.nodes
     for tj1, tj2 in ((1, 1), (1, 2), (2, 1), (0, 2)):
-        got = small.moment_tensors(tj1, tj2)
         d1, d2 = tj1 + 1, tj2 + 1
-        assert got.shape == (small.n_blocks, len(nodes), d1, d1, d2, d2)
+        assert small.moment_tensors(tj1, tj2).shape == (small.n_blocks, d1 * d1 * d2 * d2)
+        got = _node_tensors(small, tj1, tj2)
         for n, wb in enumerate(small.ensemble.block_views()):
             wx = wb[:, None] @ nodes[None]
             ref = np.einsum(
@@ -65,6 +77,49 @@ def test_moment_tensors_match_per_node_average():
                 wigner_matrix(tj2 / 2.0, wx),
             ) / len(wb)
             np.testing.assert_allclose(got[n], ref, rtol=0, atol=1e-13)
+
+
+def test_entry_contraction_matches_node_tensor_einsum():
+    # block values from P @ W against the blocks x nodes einsum over the
+    # node tensors, for random coefficients mixing spins 0, 1/2 and 1; the
+    # values reach some hundreds, so the bound is relative to the largest
+    smp = ToeplitzSampler(T, 400, 20, SEED, x_total_two_j=4)
+    rng = np.random.default_rng(11)
+
+    def rand(spins):
+        return BandLimited({
+            tj: rng.standard_normal((tj + 1, tj + 1)) + 1j * rng.standard_normal((tj + 1, tj + 1))
+            for tj in spins
+        })
+
+    for vt, f1, f2 in (
+        (rand((0, 2)), rand((1,)), rand((1,))),
+        (rand((1,)), rand((0, 1)), rand((2,))),
+        (rand((0,)), rand((0, 2)), rand((0, 1))),
+    ):
+        est = smp.entry(vt, f1, f2)
+        xw = smp.x_rule.weights * vt(smp.x_rule.nodes)
+        F1, F2 = transform_C(T, f1), transform_C(T, f2)
+        ref = sum(
+            np.einsum("q,ab,cd,nqabcd->n", xw, np.conj(c1), c2, _node_tensors(smp, tj1, tj2))
+            for tj1, c1 in F1.blocks.items()
+            for tj2, c2 in F2.blocks.items()
+        )
+        np.testing.assert_allclose(est.block_values, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_samplers_for_times_equal_separate_samplers():
+    ts = (0.5, 1.0)
+    shared = ToeplitzSampler.for_times(ts, 2000, 30, SEED, workers=2, x_total_two_j=3)
+    f1, f2 = _f(0.5, 0.5), _f(0.5, -0.5)
+    vt = BandLimited.character_fn(0.5)
+    for t, smp in zip(ts, shared):
+        alone = ToeplitzSampler(t, 2000, 30, SEED, x_total_two_j=3)
+        assert smp.t == t and smp.x_total_two_j == 3
+        np.testing.assert_array_equal(smp.ensemble.values, alone.ensemble.values)
+        np.testing.assert_array_equal(
+            smp.entry(vt, f1, f2).block_values, alone.entry(vt, f1, f2).block_values
+        )
 
 
 def test_constant_symbol_gives_inner_product(sampler):
@@ -197,10 +252,10 @@ def test_sup_K_known_values():
 
 
 def test_boundedness(sampler):
-    rep = boundedness_check(
-        T, BandLimited.character_fn(0.5), _f(0.5, 0.5),
-        sampler.n_paths, sampler.n_steps, SEED, sampler=sampler,
-    )
-    assert rep.passed
-    assert rep.sup_v_tilde == pytest.approx(2.0, rel=1e-3)
-    assert abs(rep.value) <= rep.bound + 3.0 * rep.stderr
+    # |<F, T_{phi_V} F>| <= sup|V~| ||f||^2 + 3 stderr: |phi_V| <= sup|V~| by
+    # the unit mass of the subelliptic kernel
+    vt, f = BandLimited.character_fn(0.5), _f(0.5, 0.5)
+    est = sampler.entry(vt, f, f)
+    sup_v = sup_K(vt)
+    assert sup_v == pytest.approx(2.0, rel=1e-3)
+    assert abs(est.value) <= sup_v * f.norm_sq() + 3.0 * est.stderr
