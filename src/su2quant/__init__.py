@@ -7,7 +7,6 @@ from .algebra import (
     QuadratureRuleKC,
     exp_algebra,
     exp_complex,
-    haar_quadrature_K,
     haar_rule,
     kc_quadrature,
     polar_decompose,
@@ -16,7 +15,7 @@ from .algebra import (
 )
 from .diffop import LeftInvariantOperator, apply_transpose_to_nu, complexify_apply
 from .euclid import GaussPoly, HermiteExpansion, euclid_toeplitz_check, euclid_transform
-from .heat import HeatKernelK, calibrate_nu, heat_flow, nu, nu_radial, rho
+from .heat import HeatKernelK, calibrate_nu, heat_flow, nu, nu_radial
 from .sde import (
     BrownianPath,
     EndpointEnsemble,

@@ -397,13 +397,6 @@ def weyl_rule(total_two_j: int, axis_two_j: int) -> ClassRuleK:
     )
 
 
-def haar_quadrature_K(two_jmax: int) -> QuadratureRuleK:
-    """Rule exact on products of two matrix entries with spin <= two_jmax/2."""
-    if two_jmax > 24:
-        raise ValueError("spin cutoff is j = 12")
-    return haar_rule(2 * two_jmax)
-
-
 # ---------------------------------------------------------------------------
 # quadrature on K_C in polar coordinates
 # ---------------------------------------------------------------------------
@@ -444,10 +437,6 @@ class QuadratureRuleKC:
             self._fiber_nodes = _exp_matrices(None, y)
         return self._fiber_nodes
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.k_rule.weights) * len(self.fiber_weights)
-
     def integrate_radial(self, f_of_r) -> float:
         """Integrate a function of the polar radius alone over K_C."""
         vals = np.asarray(f_of_r(self.radii), dtype=float)
@@ -484,7 +473,10 @@ def kc_quadrature(
     """
     if R <= 0:
         raise ValueError("radial cutoff R must be positive")
-    k_rule = haar_quadrature_K(k_two_jmax)
+    if k_two_jmax > 24:
+        raise ValueError("spin cutoff is j = 12")
+    # exact on products of two matrix entries with spin <= k_two_jmax/2
+    k_rule = haar_rule(2 * k_two_jmax)
     # radial Gauss-Legendre on [0, R]
     xs, wr = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * R * (xs + 1.0)

@@ -12,7 +12,11 @@ depend only on the configuration and master seed, never on the worker
 count, so repeated runs are byte-identical.
 
 Exit codes: 0 all gates pass, 1 at least one gate failed, 2 configuration
-error.
+error, 3 an error inside the command (its type and message go to
+``report.json`` under ``error``, the traceback to stderr).
+
+Each acceptance gate is one ``gate_*`` function; the subcommands call them
+with their configuration and the acceptance tests with their own sizes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import csv
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +50,7 @@ from .sde import (
 )
 from .toeplitz import ToeplitzSampler, schrodinger_entry, sup_K, toeplitz_entry_quadrature
 from .transform import adjoint_inversion_oracle, inverse_C, transform_C
-from .wigner import TWO_J_CAP, BandLimited
+from .wigner import TWO_J_CAP, BandLimited, inner_product_K
 
 SCHEMA = "su2quant-report/1"
 
@@ -179,14 +184,33 @@ def _check(name: str, value, gate: str, passed: bool, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# gates: one function each, called by the subcommands and the acceptance
+# tests with their own sizes, seeds and samplers
 # ---------------------------------------------------------------------------
 
-def cmd_calibrate(cfg: dict, workers: int):
+def _spin_half_entries():
+    """The four entries D^{1/2}_{m,m'} as functions on K, with their report names."""
+    out = []
+    for m in (0.5, -0.5):
+        for mp in (0.5, -0.5):
+            out.append((f"D[1/2]_{m},{mp}", BandLimited.entry(0.5, m, mp)))
+    return out
+
+
+def _symbols():
+    """The Toeplitz symbols V~ of the Monte Carlo gates, with their report names."""
+    return [
+        ("1", BandLimited.constant(1.0)),
+        ("chi_1/2", BandLimited.character_fn(0.5)),
+        ("chi_1", BandLimited.character_fn(1.0)),
+    ]
+
+
+def gate_calibration(t_values, quadrature: dict) -> list[dict]:
+    """Mass and unitarity residuals of the calibrated nu_t, one check per t."""
     checks = []
-    q = cfg["quadrature"]
-    for t in cfg["t_values"]:
-        rec = calibrate_nu(t, n_r=q["n_r"], n_theta=q["n_theta"], n_phi=q["n_phi"])
+    for t in t_values:
+        rec = calibrate_nu(t, **quadrature)
         worst = max(
             abs(rec.mass_residual),
             abs(rec.unitarity_residuals["spin_half"]),
@@ -203,32 +227,233 @@ def cmd_calibrate(cfg: dict, workers: int):
                 analytic_normalization=rec.analytic_normalization,
             )
         )
-    return checks, []
+    return checks
+
+
+def gate_semigroup(pairs, n_grid: int, seed: int) -> list[dict]:
+    """sup |rho_t * rho_s - rho_{t+s}| on n_grid random points, one check per (t, s)."""
+    rng = np.random.default_rng(seed)
+    traces = np.einsum("paa->p", random_su2(rng, n_grid)).real
+    checks = []
+    for t, s in pairs:
+        sup_err = semigroup_sup_error(t, s, traces)
+        checks.append(
+            _check(
+                f"semigroup sup |rho_{t} * rho_{s} - rho_{t + s}| on {n_grid} points",
+                sup_err,
+                "<= 1e-8",
+                sup_err <= 1e-8,
+            )
+        )
+    return checks
+
+
+def _moment_check(name: str, ens, j, pred: float) -> dict:
+    m, e = character_moment(ens, j)
+    z = (m - pred) / e
+    return _check(
+        name, float(m), "|z| < 3", abs(z) < 3, predicted=pred, stderr=float(e), z=float(z)
+    )
+
+
+def gate_real_moments(n_paths: int, n_steps: int, seed: int, spins, workers: int) -> list[dict]:
+    """Endpoint means of chi_j on K at s = 1 against (2j+1) e^{-c_j/2}."""
+    ens = endpoint_ensemble_K(1.0, n_paths, n_steps, seed, workers=workers)
+    return [
+        _moment_check(f"real endpoint moment chi_{j}, s=1", ens, j, expected_character_K(1.0, j))
+        for j in spins
+    ]
+
+
+def gate_complex_moments(runs, n_paths: int, n_steps: int, spins, workers: int):
+    """Endpoint means of chi_j on K_C for each (s, t, seed) in ``runs``.
+
+    Returns the checks and, per run, the block means of tr(g).
+    """
+    checks, blocks = [], []
+    for s, t, seed in runs:
+        ens = endpoint_ensemble_KC(s, t, n_paths, n_steps, seed, workers=workers)
+        checks += [
+            _moment_check(
+                f"complex endpoint moment chi_{j}, s={s}, t={t}",
+                ens, j, expected_character_KC(s, t, j),
+            )
+            for j in spins
+        ]
+        traces = np.trace(ens.values, axis1=-2, axis2=-1).real
+        for i, b in enumerate(np.array_split(traces, ens.n_blocks)):
+            blocks.append((f"trace blocks s={s} t={t}", i, float(np.mean(b)), 0.0))
+    return checks, blocks
+
+
+def gate_pathwise(steps, seed: int) -> list[dict]:
+    """The pathwise identity: median-residual slope over ``steps`` and the
+    halving ratios of a deterministic pair of paths."""
+    meds = pathwise_medians(steps, seed)
+    slope = float(-np.polyfit(np.log(steps), np.log(meds), 1)[0])
+    det = []
+    for n in steps:
+        a = BrownianPath(np.tile(np.array([0.3, -0.2, 0.5]) / n, (n, 1)), 1.0)
+        b = BrownianPath(np.tile(np.array([-0.1, 0.4, 0.2]) / n, (n, 1)), 1.0)
+        det.append(pathwise_identity_residual(a, b))
+    ratios = [det[i] / det[i + 1] for i in range(len(det) - 1)]
+    return [
+        _check("pathwise identity log-log slope", slope, ">= 0.4", slope >= 0.4, medians=meds),
+        _check(
+            "deterministic pathwise identity halving ratio",
+            ratios,
+            "each >= 1.9 (rate >= O(1/n))",
+            all(r >= 1.9 for r in ratios),
+        ),
+    ]
+
+
+def _entry_check(name: str, est, exact: complex, blocks: list) -> dict:
+    """A Monte Carlo entry against its exact value; appends its block means to ``blocks``."""
+    blocks.extend(
+        (name, i, float(bv.real), float(bv.imag)) for i, bv in enumerate(est.block_values)
+    )
+    return _check(
+        name,
+        est.value,
+        "|MC - exact| <= 3 stderr",
+        abs(est.value - exact) <= 3.0 * est.stderr + 1e-10,
+        exact=[exact.real, exact.imag],
+        stderr=est.stderr,
+    )
+
+
+def gate_multiplication(t: float, sampler: ToeplitzSampler):
+    """Every spin-1/2 entry of T_{V~} at t against the Schrodinger side, then
+    the stderr budget (the last check)."""
+    checks, blocks = [], []
+    identity = LeftInvariantOperator.identity()
+    entries = _spin_half_entries()
+    max_mag = 0.0
+    for vname, vt in _symbols():
+        v = vt.heat(t / 2.0, sign=-1.0)
+        for n1, f1 in entries:
+            for n2, f2 in entries:
+                exact = schrodinger_entry(v, identity, f1, f2)
+                max_mag = max(max_mag, abs(exact))
+                checks.append(_entry_check(
+                    f"mult t={t} V~={vname} <{n1},{n2}>", sampler.entry(vt, f1, f2), exact, blocks
+                ))
+    worst_err = max(c["stderr"] for c in checks)
+    checks.append(
+        _check(
+            f"mult t={t} stderr budget",
+            worst_err,
+            "max stderr <= 1% of largest entry",
+            worst_err <= 0.01 * max_mag,
+            largest_entry=max_mag,
+        )
+    )
+    return checks, blocks
+
+
+def gate_boundedness(t: float, sampler: ToeplitzSampler, f: BandLimited) -> list[dict]:
+    """|<F, T_{V~} F>| <= sup|V~| ||f||^2 + 3 stderr for each symbol V~."""
+    checks = []
+    for vname, vt in _symbols():
+        est = sampler.entry(vt, f, f)
+        bound = sup_K(vt) * f.norm_sq()
+        checks.append(
+            _check(
+                f"boundedness t={t} V~={vname}",
+                abs(est.value),
+                "|entry| <= sup|V~| ||f||^2 + 3 stderr",
+                abs(est.value) <= bound + 3.0 * est.stderr,
+                bound=bound,
+                stderr=est.stderr,
+            )
+        )
+    return checks
+
+
+def gate_differential(t: float, sampler: ToeplitzSampler, pairs):
+    """Entries of T for A in {X3, Laplacian} and V~ in {1, chi_1/2} against the
+    Schrodinger side, for each (label, f1, f2) in ``pairs``."""
+    checks, blocks = [], []
+    ops = [
+        ("X3", LeftInvariantOperator.vector_field(3)),
+        ("Delta", LeftInvariantOperator.laplacian()),
+    ]
+    for aname, a in ops:
+        for vname, vt in _symbols()[:2]:
+            v = vt.heat(t / 2.0, sign=-1.0)
+            for lbl, f1, f2 in pairs:
+                checks.append(_entry_check(
+                    f"diff t={t} A={aname} V~={vname} <{lbl}>",
+                    sampler.entry(vt, f1, f2, a=a), schrodinger_entry(v, a, f1, f2), blocks,
+                ))
+    return checks, blocks
+
+
+def gate_laplacian_entries(t: float, R: float, quadrature: dict, pairs) -> list[dict]:
+    """The V = 1 Laplacian entries by polar quadrature of the radial symbol,
+    against -3/4 <f1, f2>, relative to -3/4 ||f1||^2."""
+    rule = kc_quadrature(R, k_two_jmax=1, **quadrature)
+    # evaluate the symbol at exactly the rule's radial nodes
+    probe = np.unique(rule.radii)
+    table = radial_symbol_table(LeftInvariantOperator.laplacian(), t, probe)
+    symbol = lambda r: np.interp(r, probe, table.real)
+    checks = []
+    for lbl, f1, f2 in pairs:
+        est = toeplitz_entry_quadrature(t, symbol, f1, f2, rule, radial=True)
+        target = -0.75 * inner_product_K(f1, f2).real
+        rel = abs(est.value - target) / (0.75 * f1.norm_sq())
+        checks.append(
+            _check(
+                f"deterministic {lbl},Delta entry t={t}",
+                est.value,
+                "relative error < 1e-3",
+                rel < 1e-3,
+                target=target,
+            )
+        )
+    return checks
+
+
+def gate_euclid(degree_max: int, n_samples: int, seed: int) -> list[dict]:
+    """The flat Toeplitz identity for the symbols x^0 .. x^degree_max."""
+    f1 = HermiteExpansion([1.0, 0.5, 0.0, 0.2])
+    f2 = HermiteExpansion([0.3, -0.2, 0.7])
+    checks = []
+    for deg in range(degree_max + 1):
+        sym = np.zeros(deg + 1)
+        sym[deg] = 1.0
+        rep = euclid_toeplitz_check(0.4, sym, f1, f2, n_samples=n_samples, master_seed=seed)
+        checks.append(
+            _check(
+                f"flat Toeplitz identity, symbol x^{deg}",
+                rep.deterministic_gap,
+                "deterministic gap < 1e-8 and MC |z| < 3",
+                rep.deterministic_gap < 1e-8 and rep.mc_z_score < 3,
+                mc_z=rep.mc_z_score,
+                mc_stderr=rep.mc_stderr,
+            )
+        )
+    return checks
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def cmd_calibrate(cfg: dict, workers: int):
+    return gate_calibration(cfg["t_values"], cfg["quadrature"]), []
 
 
 def cmd_heat_check(cfg: dict, workers: int):
-    rng = np.random.default_rng(cfg["master_seed"])
-    grid = random_su2(rng, cfg["n_grid"])
-    t, s = 0.2, 0.5
-    sup_err = semigroup_sup_error(t, s, np.einsum("paa->p", grid).real)
-    check = _check(
-        f"semigroup sup |rho_{t} * rho_{s} - rho_{t + s}| on {len(grid)} points",
-        sup_err,
-        "<= 1e-8",
-        sup_err <= 1e-8,
-    )
-    return [check], []
+    return gate_semigroup([(0.2, 0.5)], cfg["n_grid"], cfg["master_seed"]), []
 
 
 def cmd_transform_check(cfg: dict, workers: int):
     checks = []
-    q = cfg["quadrature"]
     rng = np.random.default_rng(cfg["master_seed"])
     for t in cfg["t_values"]:
-        R = _cutoff(cfg, t) + 1.5
-        rule = kc_quadrature(
-            R, k_two_jmax=3, n_r=q["n_r"], n_theta=q["n_theta"], n_phi=q["n_phi"]
-        )
+        rule = kc_quadrature(_cutoff(cfg, t) + 1.5, k_two_jmax=3, **cfg["quadrature"])
         worst = 0.0
         for two_j in (1, 2, 3):
             c = rng.standard_normal((two_j + 1, two_j + 1))
@@ -255,243 +480,43 @@ def cmd_transform_check(cfg: dict, workers: int):
 
 
 def cmd_sde_check(cfg: dict, workers: int):
-    checks = []
-    blocks = []
     seed = cfg["master_seed"]
     n_paths = min(cfg["n_paths"], 100000)
-    n_steps = cfg["n_steps"]
-    ens = endpoint_ensemble_K(1.0, n_paths, max(n_steps, 400), seed, workers=workers)
-    for j in cfg["spins"]:
-        m, e = character_moment(ens, j)
-        pred = expected_character_K(1.0, j)
-        z = (m - pred) / e
-        checks.append(
-            _check(
-                f"real endpoint moment chi_{j}, s=1",
-                float(m),
-                "|z| < 3",
-                abs(z) < 3,
-                predicted=pred,
-                stderr=float(e),
-                z=float(z),
-            )
-        )
-    for s, t in ((1.0, 0.5), (0.25, 0.5)):
-        ens2 = endpoint_ensemble_KC(s, t, n_paths, n_steps, seed + 1, workers=workers)
-        for j in cfg["spins"]:
-            m, e = character_moment(ens2, j)
-            pred = expected_character_KC(s, t, j)
-            z = (m - pred) / e
-            checks.append(
-                _check(
-                    f"complex endpoint moment chi_{j}, s={s}, t={t}",
-                    float(m),
-                    "|z| < 3",
-                    abs(z) < 3,
-                    predicted=pred,
-                    stderr=float(e),
-                    z=float(z),
-                )
-            )
-            vals = np.real(
-                np.array([np.mean(b) for b in np.array_split(
-                    np.real(np.trace(ens2.values, axis1=-2, axis2=-1)), ens2.n_blocks)])
-            )
-            for i, bv in enumerate(vals):
-                blocks.append((f"trace blocks s={s} t={t}", i, float(bv), 0.0))
-    # pathwise identity
-    steps = [100, 200, 400, 800]
-    meds = pathwise_medians(steps, seed)
-    slope = float(-np.polyfit(np.log(steps), np.log(meds), 1)[0])
-    checks.append(
-        _check(
-            "pathwise identity log-log slope",
-            slope,
-            ">= 0.4",
-            slope >= 0.4,
-            medians=meds,
-        )
-    )
-    det = []
-    for n in steps:
-        a = BrownianPath(np.tile(np.array([0.3, -0.2, 0.5]) / n, (n, 1)), 1.0)
-        b = BrownianPath(np.tile(np.array([-0.1, 0.4, 0.2]) / n, (n, 1)), 1.0)
-        det.append(pathwise_identity_residual(a, b))
-    ratios = [det[i] / det[i + 1] for i in range(len(det) - 1)]
-    ok = all(r >= 1.9 for r in ratios)
-    checks.append(
-        _check(
-            "deterministic pathwise identity halving ratio",
-            ratios,
-            "each >= 1.9 (rate >= O(1/n))",
-            ok,
-        )
-    )
-    return checks, blocks
-
-
-def _spin_half_entries():
-    out = []
-    for m in (0.5, -0.5):
-        for mp in (0.5, -0.5):
-            out.append((f"D[1/2]_{m},{mp}", BandLimited.entry(0.5, m, mp)))
-    return out
+    spins = cfg["spins"]
+    checks = gate_real_moments(n_paths, max(cfg["n_steps"], 400), seed, spins, workers)
+    runs = ((1.0, 0.5, seed + 1), (0.25, 0.5, seed + 1))
+    complex_checks, blocks = gate_complex_moments(runs, n_paths, cfg["n_steps"], spins, workers)
+    return checks + complex_checks + gate_pathwise([100, 200, 400, 800], seed), blocks
 
 
 def cmd_toeplitz_mult(cfg: dict, workers: int):
-    checks = []
-    blocks = []
-    seed = cfg["master_seed"]
-    entries = _spin_half_entries()
-    symbols = [
-        ("1", BandLimited.constant(1.0)),
-        ("chi_1/2", BandLimited.character_fn(0.5)),
-        ("chi_1", BandLimited.character_fn(1.0)),
-    ]
+    checks, blocks = [], []
     ts = (0.5, 1.0)
     samplers = ToeplitzSampler.for_times(
-        ts, cfg["n_paths"], cfg["n_steps"], seed, workers=workers, x_total_two_j=4
+        ts, cfg["n_paths"], cfg["n_steps"], cfg["master_seed"], workers=workers, x_total_two_j=4
     )
+    f = _spin_half_entries()[0][1]
     for t, smp in zip(ts, samplers):
-        max_mag = 0.0
-        results = []
-        for vname, vt in symbols:
-            v = vt.heat(t / 2.0, sign=-1.0)
-            for n1, f1 in entries:
-                for n2, f2 in entries:
-                    est = smp.entry(vt, f1, f2)
-                    exact = schrodinger_entry(
-                        v, LeftInvariantOperator.identity(), f1, f2
-                    )
-                    results.append((vname, n1, n2, est, exact))
-                    max_mag = max(max_mag, abs(exact))
-        for vname, n1, n2, est, exact in results:
-            gap = abs(est.value - exact)
-            tol = 3.0 * est.stderr + 1e-10
-            name = f"mult t={t} V~={vname} <{n1},{n2}>"
-            checks.append(
-                _check(
-                    name,
-                    est.value,
-                    "|MC - exact| <= 3 stderr",
-                    gap <= tol,
-                    exact=[exact.real, exact.imag],
-                    stderr=est.stderr,
-                )
-            )
-            for i, bv in enumerate(est.block_values):
-                blocks.append((name, i, float(bv.real), float(bv.imag)))
-        worst_err = max(est.stderr for _, _, _, est, _ in results)
-        checks.append(
-            _check(
-                f"mult t={t} stderr budget",
-                worst_err,
-                "max stderr <= 1% of largest entry",
-                worst_err <= 0.01 * max_mag,
-                largest_entry=max_mag,
-            )
-        )
-        # boundedness on the same sampler
-        for vname, vt in symbols:
-            f = entries[0][1]
-            est = smp.entry(vt, f, f)
-            bound = sup_K(vt) * f.norm_sq()
-            ok = abs(est.value) <= bound + 3.0 * est.stderr
-            checks.append(
-                _check(
-                    f"boundedness t={t} V~={vname}",
-                    abs(est.value),
-                    "|entry| <= sup|V~| ||f||^2 + 3 stderr",
-                    ok,
-                    bound=bound,
-                    stderr=est.stderr,
-                )
-            )
+        mult_checks, mult_blocks = gate_multiplication(t, smp)
+        checks += mult_checks + gate_boundedness(t, smp, f)
+        blocks += mult_blocks
     return checks, blocks
 
 
 def cmd_toeplitz_diff(cfg: dict, workers: int):
-    checks = []
-    blocks = []
-    seed = cfg["master_seed"]
     t = cfg["t"]
-    f1 = BandLimited.entry(0.5, 0.5, 0.5)
-    f2 = BandLimited.entry(0.5, 0.5, -0.5)
-    ops = [
-        ("X3", LeftInvariantOperator.vector_field(3)),
-        ("Delta", LeftInvariantOperator.laplacian()),
-    ]
-    symbols = [("1", BandLimited.constant(1.0)), ("chi_1/2", BandLimited.character_fn(0.5))]
     smp = ToeplitzSampler(
-        t, cfg["n_paths"], cfg["n_steps"], seed, workers=workers, x_total_two_j=3
+        t, cfg["n_paths"], cfg["n_steps"], cfg["master_seed"], workers=workers, x_total_two_j=3
     )
-    for aname, a in ops:
-        for vname, vt in symbols:
-            v = vt.heat(t / 2.0, sign=-1.0)
-            for fa, fb, lbl in ((f1, f1, "11"), (f1, f2, "12")):
-                est = smp.entry(vt, fa, fb, a=a)
-                exact = schrodinger_entry(v, a, fa, fb)
-                gap = abs(est.value - exact)
-                name = f"diff t={t} A={aname} V~={vname} <{lbl}>"
-                checks.append(
-                    _check(
-                        name,
-                        est.value,
-                        "|MC - exact| <= 3 stderr",
-                        gap <= 3.0 * est.stderr + 1e-10,
-                        exact=[exact.real, exact.imag],
-                        stderr=est.stderr,
-                    )
-                )
-                for i, bv in enumerate(est.block_values):
-                    blocks.append((name, i, float(bv.real), float(bv.imag)))
-    # deterministic V = 1 route with the radial Laplacian symbol
-    q = cfg["quadrature"]
+    (_, f1), (_, f2) = _spin_half_entries()[:2]
+    checks, blocks = gate_differential(t, smp, [("11", f1, f1), ("12", f1, f2)])
     R = _cutoff(cfg, t) + 1.5
-    rule = kc_quadrature(R, k_two_jmax=1, n_r=q["n_r"], n_theta=q["n_theta"], n_phi=q["n_phi"])
-    lap = LeftInvariantOperator.laplacian()
-    # evaluate the symbol at exactly the rule's radial nodes
-    probe = np.unique(rule.radii)
-    table = radial_symbol_table(lap, t, probe)
-    symbol = lambda r: np.interp(r, probe, table.real)
-    est = toeplitz_entry_quadrature(t, symbol, f1, f1, rule, radial=True)
-    target = -0.75 * f1.norm_sq()
-    rel = abs(est.value - target) / abs(target)
-    checks.append(
-        _check(
-            f"deterministic phi_1,Delta entry t={t}",
-            est.value,
-            "relative error < 1e-3",
-            rel < 1e-3,
-            target=target,
-        )
-    )
-    return checks, blocks
+    return checks + gate_laplacian_entries(t, R, cfg["quadrature"], [("phi_1", f1, f1)]), blocks
 
 
 def cmd_euclid(cfg: dict, workers: int):
-    checks = []
-    t = 0.4
-    f1 = HermiteExpansion([1.0, 0.5, 0.0, 0.2])
-    f2 = HermiteExpansion([0.3, -0.2, 0.7])
-    for deg in range(cfg["euclid_degree_max"] + 1):
-        sym = np.zeros(deg + 1)
-        sym[deg] = 1.0
-        rep = euclid_toeplitz_check(
-            t, sym, f1, f2, n_samples=min(cfg["n_paths"], 100000),
-            master_seed=cfg["master_seed"],
-        )
-        checks.append(
-            _check(
-                f"flat Toeplitz identity, symbol x^{deg}",
-                rep.deterministic_gap,
-                "deterministic gap < 1e-8 and MC |z| < 3",
-                rep.deterministic_gap < 1e-8 and rep.mc_z_score < 3,
-                mc_z=rep.mc_z_score,
-                mc_stderr=rep.mc_stderr,
-            )
-        )
-    return checks, []
+    n_samples = min(cfg["n_paths"], 100000)
+    return gate_euclid(cfg["euclid_degree_max"], n_samples, cfg["master_seed"]), []
 
 
 COMMANDS = {
@@ -536,14 +561,17 @@ def main(argv: list[str] | None = None) -> int:
         "checks": [],
         "passed": False,
     }
+    blocks = []
     try:
         checks, blocks = COMMANDS[args.subcommand](cfg, args.workers)
+    except Exception as exc:
+        # exit 3: an error inside the command, told apart from a failed gate (exit 1)
+        traceback.print_exc()
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    else:
         report["checks"] = checks
         report["passed"] = all(c["passed"] for c in checks)
-    finally:
-        (out_dir / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if blocks:
         with open(out_dir / "blocks.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -552,6 +580,8 @@ def main(argv: list[str] | None = None) -> int:
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: {c['value']} ({c['gate']})")
+    if "error" in report:
+        return 3
     return 0 if report["passed"] else 1
 
 

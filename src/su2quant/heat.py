@@ -2,9 +2,9 @@
 
 Three kernels are provided:
 
-* ``rho`` -- the heat kernel on K at the identity, as a character series,
-  together with its analytic continuation to SL(2,C) and an explicit tail
-  certificate for the truncation;
+* ``HeatKernelK`` -- the heat kernel rho_t on K at the identity, as a
+  character series evaluated from traces, with an explicit tail certificate
+  for the truncation that also covers its analytic continuation to SL(2,C);
 * ``nu`` -- the fiber-invariant kernel on SL(2,C) (the heat kernel at the
   identity coset of the hyperbolic quotient), in closed radial form;
 * ``heat_flow`` -- forward/backward heat evolution of band-limited
@@ -29,7 +29,7 @@ from scipy.optimize import brentq
 from .algebra import VOL_K, kc_quadrature, polar_radius, default_cutoff, weyl_rule
 from .errors import IllConditioned, TruncationError
 from .hl2 import hl2_inner
-from .wigner import BandLimited, character, _casimir_two
+from .wigner import BandLimited, _casimir_two
 
 NU_BETA = 1.0  # radial-Jacobian rate; calibrated, equals the curvature scale
 
@@ -111,47 +111,9 @@ class HeatKernelK:
         two_jmax = choose_two_jmax(t, rmax, tol)
         return cls(t=t, two_jmax=two_jmax, rmax=rmax, tail=rho_tail_bound(t, rmax, two_jmax))
 
-    def __call__(self, g: np.ndarray):
-        g = np.asarray(g, dtype=complex)
-        vals = np.zeros(g.shape[:-2], dtype=complex)
-        for two_j in range(self.two_jmax + 1):
-            j = two_j / 2.0
-            coeff = (two_j + 1) * np.exp(-self.t * j * (j + 1) / 2.0)
-            vals = vals + coeff * character(j, g)
-        return vals / VOL_K
-
     def on_traces(self, traces: np.ndarray) -> np.ndarray:
-        """Evaluate from tr(g) alone (class function); real for real traces.
-
-        Uses the Chebyshev-type recurrence chi_{j+1/2} = tr * chi_j - chi_{j-1/2}
-        so large node sets cost one fused pass per spin.
-        """
-        tau = np.asarray(traces)
-        if tau.dtype == np.float64 and tau.flags.c_contiguous:
-            # buffer-reusing pass: large node sets would otherwise spend
-            # most of the time allocating temporaries
-            chi_prev = np.zeros_like(tau)
-            chi = np.ones_like(tau)
-            acc = np.ones_like(tau)
-            scaled = np.empty_like(tau)
-            for two_j in range(1, self.two_jmax + 1):
-                np.multiply(tau, chi, out=scaled)
-                scaled -= chi_prev
-                chi_prev, chi, scaled = chi, scaled, chi_prev
-                j = two_j / 2.0
-                coeff = (two_j + 1) * np.exp(-self.t * j * (j + 1) / 2.0)
-                np.multiply(chi, coeff, out=scaled)
-                acc += scaled
-            acc /= VOL_K
-            return acc
-        chi_prev = np.zeros_like(tau)  # chi at two_j = -1 (defined as 0)
-        chi = np.ones_like(tau)  # two_j = 0
-        acc = np.exp(-self.t * 0.0) * chi.copy()
-        for two_j in range(1, self.two_jmax + 1):
-            chi, chi_prev = tau * chi - chi_prev, chi
-            j = two_j / 2.0
-            acc = acc + (two_j + 1) * np.exp(-self.t * j * (j + 1) / 2.0) * chi
-        return acc / VOL_K
+        """Evaluate from the real traces tr(g) alone (a class function)."""
+        return _recurrence(traces, [self])[0]
 
     def pair_on_traces(self, other: "HeatKernelK", traces: np.ndarray):
         """Evaluate this kernel and ``other`` on shared traces in one pass.
@@ -159,28 +121,7 @@ class HeatKernelK:
         The character recurrence dominates large class-function evaluations,
         so two kernels on the same nodes share it.
         """
-        tau = np.ascontiguousarray(traces, dtype=np.float64)
-        chi_prev = np.zeros_like(tau)
-        chi = np.ones_like(tau)
-        acc_a = np.ones_like(tau)
-        acc_b = np.ones_like(tau)
-        scaled = np.empty_like(tau)
-        for two_j in range(1, max(self.two_jmax, other.two_jmax) + 1):
-            np.multiply(tau, chi, out=scaled)
-            scaled -= chi_prev
-            chi_prev, chi, scaled = chi, scaled, chi_prev
-            j = two_j / 2.0
-            if two_j <= self.two_jmax:
-                np.multiply(chi, (two_j + 1) * np.exp(-self.t * j * (j + 1) / 2.0),
-                            out=scaled)
-                acc_a += scaled
-            if two_j <= other.two_jmax:
-                np.multiply(chi, (two_j + 1) * np.exp(-other.t * j * (j + 1) / 2.0),
-                            out=scaled)
-                acc_b += scaled
-        acc_a /= VOL_K
-        acc_b /= VOL_K
-        return acc_a, acc_b
+        return tuple(_recurrence(traces, [self, other]))
 
 
 def convolve_on_traces(traces: np.ndarray, kernel_weight_pairs):
@@ -191,22 +132,44 @@ def convolve_on_traces(traces: np.ndarray, kernel_weight_pairs):
     One character recurrence is shared by all kernels, and the weights are
     contracted per spin so the full kernel matrix is never materialized.
     """
+    kernels, weights = zip(*kernel_weight_pairs)
+    return _recurrence(traces, kernels, weights)
+
+
+def _recurrence(traces, kernels, weights=None) -> list[np.ndarray]:
+    """sum_j (2j+1) e^{-t j(j+1)/2} chi_j(tau) / Vol(K) for each kernel, in one pass.
+
+    chi_j comes from the Chebyshev-type recurrence chi_{j+1/2} = tau chi_j -
+    chi_{j-1/2} in reused buffers: large node sets would otherwise spend most
+    of the time allocating temporaries.  With ``weights`` (one vector per
+    kernel over the last axis of ``traces``) each sum is contracted against
+    its weights spin by spin.
+    """
     tau = np.ascontiguousarray(traces, dtype=np.float64)
     chi_prev = np.zeros_like(tau)
     chi = np.ones_like(tau)
-    tmp = np.empty_like(tau)
-    outs = [np.full(tau.shape[0], np.sum(w)) for _, w in kernel_weight_pairs]
-    jmax = max(k.two_jmax for k, _ in kernel_weight_pairs)
-    for two_j in range(1, jmax + 1):
-        np.multiply(tau, chi, out=tmp)
-        tmp -= chi_prev
-        chi_prev, chi, tmp = chi, tmp, chi_prev
+    scaled = np.empty_like(tau)
+    if weights is None:
+        accs = [np.ones_like(tau) for _ in kernels]
+    else:
+        accs = [np.full(tau.shape[0], np.sum(w)) for w in weights]
+    for two_j in range(1, max(k.two_jmax for k in kernels) + 1):
+        np.multiply(tau, chi, out=scaled)
+        scaled -= chi_prev
+        chi_prev, chi, scaled = chi, scaled, chi_prev
         j = two_j / 2.0
-        for out, (kern, w) in zip(outs, kernel_weight_pairs):
-            if two_j <= kern.two_jmax:
-                coeff = (two_j + 1) * np.exp(-kern.t * j * (j + 1) / 2.0)
-                out += coeff * (chi @ w)
-    return [out / VOL_K for out in outs]
+        for i, (kern, acc) in enumerate(zip(kernels, accs)):
+            if two_j > kern.two_jmax:
+                continue
+            coeff = (two_j + 1) * np.exp(-kern.t * j * (j + 1) / 2.0)
+            if weights is None:
+                np.multiply(chi, coeff, out=scaled)
+                acc += scaled
+            else:
+                acc += coeff * (chi @ weights[i])
+    for acc in accs:
+        acc /= VOL_K
+    return accs
 
 
 def semigroup_sup_error(t: float, s: float, traces: np.ndarray) -> float:
@@ -237,24 +200,6 @@ def semigroup_sup_error(t: float, s: float, traces: np.ndarray) -> float:
     direct = kts.on_traces(traces)
     convs = convolve_on_traces(rule.traces_against(traces), pairs)
     return max(float(np.max(np.abs(conv - direct))) for conv in convs)
-
-
-def rho(t: float, g: np.ndarray, two_jmax: int | None = None, tol: float = 1e-8):
-    """Heat kernel on K, analytically continued; certificate-checked.
-
-    Returns ``(values, tail_bound)``; raises TruncationError when the tail
-    bound at the largest polar radius present exceeds ``tol``.
-    """
-    g = np.asarray(g, dtype=complex)
-    rmax = float(np.max(polar_radius(g))) if g.size else 0.0
-    if two_jmax is None:
-        two_jmax = choose_two_jmax(t, rmax, tol)
-    kern = HeatKernelK(t=t, two_jmax=two_jmax, rmax=rmax, tail=rho_tail_bound(t, rmax, two_jmax))
-    if kern.tail > tol:
-        raise TruncationError(
-            f"tail bound {kern.tail:.2e} exceeds {tol:.1e} at radius {rmax:.2f}"
-        )
-    return kern(g), kern.tail
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,6 @@ class TransformedPair:
     which: str = "C"
 
     @classmethod
-    def make_C(cls, t: float, f: BandLimited) -> "TransformedPair":
-        return cls(f=f, F=transform_C(t, f), t=t, which="C")
-
-    @classmethod
     def make_B(cls, s: float, t: float, f: BandLimited) -> "TransformedPair":
         return cls(f=f, F=transform_B(s, t, f), t=t, s=s, which="B")
 

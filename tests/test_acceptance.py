@@ -12,28 +12,24 @@ import numpy as np
 import pytest
 from conftest import record_gate
 
-from su2quant.algebra import default_cutoff, kc_quadrature, random_su2
+from su2quant.algebra import default_cutoff
+from su2quant.cli import (
+    _spin_half_entries,
+    gate_boundedness,
+    gate_calibration,
+    gate_complex_moments,
+    gate_differential,
+    gate_euclid,
+    gate_laplacian_entries,
+    gate_multiplication,
+    gate_pathwise,
+    gate_real_moments,
+    gate_semigroup,
+)
 from su2quant.cli import main as cli_main
 from su2quant.diffop import LeftInvariantOperator, radial_symbol_table
-from su2quant.euclid import HermiteExpansion, euclid_toeplitz_check
-from su2quant.heat import calibrate_nu, semigroup_sup_error
-from su2quant.sde import (
-    BrownianPath,
-    character_moment,
-    endpoint_ensemble_K,
-    endpoint_ensemble_KC,
-    expected_character_K,
-    expected_character_KC,
-    pathwise_identity_residual,
-    pathwise_medians,
-)
-from su2quant.toeplitz import (
-    ToeplitzSampler,
-    schrodinger_entry,
-    sup_K,
-    toeplitz_entry_quadrature,
-)
-from su2quant.wigner import BandLimited, inner_product_K
+from su2quant.sde import expected_character_KC
+from su2quant.toeplitz import ToeplitzSampler
 
 pytestmark = pytest.mark.acceptance
 
@@ -41,37 +37,40 @@ SEED = 2026
 WORKERS = 4
 
 _samplers: dict[float, ToeplitzSampler] = {}
+_sampler_build_s = 0.0
 
 
 def _sampler(t: float) -> ToeplitzSampler:
     # t = 0.5 and t = 1.0 are walked from one shared draw of the normals
+    global _sampler_build_s
     if not _samplers:
+        t0 = time.perf_counter()
         ts = (0.5, 1.0)
         _samplers.update(zip(ts, ToeplitzSampler.for_times(
             ts, 200000, 200, SEED, workers=WORKERS, x_total_two_j=4
         )))
+        _sampler_build_s = time.perf_counter() - t0
     return _samplers[t]
 
 
-def _spin_half_entries():
-    return [
-        BandLimited.entry(0.5, m, mp)
-        for m in (0.5, -0.5)
-        for mp in (0.5, -0.5)
-    ]
+def _all_pairs():
+    """(label, f1, f2) for every pair of spin-1/2 entries."""
+    entries = _spin_half_entries()
+    return [(f"{n1},{n2}", f1, f2) for n1, f1 in entries for n2, f2 in entries]
+
+
+def _worst_z(checks) -> float:
+    # absolute floor 1e-10 keeps analytically-zero entries, where
+    # value and stderr are both roundoff, out of the z statistic
+    return max(
+        3.0 * abs(complex(*c["value"]) - complex(*c["exact"])) / (3.0 * c["stderr"] + 1e-10)
+        for c in checks
+    )
 
 
 def test_criterion_01_calibration():
     t0 = time.perf_counter()
-    worst = 0.0
-    for t in (0.2, 0.5, 1.0):
-        rec = calibrate_nu(t)
-        worst = max(
-            worst,
-            abs(rec.mass_residual),
-            abs(rec.unitarity_residuals["spin_half"]),
-            abs(rec.unitarity_residuals["spin_one"]),
-        )
+    worst = max(c["value"] for c in gate_calibration((0.2, 0.5, 1.0), {}))
     dt = time.perf_counter() - t0
     ok = worst < 1e-5 and dt < 60.0
     record_gate(
@@ -85,12 +84,8 @@ def test_criterion_01_calibration():
 
 def test_criterion_02_semigroup():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    traces = np.einsum("paa->p", random_su2(rng, 1000)).real
-    times = (0.2, 0.5)
-    sup_err = max(
-        semigroup_sup_error(t, s, traces) for i, t in enumerate(times) for s in times[i:]
-    )
+    checks = gate_semigroup([(0.2, 0.2), (0.2, 0.5), (0.5, 0.5)], 1000, SEED)
+    sup_err = max(c["value"] for c in checks)
     dt = time.perf_counter() - t0
     ok = sup_err <= 1e-8 and dt < 30.0
     record_gate(
@@ -104,11 +99,8 @@ def test_criterion_02_semigroup():
 
 def test_criterion_03_real_endpoint_moments():
     t0 = time.perf_counter()
-    ens = endpoint_ensemble_K(1.0, 100000, 400, SEED, workers=WORKERS)
-    worst_z = 0.0
-    for j in (0.5, 1.0):
-        m, e = character_moment(ens, j)
-        worst_z = max(worst_z, abs(m - expected_character_K(1.0, j)) / e)
+    checks = gate_real_moments(100000, 400, SEED, (0.5, 1.0), WORKERS)
+    worst_z = max(abs(c["z"]) for c in checks)
     dt = time.perf_counter() - t0
     ok = worst_z < 3.0 and dt < 120.0
     record_gate(
@@ -122,15 +114,11 @@ def test_criterion_03_real_endpoint_moments():
 
 def test_criterion_04_complex_endpoint_moments():
     t0 = time.perf_counter()
-    worst_z = 0.0
-    for i, (s, t) in enumerate(((1.0, 0.5), (0.25, 0.5))):
-        ens = endpoint_ensemble_KC(s, t, 100000, 400, SEED + i, workers=WORKERS)
-        for j in (0.5, 1.0):
-            m, e = character_moment(ens, j)
-            pred = expected_character_KC(s, t, j)
-            if s == t / 2.0:
-                assert pred > 2 * j + 1  # subelliptic slice grows
-            worst_z = max(worst_z, abs(m - pred) / e)
+    # the subelliptic slice s = t/2 grows
+    assert all(expected_character_KC(0.25, 0.5, j) > 2 * j + 1 for j in (0.5, 1.0))
+    runs = ((1.0, 0.5, SEED), (0.25, 0.5, SEED + 1))
+    checks, _ = gate_complex_moments(runs, 100000, 400, (0.5, 1.0), WORKERS)
+    worst_z = max(abs(c["z"]) for c in checks)
     dt = time.perf_counter() - t0
     ok = worst_z < 3.0 and dt < 180.0
     record_gate(
@@ -144,17 +132,10 @@ def test_criterion_04_complex_endpoint_moments():
 
 def test_criterion_05_pathwise_identity():
     t0 = time.perf_counter()
-    steps = [100, 200, 400, 800]
-    meds = pathwise_medians(steps, SEED)
-    slope = float(-np.polyfit(np.log(steps), np.log(meds), 1)[0])
-    det = []
-    for n in steps:
-        a = BrownianPath(np.tile(np.array([0.3, -0.2, 0.5]) / n, (n, 1)), 1.0)
-        b = BrownianPath(np.tile(np.array([-0.1, 0.4, 0.2]) / n, (n, 1)), 1.0)
-        det.append(pathwise_identity_residual(a, b))
-    ratios = [det[i] / det[i + 1] for i in range(3)]
+    slope_check, ratio_check = gate_pathwise([100, 200, 400, 800], SEED)
+    slope, ratios = slope_check["value"], ratio_check["value"]
     dt = time.perf_counter() - t0
-    ok = slope >= 0.4 and all(r >= 1.9 for r in ratios) and dt < 180.0
+    ok = slope_check["passed"] and ratio_check["passed"] and dt < 180.0
     record_gate(
         "criterion 5, pathwise identity",
         f"median slope {slope:.3f}, deterministic ratios "
@@ -167,40 +148,19 @@ def test_criterion_05_pathwise_identity():
 
 def test_criterion_06_multiplication_theorem():
     t0 = time.perf_counter()
-    entries = _spin_half_entries()
-    symbols = [
-        BandLimited.constant(1.0),
-        BandLimited.character_fn(0.5),
-        BandLimited.character_fn(1.0),
-    ]
     worst_z = 0.0
     stderr_ok = True
     for t in (0.5, 1.0):
-        smp = _sampler(t)
-        max_mag = 0.0
-        ests = []
-        for vt in symbols:
-            v = vt.heat(t / 2.0, sign=-1.0)
-            for f1 in entries:
-                for f2 in entries:
-                    est = smp.entry(vt, f1, f2)
-                    exact = schrodinger_entry(
-                        v, LeftInvariantOperator.identity(), f1, f2
-                    )
-                    ests.append((est, exact))
-                    max_mag = max(max_mag, abs(exact))
-        for est, exact in ests:
-            # absolute floor 1e-10 keeps analytically-zero entries, where
-            # value and stderr are both roundoff, out of the z statistic
-            gap = abs(est.value - exact)
-            worst_z = max(worst_z, 3.0 * gap / (3.0 * est.stderr + 1e-10))
-            stderr_ok = stderr_ok and est.stderr <= 0.01 * max_mag
+        checks, _ = gate_multiplication(t, _sampler(t))
+        worst_z = max(worst_z, _worst_z(checks[:-1]))
+        stderr_ok = stderr_ok and checks[-1]["passed"]
     dt = time.perf_counter() - t0
     ok = worst_z < 3.0 and stderr_ok and dt < 600.0
     record_gate(
         "criterion 6, multiplication theorem",
         f"96 entries, worst |z| {worst_z:.2f}, stderr budget "
-        f"{'met' if stderr_ok else 'exceeded'} in {dt:.1f}s",
+        f"{'met' if stderr_ok else 'exceeded'} in {dt:.1f}s "
+        f"(shared sampler build {_sampler_build_s:.1f}s)",
         "|z| < 3 and stderr <= 1% of largest entry at n_paths = 2e5, < 10 min",
         ok,
     )
@@ -209,21 +169,8 @@ def test_criterion_06_multiplication_theorem():
 
 def test_criterion_07_differential_operator_stochastic():
     t0 = time.perf_counter()
-    t = 0.5
-    smp = _sampler(t)
-    entries = _spin_half_entries()
-    ops = [LeftInvariantOperator.vector_field(3), LeftInvariantOperator.laplacian()]
-    symbols = [BandLimited.constant(1.0), BandLimited.character_fn(0.5)]
-    worst_z = 0.0
-    for a in ops:
-        for vt in symbols:
-            v = vt.heat(t / 2.0, sign=-1.0)
-            for f1 in entries:
-                for f2 in entries:
-                    est = smp.entry(vt, f1, f2, a=a)
-                    exact = schrodinger_entry(v, a, f1, f2)
-                    gap = abs(est.value - exact)
-                    worst_z = max(worst_z, 3.0 * gap / (3.0 * est.stderr + 1e-10))
+    checks, _ = gate_differential(0.5, _sampler(0.5), _all_pairs())
+    worst_z = _worst_z(checks)
     dt = time.perf_counter() - t0
     ok = worst_z < 3.0 and dt < 600.0
     record_gate(
@@ -238,22 +185,12 @@ def test_criterion_07_differential_operator_stochastic():
 def test_criterion_08_differential_operator_deterministic():
     t0 = time.perf_counter()
     t = 0.5
-    lap = LeftInvariantOperator.laplacian()
-    rule = kc_quadrature(default_cutoff(t) + 1.5, k_two_jmax=1, n_r=64)
-    probe = np.unique(rule.radii)
-    table = radial_symbol_table(lap, t, probe)
-    symbol = lambda r: np.interp(r, probe, table.real)
-    entries = _spin_half_entries()
-    scale = 0.75 * entries[0].norm_sq()
-    worst = 0.0
-    for f1 in entries:
-        for f2 in entries:
-            est = toeplitz_entry_quadrature(t, symbol, f1, f2, rule, radial=True)
-            target = -0.75 * inner_product_K(f1, f2)
-            worst = max(worst, abs(est.value - target) / scale)
+    checks = gate_laplacian_entries(t, default_cutoff(t) + 1.5, {"n_r": 64}, _all_pairs())
+    scale = 0.75 * _spin_half_entries()[0][1].norm_sq()
+    worst = max(abs(complex(*c["value"]) - c["target"]) / scale for c in checks)
     # radial profile must be degree-1 in r^2 on [0, 3]
     rr = np.linspace(0.0, 3.0, 25)
-    vals = radial_symbol_table(lap, t, rr).real
+    vals = radial_symbol_table(LeftInvariantOperator.laplacian(), t, rr).real
     coef = np.polyfit(rr**2, vals, 1)
     resid = float(np.max(np.abs(np.polyval(coef, rr**2) - vals)))
     dt = time.perf_counter() - t0
@@ -268,23 +205,14 @@ def test_criterion_08_differential_operator_deterministic():
 
 
 def test_criterion_09_boundedness():
-    entries = _spin_half_entries()
-    symbols = [
-        BandLimited.constant(1.0),
-        BandLimited.character_fn(0.5),
-        BandLimited.character_fn(1.0),
+    checks = [
+        c
+        for t in (0.5, 1.0)
+        for _, f in _spin_half_entries()
+        for c in gate_boundedness(t, _sampler(t), f)
     ]
-    margin = np.inf
-    ok = True
-    for t in (0.5, 1.0):
-        smp = _sampler(t)
-        for vt in symbols:
-            sup_v = sup_K(vt)
-            for f in entries:
-                est = smp.entry(vt, f, f)
-                bound = sup_v * f.norm_sq() + 3.0 * est.stderr
-                margin = min(margin, bound - abs(est.value))
-                ok = ok and abs(est.value) <= bound
+    margin = min(c["bound"] + 3.0 * c["stderr"] - c["value"] for c in checks)
+    ok = all(c["passed"] for c in checks)
     record_gate(
         "criterion 9, Toeplitz boundedness",
         f"smallest margin {margin:.3e}",
@@ -296,18 +224,9 @@ def test_criterion_09_boundedness():
 
 def test_criterion_10_euclidean_baseline():
     t0 = time.perf_counter()
-    f1 = HermiteExpansion([1.0, 0.5, 0.0, 0.2])
-    f2 = HermiteExpansion([0.3, -0.2, 0.7])
-    worst_gap = 0.0
-    worst_z = 0.0
-    for deg in range(7):
-        sym = np.zeros(deg + 1)
-        sym[deg] = 1.0
-        rep = euclid_toeplitz_check(
-            0.4, sym, f1, f2, n_samples=100000, master_seed=SEED
-        )
-        worst_gap = max(worst_gap, rep.deterministic_gap)
-        worst_z = max(worst_z, rep.mc_z_score)
+    checks = gate_euclid(6, 100000, SEED)
+    worst_gap = max(c["value"] for c in checks)
+    worst_z = max(c["mc_z"] for c in checks)
     dt = time.perf_counter() - t0
     ok = worst_gap < 1e-8 and worst_z < 3.0 and dt < 60.0
     record_gate(

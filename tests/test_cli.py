@@ -1,8 +1,11 @@
+import csv
 import json
+from collections import Counter
 
 import pytest
 
 from su2quant.cli import DEFAULTS, SCHEMA, ConfigError, load_config, main
+from su2quant.sde import DEFAULT_N_BLOCKS
 
 
 def test_print_defaults(capsys):
@@ -117,6 +120,20 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_error_inside_a_command_exits_3(tmp_path, capsys):
+    # t = 200 passes config validation, but the calibration's bracket for
+    # beta then holds no sign change and brentq raises
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"t_values": [200.0]}))
+    code = main(["calibrate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["passed"] is False and report["checks"] == []
+    assert report["error"]["type"] == "ValueError"
+    assert "different signs" in report["error"]["message"]
+    assert "Traceback" in capsys.readouterr().err
+
+
 def test_calibrate_run_and_report(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"t_values": [0.5]}))
@@ -141,6 +158,9 @@ def test_sde_check_report_and_blocks(tmp_path):
     assert (tmp_path / "blocks.csv").read_text().startswith("check,block,real,imag")
     names = [c["name"] for c in report["checks"]]
     assert any("pathwise" in n for n in names)
+    with open(tmp_path / "blocks.csv", newline="") as fh:
+        labels = Counter(row[0] for row in list(csv.reader(fh))[1:])
+    assert len(labels) == 2 and set(labels.values()) == {DEFAULT_N_BLOCKS}
 
 
 def test_report_independent_of_workers(tmp_path):

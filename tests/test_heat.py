@@ -10,7 +10,7 @@ from su2quant.algebra import (
     random_su2,
     weyl_rule,
 )
-from su2quant.errors import IllConditioned, TruncationError
+from su2quant.errors import IllConditioned
 from su2quant.heat import (
     HeatKernelK,
     calibrate_nu,
@@ -19,7 +19,6 @@ from su2quant.heat import (
     nu,
     nu_normalization,
     nu_radial,
-    rho,
     rho_tail_bound,
     semigroup_sup_error,
 )
@@ -61,20 +60,6 @@ def test_rho_projects_band_limited():
 def test_tail_bound_certificate_monotone():
     assert rho_tail_bound(0.5, 0.0, 10) < rho_tail_bound(0.5, 0.0, 6)
     assert rho_tail_bound(0.5, 1.0, 10) > rho_tail_bound(0.5, 0.0, 10)
-
-
-def test_rho_raises_past_certificate():
-    g = exp_complex(1j * np.array([[0.0, 0.0, 6.0]]))
-    with pytest.raises(TruncationError):
-        rho(0.05, g, two_jmax=4, tol=1e-8)
-
-
-def test_rho_on_fiber_positive_continuation():
-    g = exp_complex(1j * np.array([[0.0, 0.0, 0.8]]))
-    vals, tail = rho(0.5, g, tol=1e-9)
-    assert tail < 1e-9
-    assert vals[0].real > 0
-    assert abs(vals[0].imag) < 1e-12
 
 
 def test_nu_constants():

@@ -1,6 +1,9 @@
-"""Source hygiene that no installed linter checks: imports that nothing uses."""
+"""Source hygiene that no installed linter checks: imports that nothing uses,
+and the names the benchmark binds to."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +35,29 @@ def test_no_unused_imports():
              if p.name != "__init__.py"]
     assert files
     assert [u for p in files for u in _unused_imports(p)] == []
+
+
+def test_benchmark_bindings_resolve():
+    # bench/spans.py wraps its LAYERS by name and bench/tests calls names
+    # imported into su2quant.cli, so a rename would break the traced benchmark
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    [layers] = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    ]
+    wanted = [(modname, qual) for modname, names in layers.values() for qual in names]
+    calls = {
+        name for path in sorted((ROOT / "bench" / "tests").glob("*.py"))
+        for name in re.findall(r"\bcli\.(\w+)\(", path.read_text())
+    }
+    assert calls >= {"endpoint_ensemble_K", "character_moment", "sample_path",
+                     "pathwise_identity_residual"}
+    wanted += [("su2quant.cli", name) for name in sorted(calls)]
+    missing = []
+    for modname, qual in wanted:
+        obj = importlib.import_module(modname)
+        for part in qual.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{modname}.{qual}")
+    assert missing == []
