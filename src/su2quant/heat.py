@@ -3,8 +3,8 @@
 Three kernels are provided:
 
 * ``HeatKernelK`` -- the heat kernel rho_t on K at the identity, as a
-  character series evaluated from traces, with an explicit tail certificate
-  for the truncation that also covers its analytic continuation to SL(2,C);
+  character series evaluated from traces, cut where an explicit tail bound
+  (one that also covers its analytic continuation to SL(2,C)) is small;
 * ``nu`` -- the fiber-invariant kernel on SL(2,C) (the heat kernel at the
   identity coset of the hyperbolic quotient), in closed radial form;
 * ``heat_flow`` -- forward/backward heat evolution of band-limited
@@ -97,19 +97,16 @@ def choose_two_jmax(t: float, rmax: float = 0.0, tol: float = 1e-10) -> int:
 class HeatKernelK:
     """Truncated character expansion of the heat kernel on K.
 
-    rho_t(g) = sum_j (2j+1) e^{-t j(j+1)/2} chi_j(g) / Vol(K), valid (with
-    the stored tail certificate) out to polar radius ``rmax`` on SL(2,C).
+    rho_t(g) = sum_j (2j+1) e^{-t j(j+1)/2} chi_j(g) / Vol(K) up to
+    ``two_jmax``, which ``build`` takes from ``choose_two_jmax``.
     """
 
     t: float
     two_jmax: int
-    rmax: float
-    tail: float
 
     @classmethod
     def build(cls, t: float, rmax: float = 0.0, tol: float = 1e-10) -> "HeatKernelK":
-        two_jmax = choose_two_jmax(t, rmax, tol)
-        return cls(t=t, two_jmax=two_jmax, rmax=rmax, tail=rho_tail_bound(t, rmax, two_jmax))
+        return cls(t=t, two_jmax=choose_two_jmax(t, rmax, tol))
 
     def on_traces(self, traces: np.ndarray) -> np.ndarray:
         """Evaluate from the real traces tr(g) alone (a class function)."""
@@ -188,8 +185,8 @@ def semigroup_sup_error(t: float, s: float, traces: np.ndarray) -> float:
     """
     jt = choose_two_jmax(t, 0.0, 2e-9)
     js = choose_two_jmax(s, 0.0, 2e-9)
-    kt = HeatKernelK(t, jt, 0.0, 0.0)
-    ks = HeatKernelK(s, js, 0.0, 0.0)
+    kt = HeatKernelK(t, jt)
+    ks = HeatKernelK(s, js)
     kts = HeatKernelK.build(t + s, tol=1e-12)
     rule = weyl_rule(jt + js, max(jt, js))
     rho_s_nodes, rho_t_nodes = ks.pair_on_traces(kt, rule.traces)

@@ -1,16 +1,17 @@
 """Inner products over SL(2,C) against radial weights, on factored rules.
 
-The polar product rules keep nodes as pairs ``g = x * exp(iY)``; band-limited
-evaluations then factor through ``D^j(g) = D^j(x) D^j(exp(iY))``, which turns
-the double sum into small matrix contractions instead of materializing every
-node.
+The polar product rules keep nodes as pairs ``g = x * exp(iY)``, and
+``D^j(g) = D^j(x) D^j(exp(iY))``.  Against a radial weight, Schur
+orthogonality on K does the x-integral exactly, leaving one fiber Gram
+matrix per spin (``hl2_inner``); only a general pointwise symbol needs the
+K-nodes (``hl2_inner_pointwise``, chunked over them).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import QuadratureRuleKC
+from .algebra import QuadratureRuleKC, VOL_K
 from .wigner import BandLimited, wigner_matrix
 
 K_CHUNK = 16  # K-nodes per contraction step
@@ -42,6 +43,13 @@ def _chunked_tables(rule: QuadratureRuleKC, spins: set[int], chunk: int):
         yield part, {two_j: d[part] for two_j, d in dx.items()}, ey
 
 
+def fiber_gram(two_j: int, rule: QuadratureRuleKC, wy: np.ndarray) -> np.ndarray:
+    """G = sum_y w_y D^j(exp iY_y)^dagger D^j(exp iY_y), as one matmul over the rows (y, k)."""
+    d = two_j + 1
+    e = wigner_matrix(two_j / 2.0, rule.fiber_nodes).reshape(-1, d)
+    return (np.conj(e).T * np.repeat(wy, d)) @ e
+
+
 def hl2_inner(
     F1: BandLimited,
     F2: BandLimited,
@@ -49,20 +57,22 @@ def hl2_inner(
     radial_weight,
     radial_symbol=None,
 ) -> complex:
-    """integral of conj(F1) F2 * weight(|Y|) [* symbol(|Y|)] over the rule.
+    """integral of conj(F1) F2 * weight(|Y|) [* symbol(|Y|)] over K_C.
 
     ``radial_weight`` is the density against Haar measure (e.g. the
     fiber-invariant heat kernel profile); ``radial_symbol`` optionally
-    multiplies in a radial Toeplitz symbol.
+    multiplies in a radial Toeplitz symbol.  Only the fiber part of the
+    rule is read: Schur orthogonality does the K-integral exactly for every
+    spin, giving sum_j Vol(K)/d_j sum_ab conj(c1^j)_ab (c2^j G_j^T)_ab with
+    G_j = ``fiber_gram`` at w_y = fiber weight * weight [* symbol].
     """
     wy = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
     if radial_symbol is not None:
         wy = wy * np.asarray(radial_symbol(rule.radii), dtype=complex)
-    kw = rule.k_rule.weights
     total = 0.0 + 0.0j
-    for part, dx, ey in _chunked_tables(rule, set(F1.blocks) | set(F2.blocks), K_CHUNK):
-        v1, v2 = _factored_values(F1, dx, ey), _factored_values(F2, dx, ey)
-        total += kw[part] @ ((np.conj(v1) * v2) @ wy)
+    for two_j in sorted(set(F1.blocks) & set(F2.blocks)):
+        c2g = F2.blocks[two_j] @ fiber_gram(two_j, rule, wy).T
+        total += VOL_K / (two_j + 1) * np.sum(np.conj(F1.blocks[two_j]) * c2g)
     return complex(total)
 
 

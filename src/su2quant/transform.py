@@ -3,8 +3,9 @@
 The single-parameter transform C_t applies the half-time heat operator and
 analytically continues to SL(2,C).  On the spin-j block this is
 multiplication by e^{-t c_j / 2}, so the transform is computed on
-coefficients; the integral definition is kept only as a test oracle
-(adjoint_inversion_oracle below).
+coefficients.  The integral definition survives only as an oracle
+(adjoint_inversion_oracle below), its K-integral done by Schur
+orthogonality and its fiber integral by quadrature.
 
 The two-parameter transform B_{s,t} is given by the same coefficient map.
 The parameter s enters only through the measures on the two sides, so the
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import QuadratureRuleKC, VOL_K
+from .algebra import QuadratureRuleKC
 from .errors import ParameterDomain
 from .heat import HeatKernelK, heat_flow, nu_radial
-from .hl2 import K_CHUNK, _chunked_tables, _factored_values, hl2_inner
+from .hl2 import fiber_gram, hl2_inner
 from .wigner import BandLimited, HolomorphicObservable
 
 
@@ -99,35 +100,23 @@ def adjoint_inversion_oracle(
 ) -> BandLimited:
     """Recover f from F by the adjoint integral, as an independent oracle.
 
-    Computes (C_t^* F)(x) = int conj(rho_t(g x^{-1})) F(g) nu_t(g) dg on the
-    truncated polar rule.  Expanding the kernel's character sum and using
+    Computes (C_t^* F)(x) = int conj(rho_t(g x^{-1})) F(g) nu_t(g) dg.
+    Expanding the kernel's character sum and using
     conj(chi_j(g x^{-1})) = sum_{ab} conj(D^j(g))_{ab} D^j(x)_{ab} for x in
     SU(2), the result is band-limited with block coefficients
 
         c^j_{ab} = (2j+1) e^{-t c_j/2} / Vol(K) *
                    int conj(D^j(g))_{ab} F(g) nu_t(g) dg.
 
+    With g = x exp(iY), Schur orthogonality does the K-integral exactly
+    (see ``hl2_inner``): c^j = e^{-t c_j/2} c^j_F G_j^T, with G_j the fiber
+    Gram matrix at w_y = fiber weight * nu_t(|Y|), for the spins of F up to
+    min(two_jmax, the kernel's truncation).
+
     On the range of C_t this reproduces f itself (C_t^* = C_t^{-1} there),
-    so agreement with inverse_C is a quadrature-level check, not exact.
+    so agreement with inverse_C is a fiber-quadrature check, not exact.
     """
-    kern = HeatKernelK.build(t, rmax=rule.cutoff, tol=rho_tol)
-    fw = rule.fiber_weights * nu_radial(t, rule.radii)
-    kw = rule.k_rule.weights
-    spins = range(0, min(two_jmax, kern.two_jmax) + 1)
-    m = {two_j: 0.0 for two_j in spins}
-    for part, dx, ey in _chunked_tables(rule, set(F.blocks) | set(spins), K_CHUNK):
-        weighted = _factored_values(F, dx, ey) * fw
-        for two_j in spins:
-            m[two_j] += np.einsum(
-                "x,xac,ycb,xy->ab",
-                kw[part],
-                np.conj(dx[two_j]),
-                np.conj(ey[two_j]),
-                weighted,
-                optimize=True,
-            )
-    blocks = {}
-    for two_j in spins:
-        j = two_j / 2.0
-        blocks[two_j] = (two_j + 1) * np.exp(-t * j * (j + 1) / 2.0) / VOL_K * m[two_j]
-    return BandLimited(blocks).prune(1e-12)
+    top = min(two_jmax, HeatKernelK.build(t, rmax=rule.cutoff, tol=rho_tol).two_jmax)
+    wy = rule.fiber_weights * nu_radial(t, rule.radii)
+    m = {two_j: c @ fiber_gram(two_j, rule, wy).T for two_j, c in F.blocks.items() if two_j <= top}
+    return BandLimited(m).heat(t, sign=-1.0).prune(1e-12)

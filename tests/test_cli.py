@@ -192,3 +192,17 @@ def test_euclid_subcommand(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["checks"]) == 4
+
+
+def test_failed_gate_exits_1(tmp_path):
+    # the Monte Carlo gates are per-check 3-stderr tests, so correct code
+    # fails some of them at some master seeds; 92 is one
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_paths": 20000}))
+    code = main(["euclid-baseline", "--config", str(cfg), "--out", str(tmp_path), "--seed", "92"])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "error" not in report and report["passed"] is False
+    assert len(report["checks"]) == 7
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == [f"flat Toeplitz identity, symbol x^{d}" for d in (1, 3, 4, 6)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from su2quant.euclid import (
     GaussPoly,
@@ -124,6 +125,41 @@ def test_flat_weak_mc_determinism():
     assert v1 == v2 and e1 == e2
     v3, _ = flat_weak_mc(t, sym, F, F, 4000, 78)
     assert v3 != v1
+
+
+def _flat_weak_mc_per_node(t, sym_coeffs, F1, F2, n_samples, master_seed, n_blocks=40, n_x=60):
+    """flat_weak_mc with the x-rule applied to every sampled eta."""
+    a = F1.width
+    u, wu = np.polynomial.hermite.hermgauss(n_x)
+    x = np.sqrt(a) * u
+    poly_w = np.sqrt(a) * wu * P.polyval(x, np.asarray(sym_coeffs, dtype=complex))
+    block_vals = np.empty(n_blocks, dtype=complex)
+    sizes = [len(ix) for ix in np.array_split(np.arange(n_samples), n_blocks)]
+    for b in range(n_blocks):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(b,)))
+        eta = rng.normal(0.0, np.sqrt(t / 2.0), size=sizes[b])
+        z = x[None, :] + 1j * eta[:, None]
+        vals = (
+            P.polyval(np.conj(z), np.conj(F1.coeffs))
+            * P.polyval(z, F2.coeffs)
+            * np.exp(eta[:, None] ** 2 / a)
+        )
+        block_vals[b] = np.mean(vals @ poly_w)
+    var = np.var(block_vals.real, ddof=1) + np.var(block_vals.imag, ddof=1)
+    return complex(np.mean(block_vals)), float(np.sqrt(var / n_blocks))
+
+
+@pytest.mark.parametrize("deg", range(7))
+def test_flat_weak_mc_matches_per_node_rule(deg):
+    t = 0.4
+    sym = np.zeros(deg + 1)
+    sym[deg] = 1.0
+    F1 = euclid_transform(t, HermiteExpansion([1.0, 0.5, 0.0, 0.2]))
+    F2 = euclid_transform(t, HermiteExpansion([0.3, -0.2, 0.7]))
+    value, err = flat_weak_mc(t, sym, F1, F2, 2000, 92)
+    ref_value, ref_err = _flat_weak_mc_per_node(t, sym, F1, F2, 2000, 92)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert err == pytest.approx(ref_err, rel=1e-12)
 
 
 @pytest.mark.parametrize("deg", [0, 1, 2, 3, 4])

@@ -130,8 +130,8 @@ def test_weyl_convolution_matches_haar_rule(t, s):
     g = random_su2(rng, 20)
     jt = choose_two_jmax(t, 0.0, 2e-9)
     js = choose_two_jmax(s, 0.0, 2e-9)
-    kt = HeatKernelK(t, jt, 0.0, 0.0)
-    ks = HeatKernelK(s, js, 0.0, 0.0)
+    kt = HeatKernelK(t, jt)
+    ks = HeatKernelK(s, js)
 
     haar = haar_rule(jt + js)
     inv = np.conj(np.swapaxes(haar.nodes, -1, -2))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from su2quant.algebra import default_cutoff, kc_quadrature
+from su2quant.algebra import VOL_K, default_cutoff, kc_quadrature
 from su2quant.errors import IllConditioned, ParameterDomain
-from su2quant.heat import nu_radial
-from su2quant.hl2 import hl2_inner
+from su2quant.heat import HeatKernelK, nu_radial
+from su2quant.hl2 import K_CHUNK, _chunked_tables, _factored_values, hl2_inner
 from su2quant.transform import (
     TransformedPair,
     adjoint_inversion_oracle,
@@ -93,6 +93,42 @@ def test_adjoint_inversion_oracle(rng):
     np.testing.assert_allclose(rec.blocks[1], f.blocks[1], atol=1e-4)
 
 
+def _adjoint_per_node(t, F, rule, two_jmax, rho_tol=1e-9):
+    """The adjoint integral as an explicit sum over the K-nodes and fiber nodes."""
+    kern = HeatKernelK.build(t, rmax=rule.cutoff, tol=rho_tol)
+    fw = rule.fiber_weights * nu_radial(t, rule.radii)
+    kw = rule.k_rule.weights
+    spins = range(0, min(two_jmax, kern.two_jmax) + 1)
+    m = {two_j: 0.0 for two_j in spins}
+    for part, dx, ey in _chunked_tables(rule, set(F.blocks) | set(spins), K_CHUNK):
+        weighted = _factored_values(F, dx, ey) * fw
+        for two_j in spins:
+            m[two_j] += np.einsum(
+                "x,xac,ycb,xy->ab", kw[part], np.conj(dx[two_j]), np.conj(ey[two_j]), weighted
+            )
+    blocks = {}
+    for two_j in spins:
+        j = two_j / 2.0
+        blocks[two_j] = (two_j + 1) * np.exp(-t * j * (j + 1) / 2.0) / VOL_K * m[two_j]
+    return BandLimited(blocks).prune(1e-12)
+
+
+def test_adjoint_oracle_matches_per_node_sum(rng):
+    # on a K-exact rule the Schur closed form equals the node sum; spin 3/2
+    # lies past two_jmax and spin 0 is absent from F, so neither has a block
+    t = 0.5
+    rule = kc_quadrature(default_cutoff(t) + 1.5, k_two_jmax=3, n_r=16, n_theta=8, n_phi=8)
+    F = HolomorphicObservable({
+        k: rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
+        for k in (1, 2, 3)
+    })
+    rec = adjoint_inversion_oracle(t, F, rule, two_jmax=2)
+    ref = _adjoint_per_node(t, F, rule, two_jmax=2)
+    assert set(rec.blocks) == set(ref.blocks) == {1, 2}
+    for k, c in ref.blocks.items():
+        np.testing.assert_allclose(rec.blocks[k], c, rtol=0, atol=1e-12 * np.max(np.abs(c)))
+
+
 def test_adjoint_oracle_R_stability(rng):
     # doubling the radial cutoff moves the recovered block by < 1e-6
     t = 0.5
@@ -119,7 +155,6 @@ def test_intertwining_with_derivatives(rng):
 def test_transformed_pair_B_norm(rng):
     # ||f||^2 against rho_s dx via the smoothed |f|^2 at the identity
     from su2quant.algebra import haar_rule
-    from su2quant.heat import HeatKernelK
 
     s, t = 1.0, 0.5
     f = BandLimited({1: rng.standard_normal((2, 2))})
