@@ -12,12 +12,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffTooSmall, NonInvertible
+from .errors import NonInvertible
 
 VOL_K = 16.0 * np.pi**2  # Riemannian volume of SU(2) as the radius-2 sphere
 
@@ -426,7 +425,6 @@ class QuadratureRuleKC:
     directions: np.ndarray  # (M, 3) unit vectors
     fiber_weights: np.ndarray  # (M,) includes J(r) and dr dS(u)
     cutoff: float
-    beta: float = 1.0
     _fiber_nodes: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -442,34 +440,22 @@ class QuadratureRuleKC:
         vals = np.asarray(f_of_r(self.radii), dtype=float)
         return float(np.sum(self.k_rule.weights) * np.dot(self.fiber_weights, vals))
 
-    def integrate(self, fn, chunk: int = 32) -> complex:
-        """Integrate a generic pointwise function fn(g) with g (..., 2, 2)."""
-        total = 0.0 + 0.0j
-        fw = self.fiber_weights
-        fnodes = self.fiber_nodes
-        kn, kw = self.k_rule.nodes, self.k_rule.weights
-        for start in range(0, len(kw), chunk):
-            x = kn[start:start + chunk]
-            g = np.einsum("xab,ybc->xyac", x, fnodes)
-            vals = fn(g)
-            total += np.einsum("x,y,xy->", kw[start:start + chunk], fw, vals)
-        return complex(total)
-
 
 def kc_quadrature(
     R: float,
     k_two_jmax: int = 1,
     n_r: int = 48,
-    n_theta: int = 16,
-    n_phi: int = 16,
-    beta: float = 1.0,
-    t_tail: float | None = None,
+    n_theta: int = 20,
+    n_phi: int = 20,
 ) -> QuadratureRuleKC:
     """Polar-coordinate product rule on SL(2,C) with radial cutoff R.
 
-    ``t_tail`` enables the Gaussian-tail check: a CutoffTooSmall warning is
-    issued when the mass of ``(r/sinh r) e^{-r^2/t} J(r)`` beyond R exceeds
-    1e-10 of the total.
+    Against radial weights (``hl2.hl2_inner``, the adjoint oracle and the
+    calibration) the K- and sphere integrals are exact: K by Schur
+    orthogonality and the sphere by the scalar fiber Gram matrix lambda_j.
+    Those routes read only ``radii`` and ``fiber_weights``, so the radial
+    Gauss-Legendre sum on [0, R] is their only quadrature.  The K-rule and
+    the directions serve the per-node sum ``hl2.hl2_inner_pointwise``.
     """
     if R <= 0:
         raise ValueError("radial cutoff R must be positive")
@@ -498,26 +484,14 @@ def kc_quadrature(
 
     radii = np.repeat(r, len(wu))
     dirs = np.tile(u, (n_r, 1))
-    fw = np.repeat(wr * radial_jacobian(r, beta), len(wu)) * np.tile(wu, n_r)
+    fw = np.repeat(wr * radial_jacobian(r), len(wu)) * np.tile(wu, n_r)
 
-    if t_tail is not None:
-        # tail of r sinh(r) e^{-r^2/t} past R, vs. the full integral
-        tail_grid = R + np.linspace(0.0, 10.0 * np.sqrt(t_tail), 2001)
-        integ = tail_grid * np.sinh(beta * tail_grid) / beta**2 * np.exp(-tail_grid**2 / t_tail)
-        tail = np.trapezoid(integ, tail_grid)
-        total = (t_tail / 4.0) * np.sqrt(np.pi * t_tail) * np.exp(t_tail / 4.0)
-        if tail > 1e-10 * total:
-            warnings.warn(
-                f"radial cutoff R={R} leaves a relative Gaussian tail of {tail / total:.2e}",
-                CutoffTooSmall,
-            )
     return QuadratureRuleKC(
         k_rule=k_rule,
         radii=radii,
         directions=dirs,
         fiber_weights=fw,
         cutoff=R,
-        beta=beta,
     )
 
 

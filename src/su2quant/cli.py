@@ -61,7 +61,7 @@ DEFAULTS = {
     "n_steps": 200,
     "n_grid": 1000,
     "master_seed": 2026,
-    "quadrature": {"n_r": 64, "n_theta": 20, "n_phi": 20},
+    "quadrature": {"n_r": 64},
     "radial_cutoff": None,
     "spins": [0.5, 1.0],
     "euclid_degree_max": 6,
@@ -393,14 +393,14 @@ def gate_differential(t: float, sampler: ToeplitzSampler, pairs):
 def gate_laplacian_entries(t: float, R: float, quadrature: dict, pairs) -> list[dict]:
     """The V = 1 Laplacian entries by polar quadrature of the radial symbol,
     against -3/4 <f1, f2>, relative to -3/4 ||f1||^2."""
-    rule = kc_quadrature(R, k_two_jmax=1, **quadrature)
+    rule = kc_quadrature(R, **quadrature)
     # evaluate the symbol at exactly the rule's radial nodes
     probe = np.unique(rule.radii)
     table = radial_symbol_table(LeftInvariantOperator.laplacian(), t, probe)
     symbol = lambda r: np.interp(r, probe, table.real)
     checks = []
     for lbl, f1, f2 in pairs:
-        est = toeplitz_entry_quadrature(t, symbol, f1, f2, rule, radial=True)
+        est = toeplitz_entry_quadrature(t, symbol, f1, f2, rule)
         target = -0.75 * inner_product_K(f1, f2).real
         rel = abs(est.value - target) / (0.75 * f1.norm_sq())
         checks.append(
@@ -453,7 +453,7 @@ def cmd_transform_check(cfg: dict, workers: int):
     checks = []
     rng = np.random.default_rng(cfg["master_seed"])
     for t in cfg["t_values"]:
-        rule = kc_quadrature(_cutoff(cfg, t) + 1.5, k_two_jmax=3, **cfg["quadrature"])
+        rule = kc_quadrature(_cutoff(cfg, t) + 1.5, **cfg["quadrature"])
         worst = 0.0
         for two_j in (1, 2, 3):
             c = rng.standard_normal((two_j + 1, two_j + 1))

@@ -24,6 +24,3 @@ class StepUnderflow(RuntimeError):
 class StatisticalFailure(RuntimeError):
     """Monte Carlo error estimate is not converging as expected."""
 
-
-class CutoffTooSmall(UserWarning):
-    """Radial quadrature cutoff leaves a non-negligible Gaussian tail."""

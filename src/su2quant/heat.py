@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .algebra import VOL_K, kc_quadrature, polar_radius, default_cutoff, weyl_rule
+from .algebra import VOL_K, kc_quadrature, polar_radius, default_cutoff, radial_jacobian, weyl_rule
 from .errors import IllConditioned, TruncationError
 from .hl2 import hl2_inner
 from .wigner import BandLimited, _casimir_two
@@ -242,26 +242,26 @@ class CalibrationRecord:
     analytic_normalization: float
 
 
+def _beta_weight(t: float, beta: float, normalization: float):
+    """nu_radial at (beta, N) as a density against the rule's beta = 1 Jacobian.
+
+    The rule's fiber weights carry J_1(r) = sinh(r)^2, so the ratio
+    J_beta / J_1 = (sinh(beta r) / (beta sinh r))^2 is the only place beta
+    enters besides the profile itself.
+    """
+    return lambda r: radial_jacobian(r, beta) / radial_jacobian(r) * nu_radial(
+        t, r, beta, normalization
+    )
+
+
 def _mass_normalization(t: float, beta: float, rule) -> float:
     """N with unit such that the mass identity holds exactly on the rule."""
-    radial = rule.integrate_radial(
-        lambda r: np.where(
-            beta * r < 1e-8, 1.0, beta * r / np.sinh(beta * r)
-        )
-        * np.exp(-(r**2) / t)
-    )
     # rule.integrate_radial already sums K and fiber weights (mass Vol*4pi*I)
-    return VOL_K / radial
+    return VOL_K / rule.integrate_radial(_beta_weight(t, beta, 1.0))
 
 
 def _unitarity_residual(t: float, beta: float, rule, j) -> float:
-    n0 = _mass_normalization(t, beta, rule)
-
-    def weight(r):
-        br = beta * np.asarray(r)
-        ratio = np.where(br < 1e-8, 1.0, br / np.sinh(np.where(br < 1e-8, 1.0, br)))
-        return n0 * ratio * np.exp(-(np.asarray(r) ** 2) / t)
-
+    weight = _beta_weight(t, beta, _mass_normalization(t, beta, rule))
     f = BandLimited.entry(j, j, j)
     F = f.heat(t, sign=-1.0)
     lhs = hl2_inner(F, F, rule, weight).real
@@ -272,28 +272,22 @@ def calibrate_nu(
     t: float,
     beta_bracket: tuple[float, float] = (0.6, 1.6),
     n_r: int = 64,
-    n_theta: int = 20,
-    n_phi: int = 20,
 ) -> CalibrationRecord:
     """Pin (beta, N(t)) from the mass and unitarity identities.
 
     For each candidate beta the normalization is solved from the mass
     identity; beta itself is then the root of the spin-1/2 unitarity
     residual.  The spin-1 residual at the solution is reported as the
-    overdetermined cross-check.
+    overdetermined cross-check.  One polar rule serves every beta: the
+    integrands are radial, so only the radii and fiber weights are read,
+    and beta enters through the Jacobian ratio in the weight.
     """
-    R = default_cutoff(t) + 1.5
-
-    def residual(beta: float) -> float:
-        rule = kc_quadrature(R, k_two_jmax=1, n_r=n_r, n_theta=n_theta, n_phi=n_phi, beta=beta)
-        return _unitarity_residual(t, beta, rule, 0.5)
-
-    beta_star = brentq(residual, *beta_bracket, xtol=1e-10, rtol=1e-12)
-    rule = kc_quadrature(
-        R, k_two_jmax=2, n_r=n_r, n_theta=n_theta, n_phi=n_phi, beta=beta_star
+    rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=n_r)
+    beta_star = brentq(
+        lambda beta: _unitarity_residual(t, beta, rule, 0.5), *beta_bracket, xtol=1e-10, rtol=1e-12
     )
     n_star = _mass_normalization(t, beta_star, rule)
-    mass = rule.integrate_radial(lambda r: nu_radial(t, r, beta_star, n_star))
+    mass = rule.integrate_radial(_beta_weight(t, beta_star, n_star))
     res_half = _unitarity_residual(t, beta_star, rule, 0.5)
     res_one = _unitarity_residual(t, beta_star, rule, 1.0)
     return CalibrationRecord(

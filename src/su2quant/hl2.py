@@ -1,10 +1,20 @@
 """Inner products over SL(2,C) against radial weights, on factored rules.
 
 The polar product rules keep nodes as pairs ``g = x * exp(iY)``, and
-``D^j(g) = D^j(x) D^j(exp(iY))``.  Against a radial weight, Schur
-orthogonality on K does the x-integral exactly, leaving one fiber Gram
-matrix per spin (``hl2_inner``); only a general pointwise symbol needs the
-K-nodes (``hl2_inner_pointwise``, chunked over them).
+``D^j(g) = D^j(x) D^j(exp(iY))``.  Against a radial weight, two steps are
+exact and one is quadrature:
+
+* K: Schur orthogonality does the x-integral, leaving the fiber Gram
+  matrix G_j = sum_y w_y D^j(e_y)^dagger D^j(e_y) per spin;
+* sphere: e_y = exp(i r u.X) is Hermitian, so D^j(e_y)^dagger D^j(e_y) =
+  D^j(e_y^2), and the average over the directions u is an average over
+  K-conjugation.  By Schur's lemma G_j = lambda_j I, with the scalar
+  lambda_j = sum_y w_y sinh(d_j r_y) / (d_j sinh r_y) (``fiber_scalar``);
+* radius: the sum over r_y is the only quadrature.
+
+So ``hl2_inner`` reads only the radii and fiber weights of the rule.  A
+general pointwise symbol has no such form (``hl2_inner_pointwise``, chunked
+over the K-nodes).
 """
 
 from __future__ import annotations
@@ -43,11 +53,15 @@ def _chunked_tables(rule: QuadratureRuleKC, spins: set[int], chunk: int):
         yield part, {two_j: d[part] for two_j, d in dx.items()}, ey
 
 
-def fiber_gram(two_j: int, rule: QuadratureRuleKC, wy: np.ndarray) -> np.ndarray:
-    """G = sum_y w_y D^j(exp iY_y)^dagger D^j(exp iY_y), as one matmul over the rows (y, k)."""
+def fiber_scalar(two_j: int, rule: QuadratureRuleKC, wy: np.ndarray):
+    """lambda_j = sum_y w_y chi_j(e_y^2) / d_j, the fiber Gram matrix G_j = lambda_j I.
+
+    e_y^2 = exp(2i r_y u.X) has eigenvalues e^{+-r_y}, so
+    chi_j(e_y^2) = sinh(d_j r_y) / sinh(r_y) with d_j = 2j + 1.
+    """
     d = two_j + 1
-    e = wigner_matrix(two_j / 2.0, rule.fiber_nodes).reshape(-1, d)
-    return (np.conj(e).T * np.repeat(wy, d)) @ e
+    r = rule.radii
+    return np.dot(wy, np.sinh(d * r) / (d * np.sinh(r)))
 
 
 def hl2_inner(
@@ -61,18 +75,19 @@ def hl2_inner(
 
     ``radial_weight`` is the density against Haar measure (e.g. the
     fiber-invariant heat kernel profile); ``radial_symbol`` optionally
-    multiplies in a radial Toeplitz symbol.  Only the fiber part of the
-    rule is read: Schur orthogonality does the K-integral exactly for every
-    spin, giving sum_j Vol(K)/d_j sum_ab conj(c1^j)_ab (c2^j G_j^T)_ab with
-    G_j = ``fiber_gram`` at w_y = fiber weight * weight [* symbol].
+    multiplies in a radial Toeplitz symbol.  The K-integral is exact by
+    Schur orthogonality and the sphere integral exact by the scalar
+    lambda_j (``fiber_scalar``), so the value is
+    sum_j Vol(K)/d_j lambda_j <c1^j, c2^j>_F with w_y = fiber weight *
+    weight [* symbol]; only the radial sum is quadrature.
     """
     wy = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
     if radial_symbol is not None:
         wy = wy * np.asarray(radial_symbol(rule.radii), dtype=complex)
     total = 0.0 + 0.0j
     for two_j in sorted(set(F1.blocks) & set(F2.blocks)):
-        c2g = F2.blocks[two_j] @ fiber_gram(two_j, rule, wy).T
-        total += VOL_K / (two_j + 1) * np.sum(np.conj(F1.blocks[two_j]) * c2g)
+        lam = fiber_scalar(two_j, rule, wy)
+        total += VOL_K / (two_j + 1) * lam * np.vdot(F1.blocks[two_j], F2.blocks[two_j])
     return complex(total)
 
 
@@ -84,7 +99,12 @@ def hl2_inner_pointwise(
     symbol,
     chunk: int = K_CHUNK,
 ) -> complex:
-    """Same integral with a general pointwise symbol(g), chunked over K-nodes."""
+    """Same integral with a general pointwise symbol(g), chunked over K-nodes.
+
+    No CLI path calls it.  It stays as the per-node reference that the
+    tests compare ``hl2_inner`` against, and because ``bench/spans.py``
+    binds to its name.
+    """
     wy = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
     kn, kw = rule.k_rule.nodes, rule.k_rule.weights
     fnodes = rule.fiber_nodes

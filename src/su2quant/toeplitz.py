@@ -12,8 +12,9 @@ side <F1, T_phi F2> is evaluated two ways:
   with w the subelliptic endpoints theta_C(iB)_1 (B-variance t/2).  This is
   the double integral of conj(F1) F2 mu_{t/2,t}(g x^{-1}) V~(x) against dg dx
   after the substitution g = w x, so it needs no pointwise symbol;
-* for explicit radial or pointwise symbols (the V = 1 differential-operator
-  route), deterministic quadrature over the polar rule on SL(2,C).
+* for explicit radial symbols (the V = 1 differential-operator route),
+  deterministic quadrature over the polar rule on SL(2,C), exact on K and
+  on the sphere and a radial sum otherwise (``hl2.hl2_inner``).
 
 The x-integral uses an exact Haar rule, so all Monte Carlo error lives in
 the w-average.  Because D(w x) = D(w) D(x), a block's endpoints enter only
@@ -41,7 +42,7 @@ from .algebra import QuadratureRuleK, QuadratureRuleKC, haar_rule, random_su2
 from .diffop import LeftInvariantOperator, complexify_apply
 from .errors import StatisticalFailure
 from .heat import nu_radial
-from .hl2 import hl2_inner, hl2_inner_pointwise
+from .hl2 import hl2_inner
 from .sde import DEFAULT_N_BLOCKS, EndpointEnsemble, endpoint_ensemble_KC, endpoint_ensembles_KC
 from .transform import transform_C
 from .wigner import BandLimited, inner_product_K, wigner_matrix
@@ -239,22 +240,15 @@ def toeplitz_entry_quadrature(
     f1: BandLimited,
     f2: BandLimited,
     rule: QuadratureRuleKC,
-    radial: bool = False,
 ) -> ToeplitzEstimate:
     """int conj(F1) phi F2 nu_t dg over the polar rule.
 
-    ``symbol`` is phi as a function of g (or of the polar radius when
-    ``radial`` is set); ``symbol=None`` means phi = 1.
+    ``symbol`` is phi as a function of the polar radius; ``symbol=None``
+    means phi = 1.
     """
     F1 = transform_C(t, f1)
     F2 = transform_C(t, f2)
-    weight = lambda r: nu_radial(t, r)
-    if symbol is None:
-        value = hl2_inner(F1, F2, rule, weight)
-    elif radial:
-        value = hl2_inner(F1, F2, rule, weight, radial_symbol=symbol)
-    else:
-        value = hl2_inner_pointwise(F1, F2, rule, weight, symbol)
+    value = hl2_inner(F1, F2, rule, lambda r: nu_radial(t, r), radial_symbol=symbol)
     return ToeplitzEstimate(
         value=complex(value),
         stderr=0.0,

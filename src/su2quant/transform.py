@@ -4,8 +4,9 @@ The single-parameter transform C_t applies the half-time heat operator and
 analytically continues to SL(2,C).  On the spin-j block this is
 multiplication by e^{-t c_j / 2}, so the transform is computed on
 coefficients.  The integral definition survives only as an oracle
-(adjoint_inversion_oracle below), its K-integral done by Schur
-orthogonality and its fiber integral by quadrature.
+(adjoint_inversion_oracle below): its K- and sphere integrals are exact
+(Schur orthogonality, then the scalar fiber Gram matrix), and only its
+radial integral is quadrature.
 
 The two-parameter transform B_{s,t} is given by the same coefficient map.
 The parameter s enters only through the measures on the two sides, so the
@@ -21,7 +22,7 @@ import numpy as np
 from .algebra import QuadratureRuleKC
 from .errors import ParameterDomain
 from .heat import HeatKernelK, heat_flow, nu_radial
-from .hl2 import fiber_gram, hl2_inner
+from .hl2 import fiber_scalar, hl2_inner
 from .wigner import BandLimited, HolomorphicObservable
 
 
@@ -109,14 +110,16 @@ def adjoint_inversion_oracle(
                    int conj(D^j(g))_{ab} F(g) nu_t(g) dg.
 
     With g = x exp(iY), Schur orthogonality does the K-integral exactly
-    (see ``hl2_inner``): c^j = e^{-t c_j/2} c^j_F G_j^T, with G_j the fiber
-    Gram matrix at w_y = fiber weight * nu_t(|Y|), for the spins of F up to
-    min(two_jmax, the kernel's truncation).
+    and the fiber Gram matrix is the scalar lambda_j (see ``hl2_inner``):
+    c^j = e^{-t c_j/2} lambda_j c^j_F, with lambda_j = ``fiber_scalar`` at
+    w_y = fiber weight * nu_t(|Y|), for the spins of F up to
+    min(two_jmax, the kernel's truncation).  Only the radial sum is
+    quadrature.
 
     On the range of C_t this reproduces f itself (C_t^* = C_t^{-1} there),
-    so agreement with inverse_C is a fiber-quadrature check, not exact.
+    so agreement with inverse_C is a radial-quadrature check, not exact.
     """
     top = min(two_jmax, HeatKernelK.build(t, rmax=rule.cutoff, tol=rho_tol).two_jmax)
     wy = rule.fiber_weights * nu_radial(t, rule.radii)
-    m = {two_j: c @ fiber_gram(two_j, rule, wy).T for two_j, c in F.blocks.items() if two_j <= top}
+    m = {two_j: fiber_scalar(two_j, rule, wy) * c for two_j, c in F.blocks.items() if two_j <= top}
     return BandLimited(m).heat(t, sign=-1.0).prune(1e-12)

@@ -20,7 +20,7 @@ from su2quant.algebra import (
     radial_jacobian,
     random_su2,
 )
-from su2quant.errors import CutoffTooSmall, NonInvertible
+from su2quant.errors import NonInvertible
 
 
 def test_basis_orthonormal():
@@ -223,15 +223,3 @@ def test_kc_quadrature_radial_gaussian():
     got = rule.integrate_radial(f)
     expect = VOL_K * 4.0 * np.pi * (t / 4.0) * np.sqrt(np.pi * t) * np.exp(t / 4.0)
     assert got == pytest.approx(expect, rel=1e-10)
-
-
-def test_kc_quadrature_warns_on_small_cutoff():
-    with pytest.warns(CutoffTooSmall):
-        kc_quadrature(1.0, n_r=16, t_tail=2.0)
-
-
-def test_kc_integrate_matches_factored_path():
-    rule = kc_quadrature(3.0, n_r=16, n_theta=8, n_phi=8)
-    got = rule.integrate(lambda g: np.ones(g.shape[:-2]))
-    expect = rule.integrate_radial(lambda r: np.ones_like(r))
-    assert got.real == pytest.approx(expect, rel=1e-12)

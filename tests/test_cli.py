@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from su2quant.cli import DEFAULTS, SCHEMA, ConfigError, load_config, main
+from su2quant.algebra import QuadratureRuleKC
+from su2quant.cli import DEFAULTS, SCHEMA, ConfigError, gate_calibration, load_config, main
 from su2quant.sde import DEFAULT_N_BLOCKS
 
 
@@ -50,6 +51,7 @@ def test_load_config_diagnostics(tmp_path):
         ({"n_paths": True}, "n_paths"),
         ({"euclid_degree_max": False}, "euclid_degree_max"),
         ({"quadrature": {"n_r": 8, "n_rho": 4}}, "quadrature.n_rho"),
+        ({"quadrature": {"n_theta": 20}}, "quadrature.n_theta"),
         ({"n_paths": 10, "n_steps": 20}, "n_paths"),
         ({"t": -1.0}, "'t'"),
         ({"t": 0}, "'t'"),
@@ -110,6 +112,17 @@ def test_quadrature_merged_over_defaults(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert code == (0 if report["passed"] else 1)
     assert len(report["checks"]) == 3
+
+
+def test_inner_products_read_no_fiber_node(tmp_path, monkeypatch):
+    # the CLI's inner products are radial sums: no Wigner table, no fiber node
+    def refuse(*args):
+        raise AssertionError("the radial route read a fiber node")
+
+    monkeypatch.setattr("su2quant.hl2.wigner_matrix", refuse)
+    monkeypatch.setattr(QuadratureRuleKC, "fiber_nodes", property(refuse))
+    assert all(c["passed"] for c in gate_calibration(DEFAULTS["t_values"], {}))
+    assert main(["transform-check", "--out", str(tmp_path)]) == 0
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from su2quant.algebra import kc_quadrature
+from su2quant.algebra import default_cutoff, kc_quadrature
 from su2quant.heat import nu_radial
 from su2quant.hl2 import hl2_inner, hl2_inner_pointwise
-from su2quant.toeplitz import toeplitz_entry_quadrature
+from su2quant.transform import adjoint_inversion_oracle, transform_C
 from su2quant.wigner import BandLimited
 
 T = 0.5
@@ -72,9 +72,33 @@ def test_reads_no_K_node(rng):
     assert abs(aliased - hl2_inner(F, F, fine, _weight)) > 1e-6 * abs(aliased)
 
 
-def test_quadrature_entry_pointwise_branch(rng):
-    # the non-radial branch of toeplitz_entry_quadrature with phi = 1
-    rule = _rule(2)
-    f1, f2 = _random(rng, (1, 2)), _random(rng, (0, 1, 2))
-    base = toeplitz_entry_quadrature(T, None, f1, f2, rule).value
-    assert toeplitz_entry_quadrature(T, _one, f1, f2, rule).value == pytest.approx(base, rel=1e-12)
+def test_sphere_rule_drops_out(rng):
+    # spin 3 needs degree 6 in the direction u, which the 3 x 3 sphere rule
+    # does not integrate: a per-node Gram matrix aliases there, the scalar
+    # lambda_j does not
+    F = _random(rng, (1, 6))
+    coarse = kc_quadrature(3.0, n_r=12, n_theta=3, n_phi=3)
+    fine = kc_quadrature(3.0, n_r=12)
+    value = hl2_inner(F, F, fine, _weight)
+    assert hl2_inner(F, F, coarse, _weight) == pytest.approx(value, rel=1e-13)
+    rec = adjoint_inversion_oracle(T, F, coarse, two_jmax=6)
+    ref = adjoint_inversion_oracle(T, F, fine, two_jmax=6)
+    assert set(rec.blocks) == set(ref.blocks) == {1, 6}
+    for k, c in ref.blocks.items():
+        np.testing.assert_allclose(rec.blocks[k], c, rtol=0, atol=1e-13 * np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize("sphere", [(20, 20), (1, 1)])
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
+def test_unitarity_through_lambda(j, sphere):
+    # at beta = 1 with the analytic N(t), lambda_j = e^{t j(j+1)} on [0, inf);
+    # at t = 0.2 the Gaussian tail past the cutoff is below 1e-15.  Only the
+    # sphere rule's total mass 4 pi enters, so one direction serves
+    t = 0.2
+    n_theta, n_phi = sphere
+    rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=64, n_theta=n_theta, n_phi=n_phi)
+    for m in np.arange(-j, j + 1):
+        f = BandLimited.entry(j, m, -j)
+        F = transform_C(t, f)
+        lhs = hl2_inner(F, F, rule, lambda r: nu_radial(t, r)).real
+        assert lhs == pytest.approx(f.norm_sq(), rel=1e-12)

@@ -239,9 +239,7 @@ def test_quadrature_radial_symbol_constant_matches():
     rule = kc_quadrature(default_cutoff(T) + 1.5, k_two_jmax=2, n_r=64)
     f = _f(0.5, 0.5)
     base = toeplitz_entry_quadrature(T, None, f, f, rule)
-    scaled = toeplitz_entry_quadrature(
-        T, lambda r: 2.0 * np.ones_like(r), f, f, rule, radial=True
-    )
+    scaled = toeplitz_entry_quadrature(T, lambda r: 2.0 * np.ones_like(r), f, f, rule)
     assert scaled.value == pytest.approx(2.0 * base.value, rel=1e-10)
 
 
