@@ -51,7 +51,6 @@ def test_load_config_diagnostics(tmp_path):
         ({"n_paths": True}, "n_paths"),
         ({"euclid_degree_max": False}, "euclid_degree_max"),
         ({"quadrature": {"n_r": 8, "n_rho": 4}}, "quadrature.n_rho"),
-        ({"quadrature": {"n_theta": 20}}, "quadrature.n_theta"),
         ({"n_paths": 10, "n_steps": 20}, "n_paths"),
         ({"t": -1.0}, "'t'"),
         ({"t": 0}, "'t'"),
@@ -67,6 +66,7 @@ def test_load_config_diagnostics(tmp_path):
         ({"master_seed": -1}, "master_seed"),
         ({"radial_cutoff": -5}, "radial_cutoff"),
         ({"radial_cutoff": 0}, "radial_cutoff"),
+        ({"quadrature": {"n_theta": 20}}, "quadrature.n_theta"),
     ],
 )
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
