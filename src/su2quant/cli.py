@@ -48,7 +48,7 @@ from .sde import (
     pathwise_medians,
     sample_path,  # noqa: F401 (unused here; bench/tests calls cli.sample_path)
 )
-from .toeplitz import ToeplitzSampler, schrodinger_entry, sup_K, toeplitz_entry_quadrature
+from .toeplitz import ToeplitzSampler, schrodinger_entry, toeplitz_entry_quadrature
 from .transform import adjoint_inversion_oracle, inverse_C, transform_C
 from .wigner import TWO_J_CAP, BandLimited, inner_product_K
 
@@ -353,11 +353,12 @@ def gate_multiplication(t: float, sampler: ToeplitzSampler):
 
 
 def gate_boundedness(t: float, sampler: ToeplitzSampler, f: BandLimited) -> list[dict]:
-    """|<F, T_{V~} F>| <= sup|V~| ||f||^2 + 3 stderr for each symbol V~."""
+    """|<F, T_{V~} F>| <= sup|V~| ||f||^2 + 3 stderr for each symbol V~, with
+    sup|V~| taken as its coefficient bound ``sup_bound_K``."""
     checks = []
     for vname, vt in _symbols():
         est = sampler.entry(vt, f, f)
-        bound = sup_K(vt) * f.norm_sq()
+        bound = vt.sup_bound_K() * f.norm_sq()
         checks.append(
             _check(
                 f"boundedness t={t} V~={vname}",
@@ -492,9 +493,7 @@ def cmd_sde_check(cfg: dict, workers: int):
 def cmd_toeplitz_mult(cfg: dict, workers: int):
     checks, blocks = [], []
     ts = (0.5, 1.0)
-    samplers = ToeplitzSampler.for_times(
-        ts, cfg["n_paths"], cfg["n_steps"], cfg["master_seed"], workers=workers, x_total_two_j=4
-    )
+    samplers = ToeplitzSampler.for_times(ts, cfg["n_paths"], cfg["n_steps"], cfg["master_seed"], workers=workers)
     f = _spin_half_entries()[0][1]
     for t, smp in zip(ts, samplers):
         mult_checks, mult_blocks = gate_multiplication(t, smp)
@@ -505,9 +504,7 @@ def cmd_toeplitz_mult(cfg: dict, workers: int):
 
 def cmd_toeplitz_diff(cfg: dict, workers: int):
     t = cfg["t"]
-    smp = ToeplitzSampler(
-        t, cfg["n_paths"], cfg["n_steps"], cfg["master_seed"], workers=workers, x_total_two_j=3
-    )
+    smp = ToeplitzSampler(t, cfg["n_paths"], cfg["n_steps"], cfg["master_seed"], workers=workers)
     (_, f1), (_, f2) = _spin_half_entries()[:2]
     checks, blocks = gate_differential(t, smp, [("11", f1, f1), ("12", f1, f2)])
     R = _cutoff(cfg, t) + 1.5

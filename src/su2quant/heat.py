@@ -29,7 +29,7 @@ from scipy.optimize import brentq
 from .algebra import VOL_K, kc_quadrature, polar_radius, default_cutoff, radial_jacobian, weyl_rule
 from .errors import IllConditioned, TruncationError
 from .hl2 import hl2_inner
-from .wigner import BandLimited, _casimir_two
+from .wigner import BandLimited, casimir_eigenvalue
 
 NU_BETA = 1.0  # radial-Jacobian rate; calibrated, equals the curvature scale
 
@@ -218,7 +218,7 @@ def heat_flow(tau: float, f: BandLimited, direction: str = "forward") -> BandLim
         return f.heat(tau, sign=-1.0)
     if direction != "backward":
         raise ValueError(f"unknown direction {direction!r}")
-    amp = np.exp(tau * _casimir_two(f.two_jmax) / 2.0)
+    amp = np.exp(tau * casimir_eigenvalue(f.two_jmax / 2.0) / 2.0)
     if amp > BACKWARD_AMPLIFICATION_GUARD:
         raise IllConditioned(
             f"backward flow would amplify spin-{f.two_jmax / 2} coefficients "

@@ -16,17 +16,23 @@ side <F1, T_phi F2> is evaluated two ways:
   deterministic quadrature over the polar rule on SL(2,C), exact on K and
   on the sphere and a radial sum otherwise (``hl2.hl2_inner``).
 
-The x-integral uses an exact Haar rule, so all Monte Carlo error lives in
-the w-average.  Because D(w x) = D(w) D(x), a block's endpoints enter only
-through one moment matrix per spin pair,
+The x-integral is exact at every spin: D(w x) = D(w) D(x), and the
+integral over x of V~ against a product of two Wigner matrices is a triple
+integral that Clebsch-Gordan coupling gives in closed form
+(``wigner.triple_integral_K``),
+
+    I[e, b, f, d] = int_K V~(x) conj(D^{j1}_{eb}(x)) D^{j2}_{fd}(x) dx.
+
+So all Monte Carlo error lives in the w-average, and a block's endpoints
+enter only through one moment matrix per spin pair,
 
     P[n, (a, e), (c, f)] = mean_{w in block n} conj(D^{j1}(w))_{ae} D^{j2}(w)_{cf},
 
 held as (n_blocks, d1^2 d2^2) and cached per spin pair.  An entry with
-coefficients c1, c2 of F1, F2 and Haar weights xw_q = weight_q V~(x_q)
-folds the nodes into one matrix of the same size,
+coefficients c1, c2 of F1, F2 folds the x-integral into one matrix of the
+same size,
 
-    W[a, e, c, f] = sum_q xw_q conj(c1 D^{j1}(x_q)^T)[a, e] (c2 D^{j2}(x_q)^T)[c, f],
+    W[a, e, c, f] = sum_{b, d} conj(c1)[a, b] c2[c, d] I[e, b, f, d],
 
 and its block values are P @ W.ravel(), summed over the spin pairs; P is
 reused by every (V~, f1, f2, A) combination on the same ensemble.
@@ -38,14 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import QuadratureRuleK, QuadratureRuleKC, haar_rule, random_su2
+from .algebra import QuadratureRuleKC
 from .diffop import LeftInvariantOperator, complexify_apply
 from .errors import StatisticalFailure
 from .heat import nu_radial
 from .hl2 import hl2_inner
 from .sde import DEFAULT_N_BLOCKS, EndpointEnsemble, endpoint_ensemble_KC, endpoint_ensembles_KC
 from .transform import transform_C
-from .wigner import BandLimited, inner_product_K, wigner_matrix
+from .wigner import BandLimited, inner_product_K, triple_integral_K, wigner_matrix
 
 
 @dataclass
@@ -77,9 +83,8 @@ def schrodinger_entry(
 class ToeplitzSampler:
     """Shared endpoint ensemble plus cached moment matrices for one t.
 
-    ``x_total_two_j`` must be at least (2 j_V + 2 j_1 + 2 j_2) for every
-    combination evaluated through this sampler, so that the Haar rule in x
-    is exact and the only statistical error is the w-average.
+    The x-integral of every entry is exact by Clebsch-Gordan coupling, at any
+    spins of V~, f1 and f2, so the only statistical error is the w-average.
     """
 
     def __init__(
@@ -90,7 +95,6 @@ class ToeplitzSampler:
         master_seed: int,
         workers: int = 1,
         n_blocks: int = DEFAULT_N_BLOCKS,
-        x_total_two_j: int = 4,
         ensemble: EndpointEnsemble | None = None,
     ):
         self.t = t
@@ -98,15 +102,12 @@ class ToeplitzSampler:
         self.n_steps = n_steps
         self.master_seed = master_seed
         self.n_blocks = n_blocks
-        self.x_rule: QuadratureRuleK = haar_rule(x_total_two_j)
-        self.x_total_two_j = x_total_two_j
         if ensemble is None:
             ensemble = endpoint_ensemble_KC(
                 t / 2.0, t, n_paths, n_steps, master_seed,
                 workers=workers, n_blocks=n_blocks,
             )
         self.ensemble: EndpointEnsemble = ensemble
-        self._dx: dict[int, np.ndarray] = {}
         self._tensors: dict[tuple[int, int], np.ndarray] = {}
 
     @classmethod
@@ -118,7 +119,6 @@ class ToeplitzSampler:
         master_seed: int,
         workers: int = 1,
         n_blocks: int = DEFAULT_N_BLOCKS,
-        x_total_two_j: int = 4,
     ) -> list[ToeplitzSampler]:
         """One sampler per t in ``ts``, each equal to ``ToeplitzSampler(t, ...)``, from one draw of the normals."""
         ensembles = endpoint_ensembles_KC(
@@ -126,15 +126,9 @@ class ToeplitzSampler:
             workers=workers, n_blocks=n_blocks,
         )
         return [
-            cls(t, n_paths, n_steps, master_seed, n_blocks=n_blocks,
-                x_total_two_j=x_total_two_j, ensemble=ens)
+            cls(t, n_paths, n_steps, master_seed, n_blocks=n_blocks, ensemble=ens)
             for t, ens in zip(ts, ensembles)
         ]
-
-    def _node_reps(self, two_j: int) -> np.ndarray:
-        if two_j not in self._dx:
-            self._dx[two_j] = wigner_matrix(two_j / 2.0, self.x_rule.nodes)
-        return self._dx[two_j]
 
     def moment_tensors(self, tj1: int, tj2: int) -> np.ndarray:
         """Per-block moment matrices P, shape (n_blocks, d1^2 d2^2).
@@ -164,22 +158,13 @@ class ToeplitzSampler:
         F2 = transform_C(self.t, f2)
         if a is not None:
             F2 = complexify_apply(a, F2)
-        needed = (
-            v_tilde.two_jmax + F1.two_jmax + F2.two_jmax
-        )
-        if needed > self.x_total_two_j:
-            raise ValueError(
-                f"x-rule covers total spin {self.x_total_two_j / 2}, "
-                f"combination needs {needed / 2}"
-            )
-        xw = self.x_rule.weights * v_tilde(self.x_rule.nodes)
         block_vals = np.zeros(self.n_blocks, dtype=complex)
         for tj1, c1 in F1.blocks.items():
-            # xw_q conj(c1 D^{j1}(x_q)^T), rows q, columns (a, e)
-            left = xw[:, None] * np.conj(c1 @ np.swapaxes(self._node_reps(tj1), -1, -2)).reshape(len(xw), -1)
             for tj2, c2 in F2.blocks.items():
-                right = (c2 @ np.swapaxes(self._node_reps(tj2), -1, -2)).reshape(len(xw), -1)
-                block_vals += self.moment_tensors(tj1, tj2) @ (left.T @ right).ravel()
+                # W[a, e, c, f] = sum_{b, d} conj(c1)[a, b] c2[c, d] I[e, b, f, d]
+                i_c2 = np.einsum("cd,ebfd->ebfc", c2, triple_integral_K(v_tilde, tj1, tj2))
+                w = np.einsum("ab,ebfc->aecf", np.conj(c1), i_c2)
+                block_vals += self.moment_tensors(tj1, tj2) @ w.ravel()
         value = complex(np.mean(block_vals))
         stderr = float(
             np.sqrt(
@@ -257,11 +242,3 @@ def toeplitz_entry_quadrature(
         master_seed=None,
         method="quadrature",
     )
-
-
-def sup_K(f: BandLimited, n_grid: int = 20000, seed: int = 12345) -> float:
-    """Numerical sup of |f| over SU(2): dense random grid plus the identity."""
-    rng = np.random.default_rng(seed)
-    pts = random_su2(rng, n_grid)
-    vals = np.abs(f(pts))
-    return float(max(np.max(vals), abs(f.at_identity())))

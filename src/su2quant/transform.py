@@ -84,7 +84,7 @@ class TransformedPair:
             return self.f.norm_sq()
         mod_sq = self.f.conjugate().multiply(self.f)
         smoothed = mod_sq.heat(self.s, sign=-1.0)
-        return float(np.real(smoothed.at_identity()))
+        return float(np.real(smoothed(np.eye(2))))
 
 
 def range_norm_sq_C(t: float, F: HolomorphicObservable, rule: QuadratureRuleKC) -> float:

@@ -45,10 +45,6 @@ def casimir_eigenvalue(j) -> float:
     return two_j * (two_j + 2) / 4.0
 
 
-def _casimir_two(two_j: int) -> float:
-    return two_j * (two_j + 2) / 4.0
-
-
 # ---------------------------------------------------------------------------
 # representation matrices
 # ---------------------------------------------------------------------------
@@ -237,6 +233,38 @@ def _cg_two(two_j1: int, two_j2: int, two_j: int, two_m1: int, two_m2: int) -> f
     return float(s) * sqrt(float(norm2))
 
 
+@lru_cache(maxsize=256)
+def cg_table(two_j1: int, two_j2: int, two_j: int) -> np.ndarray:
+    """C[r1, r2, r] = <j1 m1; j2 m2 | j m>, indexed like the representation
+    matrices (m = j ... -j); zero where m != m1 + m2 or the spins do not couple."""
+    table = np.zeros((two_j1 + 1, two_j2 + 1, two_j + 1))
+    for r1 in range(two_j1 + 1):
+        for r2 in range(two_j2 + 1):
+            two_m = two_j1 + two_j2 - 2 * (r1 + r2)
+            if abs(two_m) <= two_j:
+                table[r1, r2, (two_j - two_m) // 2] = _cg_two(
+                    two_j1, two_j2, two_j, two_j1 - 2 * r1, two_j2 - 2 * r2
+                )
+    table.setflags(write=False)
+    return table
+
+
+def triple_integral_K(v: BandLimited, two_j1: int, two_j2: int) -> np.ndarray:
+    """I[e, b, f, d] = int_K v(x) conj(D^{j1}_{eb}(x)) D^{j2}_{fd}(x) dx, exactly.
+
+    v D^{j2}_{fd} expands by Clebsch-Gordan coupling, and Schur orthogonality
+    keeps its D^{j1}_{eb} coefficient:
+    I = Vol(K)/d1 sum_J sum_{g,h} v^J_{gh} C[g, f, e] C[h, d, b].
+    """
+    d1, d2 = two_j1 + 1, two_j2 + 1
+    out = np.zeros((d1, d1, d2, d2), dtype=complex)
+    for tJ, c in v.blocks.items():
+        if abs(tJ - two_j2) <= two_j1 <= tJ + two_j2 and (tJ + two_j2 + two_j1) % 2 == 0:
+            cg = cg_table(tJ, two_j2, two_j1)
+            out += np.einsum("hfe,hdb->ebfd", np.einsum("gh,gfe->hfe", c, cg), cg)
+    return VOL_K / d1 * out
+
+
 def clebsch_gordan(j1, j2, j, m1, m2) -> float:
     """<j1 m1; j2 m2 | j (m1+m2)> with the standard real phase convention."""
     return _cg_two(
@@ -342,9 +370,6 @@ class BandLimited:
             vals = vals + np.einsum("mn,...mn->...", c, mats)
         return vals
 
-    def at_identity(self) -> complex:
-        return complex(sum(np.trace(c) for c in self.blocks.values()))
-
     # -- exact analysis -----------------------------------------------------
     def norm_sq(self) -> float:
         """||f||^2 in L^2(K) from Schur orthogonality."""
@@ -361,7 +386,7 @@ class BandLimited:
         """Multiply each block by e^(sign * tau * c_j / 2)."""
         return type(self)(
             {
-                two_j: c * np.exp(sign * tau * _casimir_two(two_j) / 2.0)
+                two_j: c * np.exp(sign * tau * casimir_eigenvalue(two_j / 2.0) / 2.0)
                 for two_j, c in self.blocks.items()
             }
         )
@@ -387,30 +412,21 @@ class BandLimited:
         return out
 
     def multiply(self, other: "BandLimited") -> "BandLimited":
-        """Pointwise product, expanded through Clebsch-Gordan coupling."""
+        """Pointwise product, expanded through Clebsch-Gordan coupling.
+
+        D^{j1}_{m1 n1} D^{j2}_{m2 n2} = sum_J sum_{M,N} C[m1,m2,M] C[n1,n2,N] D^J_{MN},
+        so the spin-J block of the product is C^T (c1 (x) c2) C.
+        """
         out: dict[int, np.ndarray] = {}
         for tj1, c1 in self.blocks.items():
             for tj2, c2 in other.blocks.items():
-                nz1 = np.argwhere(np.abs(c1) > 0)
-                nz2 = np.argwhere(np.abs(c2) > 0)
-                for r1, s1 in nz1:
-                    tm1, tn1 = tj1 - 2 * r1, tj1 - 2 * s1
-                    for r2, s2 in nz2:
-                        tm2, tn2 = tj2 - 2 * r2, tj2 - 2 * s2
-                        coeff = c1[r1, s1] * c2[r2, s2]
-                        for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                            cg_m = _cg_two(tj1, tj2, tJ, tm1, tm2)
-                            cg_n = _cg_two(tj1, tj2, tJ, tn1, tn2)
-                            if cg_m == 0.0 or cg_n == 0.0:
-                                continue
-                            if tJ > TWO_J_CAP:
-                                raise ValueError("product exceeds the spin cutoff")
-                            blk = out.setdefault(
-                                tJ, np.zeros((tJ + 1, tJ + 1), dtype=complex)
-                            )
-                            row = (tJ - (tm1 + tm2)) // 2
-                            col = (tJ - (tn1 + tn2)) // 2
-                            blk[row, col] += coeff * cg_m * cg_n
+                pair = np.kron(c1, c2)
+                for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                    cg = cg_table(tj1, tj2, tJ).reshape(-1, tJ + 1)
+                    blk = cg.T @ pair @ cg
+                    if tJ > TWO_J_CAP and np.any(blk != 0):
+                        raise ValueError("product exceeds the spin cutoff")
+                    out[tJ] = out.get(tJ, 0) + blk
         return type(self)(out).prune(0.0)
 
 

@@ -46,9 +46,7 @@ def _sampler(t: float) -> ToeplitzSampler:
     if not _samplers:
         t0 = time.perf_counter()
         ts = (0.5, 1.0)
-        _samplers.update(zip(ts, ToeplitzSampler.for_times(
-            ts, 200000, 200, SEED, workers=WORKERS, x_total_two_j=4
-        )))
+        _samplers.update(zip(ts, ToeplitzSampler.for_times(ts, 200000, 200, SEED, workers=WORKERS)))
         _sampler_build_s = time.perf_counter() - t0
     return _samplers[t]
 

@@ -102,8 +102,6 @@ TEST_ONLY = {
     "transform.range_norm_sq_C": "||F||^2 in HL^2(nu_t), for the unitarity tests",
     "transform.transform_B": "the two-parameter transform B_{s,t}",
     "wigner.BandLimited.conjugate": "helper of TransformedPair.domain_norm_sq",
-    "wigner.BandLimited.sup_bound_K": "a coefficient bound on sup|f|, checked on random points",
-    "wigner.casimir_eigenvalue": "c_j = j(j+1); pins the Casimir convention",
     "wigner.clebsch_gordan": "single Clebsch-Gordan coefficients, checked at known values",
     "wigner.project_onto_entries": "projection of Haar-rule samples onto entries, the oracle for multiply",
     "wigner.wigner_entry": "one matrix entry D^j_{m,m'} with its index checks",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from su2quant.algebra import default_cutoff, kc_quadrature
+from su2quant.algebra import default_cutoff, haar_rule, kc_quadrature
 from su2quant.diffop import LeftInvariantOperator
 from su2quant.errors import StatisticalFailure
 from su2quant.toeplitz import (
@@ -9,7 +9,6 @@ from su2quant.toeplitz import (
     ToeplitzSampler,
     check_convergence,
     schrodinger_entry,
-    sup_K,
     toeplitz_entry_quadrature,
 )
 from su2quant.transform import transform_C
@@ -22,7 +21,7 @@ SEED = 321
 @pytest.fixture(scope="module")
 def sampler():
     # shared endpoint ensemble for every MC test in the module
-    return ToeplitzSampler(T, 20000, 100, SEED, x_total_two_j=4)
+    return ToeplitzSampler(T, 20000, 100, SEED)
 
 
 @pytest.fixture
@@ -35,8 +34,6 @@ def _f(m, mp):
 
 
 def test_schrodinger_entry_vs_quadrature(rng):
-    from su2quant.algebra import haar_rule
-
     rule = haar_rule(6)
     v = BandLimited({1: rng.standard_normal((2, 2))})
     a = LeftInvariantOperator([(1.0, (3,)), (0.5j, (1, 2))])
@@ -48,29 +45,41 @@ def test_schrodinger_entry_vs_quadrature(rng):
     assert schrodinger_entry(v, a, f1, f2) == pytest.approx(quad, abs=1e-10)
 
 
-def _node_tensors(smp, tj1, tj2):
+def _node_tensors(smp, rule, tj1, tj2):
     """The per-block, per-node tensors M[n, q, a, b, c, d] = mean_w conj(D^{j1}(w x_q))_{ab} D^{j2}(w x_q)_{cd}.
 
     Formed from the moment matrix P by the blocks x nodes contraction the
-    entries once used; kept here as the oracle of the W contraction.
+    entries once used, on the nodes x_q of a Haar rule; kept here as the
+    oracle of the W contraction.
     """
-    dx1, dx2 = (wigner_matrix(tj / 2.0, smp.x_rule.nodes) for tj in (tj1, tj2))
+    dx1, dx2 = (wigner_matrix(tj / 2.0, rule.nodes) for tj in (tj1, tj2))
     d1, d2 = tj1 + 1, tj2 + 1
     p = smp.moment_tensors(tj1, tj2).reshape(smp.n_blocks, d1, d1, d2, d2)
     return np.einsum("naecf,qeb,qfd->nqabcd", p, np.conj(dx1), dx2, optimize=True)
 
 
+def _node_block_values(smp, rule, vt, f1, f2):
+    """Block values of the entry for (V~, f1, f2) with the x-integral on ``rule``."""
+    xw = rule.weights * vt(rule.nodes)
+    F1, F2 = transform_C(smp.t, f1), transform_C(smp.t, f2)
+    return sum(
+        np.einsum("q,ab,cd,nqabcd->n", xw, np.conj(c1), c2, _node_tensors(smp, rule, tj1, tj2))
+        for tj1, c1 in F1.blocks.items()
+        for tj2, c2 in F2.blocks.items()
+    )
+
+
 def test_moment_tensors_match_per_node_average():
     # the per-block moment matrix contracted with D(x_q) against the direct
     # mean over w of conj(D^{j1}(w x_q)) (x) D^{j2}(w x_q), node by node
-    small = ToeplitzSampler(T, 400, 20, SEED, x_total_two_j=4)
-    nodes = small.x_rule.nodes
+    small = ToeplitzSampler(T, 400, 20, SEED)
+    rule = haar_rule(4)
     for tj1, tj2 in ((1, 1), (1, 2), (2, 1), (0, 2)):
         d1, d2 = tj1 + 1, tj2 + 1
         assert small.moment_tensors(tj1, tj2).shape == (small.n_blocks, d1 * d1 * d2 * d2)
-        got = _node_tensors(small, tj1, tj2)
+        got = _node_tensors(small, rule, tj1, tj2)
         for n, wb in enumerate(small.ensemble.block_views()):
-            wx = wb[:, None] @ nodes[None]
+            wx = wb[:, None] @ rule.nodes[None]
             ref = np.einsum(
                 "wqab,wqcd->qabcd",
                 np.conj(wigner_matrix(tj1 / 2.0, wx)),
@@ -83,7 +92,8 @@ def test_entry_contraction_matches_node_tensor_einsum():
     # block values from P @ W against the blocks x nodes einsum over the
     # node tensors, for random coefficients mixing spins 0, 1/2 and 1; the
     # values reach some hundreds, so the bound is relative to the largest
-    smp = ToeplitzSampler(T, 400, 20, SEED, x_total_two_j=4)
+    smp = ToeplitzSampler(T, 400, 20, SEED)
+    rule = haar_rule(4)
     rng = np.random.default_rng(11)
 
     def rand(spins):
@@ -98,24 +108,37 @@ def test_entry_contraction_matches_node_tensor_einsum():
         (rand((0,)), rand((0, 2)), rand((0, 1))),
     ):
         est = smp.entry(vt, f1, f2)
-        xw = smp.x_rule.weights * vt(smp.x_rule.nodes)
-        F1, F2 = transform_C(T, f1), transform_C(T, f2)
-        ref = sum(
-            np.einsum("q,ab,cd,nqabcd->n", xw, np.conj(c1), c2, _node_tensors(smp, tj1, tj2))
-            for tj1, c1 in F1.blocks.items()
-            for tj2, c2 in F2.blocks.items()
-        )
+        ref = _node_block_values(smp, rule, vt, f1, f2)
         np.testing.assert_allclose(est.block_values, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_entry_exact_in_x_past_total_spin_two(sampler):
+    # chi_3/2 between a spin-1/2 and a spin-1 entry reaches total spin 3; the
+    # per-node oracle needs a Haar rule exact to that spin
+    vt = BandLimited.character_fn(1.5)
+    f1, f2 = _f(0.5, 0.5), BandLimited.entry(1, 1, 1)
+    est = sampler.entry(vt, f1, f2)
+    ref = _node_block_values(sampler, haar_rule(6), vt, f1, f2)
+    np.testing.assert_allclose(est.block_values, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("j_v", [0.5, 1.5])
+def test_selection_rule_zero_is_exactly_zero(sampler, j_v):
+    # spin 1/2 (x) spin 1/2 holds only spins 0 and 1, so a half-integer
+    # character has no weak entry between spin-1/2 entries
+    est = sampler.entry(BandLimited.character_fn(j_v), _f(0.5, 0.5), _f(-0.5, 0.5))
+    assert np.all(est.block_values == 0.0)
+    assert est.stderr == 0.0
 
 
 def test_samplers_for_times_equal_separate_samplers():
     ts = (0.5, 1.0)
-    shared = ToeplitzSampler.for_times(ts, 2000, 30, SEED, workers=2, x_total_two_j=3)
+    shared = ToeplitzSampler.for_times(ts, 2000, 30, SEED, workers=2)
     f1, f2 = _f(0.5, 0.5), _f(0.5, -0.5)
-    vt = BandLimited.character_fn(0.5)
+    vt = BandLimited.character_fn(1.0)
     for t, smp in zip(ts, shared):
-        alone = ToeplitzSampler(t, 2000, 30, SEED, x_total_two_j=3)
-        assert smp.t == t and smp.x_total_two_j == 3
+        alone = ToeplitzSampler(t, 2000, 30, SEED)
+        assert smp.t == t
         np.testing.assert_array_equal(smp.ensemble.values, alone.ensemble.values)
         np.testing.assert_array_equal(
             smp.entry(vt, f1, f2).block_values, alone.entry(vt, f1, f2).block_values
@@ -189,25 +212,19 @@ def test_diff_entry_matches_schrodinger(sampler):
 
 def test_seed_and_worker_invariance():
     f1, f2 = _f(0.5, 0.5), _f(0.5, -0.5)
-    vt = BandLimited.character_fn(0.5)
-    s1 = ToeplitzSampler(T, 4000, 50, SEED, workers=1, x_total_two_j=3)
-    s2 = ToeplitzSampler(T, 4000, 50, SEED, workers=3, x_total_two_j=3)
+    vt = BandLimited.character_fn(1.0)
+    s1 = ToeplitzSampler(T, 4000, 50, SEED, workers=1)
+    s2 = ToeplitzSampler(T, 4000, 50, SEED, workers=3)
     e1 = s1.entry(vt, f1, f2)
     e2 = s2.entry(vt, f1, f2)
     assert e1.value == e2.value
     np.testing.assert_array_equal(e1.block_values, e2.block_values)
-    e3 = ToeplitzSampler(T, 4000, 50, SEED + 1, x_total_two_j=3).entry(vt, f1, f2)
+    e3 = ToeplitzSampler(T, 4000, 50, SEED + 1).entry(vt, f1, f2)
     assert e3.value != e1.value
 
 
-def test_spin_budget_guard(sampler):
-    big = BandLimited.character_fn(1.5)  # 3 + 1 + 1 > 4
-    with pytest.raises(ValueError):
-        sampler.entry(big, _f(0.5, 0.5), _f(0.5, 0.5))
-
-
 def test_convergence_check(sampler):
-    est = sampler.entry(BandLimited.character_fn(0.5), _f(0.5, 0.5), _f(0.5, 0.5))
+    est = sampler.entry(BandLimited.character_fn(1.0), _f(0.5, 0.5), _f(0.5, 0.5))
     check_convergence(est)  # should pass at 20k paths over 40 blocks
     few = ToeplitzEstimate(
         value=0.0, stderr=1.0, n_paths=10, n_steps=10, master_seed=0,
@@ -244,9 +261,10 @@ def test_quadrature_radial_symbol_constant_matches():
 
 
 def test_sup_K_known_values():
-    assert sup_K(BandLimited.constant(3.0)) == pytest.approx(3.0)
-    assert sup_K(BandLimited.character_fn(0.5)) == pytest.approx(2.0, rel=1e-3)
-    assert sup_K(BandLimited.character_fn(1.0)) == pytest.approx(3.0, rel=1e-3)
+    # the coefficient bound is attained at the identity for these symbols
+    assert BandLimited.constant(3.0).sup_bound_K() == 3.0
+    assert BandLimited.character_fn(0.5).sup_bound_K() == 2.0
+    assert BandLimited.character_fn(1.0).sup_bound_K() == 3.0
 
 
 def test_boundedness(sampler):
@@ -254,6 +272,6 @@ def test_boundedness(sampler):
     # the unit mass of the subelliptic kernel
     vt, f = BandLimited.character_fn(0.5), _f(0.5, 0.5)
     est = sampler.entry(vt, f, f)
-    sup_v = sup_K(vt)
-    assert sup_v == pytest.approx(2.0, rel=1e-3)
+    sup_v = vt.sup_bound_K()
+    assert sup_v == 2.0
     assert abs(est.value) <= sup_v * f.norm_sq() + 3.0 * est.stderr

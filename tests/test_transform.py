@@ -27,7 +27,7 @@ def _rule(t, k_two_jmax=2):
 
 def test_constant_is_fixed():
     F = transform_C(0.7, BandLimited.constant(2.5))
-    assert F.at_identity() == pytest.approx(2.5)
+    assert F(np.eye(2)) == pytest.approx(2.5)
 
 
 def test_character_is_eigenfunction():

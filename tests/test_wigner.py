@@ -10,6 +10,7 @@ from su2quant.wigner import (
     generator_matrix,
     inner_product_K,
     project_onto_entries,
+    triple_integral_K,
     two_j_of,
     wigner_entry,
     wigner_matrix,
@@ -164,16 +165,45 @@ def test_multiply_matches_pointwise(rng):
     np.testing.assert_allclose(f.multiply(g)(x), f(x) * g(x), atol=1e-12)
 
 
-def test_multiply_matches_projection_oracle(rng):
-    rule = haar_rule(8)
-    f = BandLimited({1: rng.standard_normal((2, 2))})
-    g = BandLimited({2: rng.standard_normal((3, 3))})
+@pytest.mark.parametrize(
+    "tj1, tj2, rule_two_j",
+    [(1, 2, 8), (4, 3, 14)],
+    ids=["spin1/2-x-spin1", "dense-spin2-x-spin3/2"],
+)
+def test_multiply_matches_projection_oracle(rng, tj1, tj2, rule_two_j):
+    # the rule integrates f g conj(D^J) exactly up to J = j1 + j2
+    rule = haar_rule(rule_two_j)
+    f = BandLimited({tj1: rng.standard_normal((tj1 + 1, tj1 + 1))})
+    g = BandLimited({tj2: rng.standard_normal((tj2 + 1, tj2 + 1))})
     prod = f.multiply(g)
-    proj = project_onto_entries(f(rule.nodes) * g(rule.nodes), rule, 4)
-    for two_j in range(5):
+    proj = project_onto_entries(f(rule.nodes) * g(rule.nodes), rule, tj1 + tj2)
+    for two_j in range(tj1 + tj2 + 1):
         a = prod.blocks.get(two_j, np.zeros((two_j + 1, two_j + 1)))
         b = proj.blocks.get(two_j, np.zeros((two_j + 1, two_j + 1)))
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+def test_multiply_past_spin_cap_raises():
+    with pytest.raises(ValueError, match="spin cutoff"):
+        BandLimited.entry(12, 12, 12).multiply(BandLimited.entry(0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("tj_v", range(4))
+@pytest.mark.parametrize("tj2", range(4))
+@pytest.mark.parametrize("tj1", range(4))
+def test_triple_integral_matches_haar_rule(tj1, tj2, tj_v):
+    # int_K v conj(D^{j1}_{eb}) D^{j2}_{fd} dx against a rule exact to the
+    # total spin; entries reach some hundreds, so the bound is relative to
+    # the largest
+    rng = np.random.default_rng(100 * tj1 + 10 * tj2 + tj_v)
+    v = BandLimited({tj_v: rng.standard_normal((tj_v + 1,) * 2) + 1j * rng.standard_normal((tj_v + 1,) * 2)})
+    rule = haar_rule(tj1 + tj2 + tj_v)
+    d1 = np.conj(wigner_matrix(tj1 / 2.0, rule.nodes))
+    d2 = wigner_matrix(tj2 / 2.0, rule.nodes)
+    ref = np.einsum("q,qeb,qfd->ebfd", rule.weights * v(rule.nodes), d1, d2)
+    np.testing.assert_allclose(
+        triple_integral_K(v, tj1, tj2), ref, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(ref)))
+    )
 
 
 def test_norm_and_inner_product_vs_quadrature(rng):
