@@ -416,23 +416,27 @@ class QuadratureRuleKC:
     """Product rule for integrals over SL(2,C) in polar coordinates.
 
     Nodes are kept factored as ``g = x * exp(i r u . X)`` with ``x`` running
-    over a Haar rule on K and ``(r, u)`` over a radial x spherical grid; the
-    fiber weights already include the radial Jacobian.
+    over a Haar rule on K, ``r`` over ``radii`` and ``u`` over
+    ``directions``.  Radial integrands see only one node per radius: its
+    fiber weight is the radial weight times J(r) times the sphere rule's
+    total mass.  ``direction_weights`` sum to one, so the weight of the
+    fiber node (r_i, u_k) is ``fiber_weights[i] * direction_weights[k]``.
     """
 
     k_rule: QuadratureRuleK
-    radii: np.ndarray  # (M,) repeated per direction
-    directions: np.ndarray  # (M, 3) unit vectors
-    fiber_weights: np.ndarray  # (M,) includes J(r) and dr dS(u)
+    radii: np.ndarray  # (n_r,)
+    fiber_weights: np.ndarray  # (n_r,) includes J(r), dr and the sphere's mass
+    directions: np.ndarray  # (n_u, 3) unit vectors
+    direction_weights: np.ndarray  # (n_u,) sum to one
     cutoff: float
     _fiber_nodes: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def fiber_nodes(self) -> np.ndarray:
-        """exp(i r u . X) for every fiber node, shape (M, 2, 2)."""
+        """exp(i r u . X) for every (radius, direction) pair, radius-major, shape (n_r n_u, 2, 2)."""
         if self._fiber_nodes is None:
-            y = self.radii[:, None] * self.directions
-            self._fiber_nodes = _exp_matrices(None, y)
+            y = self.radii[:, None, None] * self.directions
+            self._fiber_nodes = _exp_matrices(None, y.reshape(-1, 3))
         return self._fiber_nodes
 
     def integrate_radial(self, f_of_r) -> float:
@@ -453,9 +457,10 @@ def kc_quadrature(
     Against radial weights (``hl2.hl2_inner``, the adjoint oracle and the
     calibration) the K- and sphere integrals are exact: K by Schur
     orthogonality and the sphere by the scalar fiber Gram matrix lambda_j.
-    Those routes read only ``radii`` and ``fiber_weights``, so the radial
-    Gauss-Legendre sum on [0, R] is their only quadrature.  The K-rule and
-    the directions serve the per-node sum ``hl2.hl2_inner_pointwise``.
+    Those routes read only the n_r ``radii`` and ``fiber_weights``, so the
+    radial Gauss-Legendre sum on [0, R] is their only quadrature.  The
+    K-rule and the n_theta x n_phi directions (Gauss-Legendre in cos(theta)
+    times uniform phi) serve the per-node sum ``hl2.hl2_inner_pointwise``.
     """
     if R <= 0:
         raise ValueError("radial cutoff R must be positive")
@@ -481,16 +486,14 @@ def kc_quadrature(
         axis=-1,
     ).reshape(-1, 3)
     wu = (wt[:, None] * wphi * np.ones(n_phi)).reshape(-1)
-
-    radii = np.repeat(r, len(wu))
-    dirs = np.tile(u, (n_r, 1))
-    fw = np.repeat(wr * radial_jacobian(r), len(wu)) * np.tile(wu, n_r)
+    sphere_mass = np.sum(wu)
 
     return QuadratureRuleKC(
         k_rule=k_rule,
-        radii=radii,
-        directions=dirs,
-        fiber_weights=fw,
+        radii=r,
+        fiber_weights=wr * radial_jacobian(r) * sphere_mass,
+        directions=u,
+        direction_weights=wu / sphere_mass,
         cutoff=R,
     )
 

@@ -420,22 +420,19 @@ def gate_euclid(degree_max: int, n_samples: int, seed: int) -> list[dict]:
     """The flat Toeplitz identity for the symbols x^0 .. x^degree_max."""
     f1 = HermiteExpansion([1.0, 0.5, 0.0, 0.2])
     f2 = HermiteExpansion([0.3, -0.2, 0.7])
-    checks = []
-    for deg in range(degree_max + 1):
-        sym = np.zeros(deg + 1)
-        sym[deg] = 1.0
-        rep = euclid_toeplitz_check(0.4, sym, f1, f2, n_samples=n_samples, master_seed=seed)
-        checks.append(
-            _check(
-                f"flat Toeplitz identity, symbol x^{deg}",
-                rep.deterministic_gap,
-                "deterministic gap < 1e-8 and MC |z| < 3",
-                rep.deterministic_gap < 1e-8 and rep.mc_z_score < 3,
-                mc_z=rep.mc_z_score,
-                mc_stderr=rep.mc_stderr,
-            )
+    symbols = [np.eye(deg + 1)[deg] for deg in range(degree_max + 1)]
+    reports = euclid_toeplitz_check(0.4, symbols, f1, f2, n_samples=n_samples, master_seed=seed)
+    return [
+        _check(
+            f"flat Toeplitz identity, symbol x^{deg}",
+            rep.deterministic_gap,
+            "deterministic gap < 1e-8 and MC |z| < 3",
+            rep.deterministic_gap < 1e-8 and rep.mc_z_score < 3,
+            mc_z=rep.mc_z_score,
+            mc_stderr=rep.mc_stderr,
         )
-    return checks
+        for deg, rep in enumerate(reports)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -199,24 +199,26 @@ def _taylor_table(coeffs: np.ndarray, x: np.ndarray, step: complex) -> np.ndarra
 
 def flat_weak_mc(
     t: float,
-    sym_coeffs: np.ndarray,
+    symbols,
     F1: GaussPoly,
     F2: GaussPoly,
     n_samples: int,
     master_seed: int,
     n_blocks: int = 40,
     n_x: int = 60,
-):
-    """The group estimator's flat counterpart: returns (value, stderr).
+) -> list[tuple[complex, float]]:
+    """The group estimator's flat counterpart: (value, stderr) per symbol.
 
     Endpoints are w = i eta with eta ~ N(0, t/2); for each endpoint the
     x-integral int V~(x) conj(F1(x + i eta)) F2(x + i eta) dx is exact, so
     all Monte Carlo error is in the eta-average.  The polynomial part,
     sum_{m,n} A_m(x) B_n(x) eta^{m+n} with A_m = (-i)^m conj(p1)^(m)(x)/m!
     and B_n = i^n p2^(n)(x)/n!, is a polynomial in eta: the Gauss-Hermite
-    x-rule is applied once, to its coefficients, and each endpoint costs
-    one real polyval.  Matching hl2_flat_inner validates the Fubini
-    reduction used by the group-side sampler.
+    x-rule is applied once per symbol, to its coefficients, and each
+    endpoint costs one real polyval per symbol.  Every symbol in
+    ``symbols`` (coefficient arrays) is averaged over one draw of the
+    endpoints.  Matching hl2_flat_inner validates the Fubini reduction used
+    by the group-side sampler.
     """
     a = F1.width
     if abs(F2.width - a) > 1e-12:
@@ -224,11 +226,13 @@ def flat_weak_mc(
     u, wu = _gh(n_x)
     sx = np.sqrt(a)
     x = sx * u
-    poly_w = sx * wu * P.polyval(x, np.asarray(sym_coeffs, dtype=complex))
-    A = _taylor_table(np.conj(F1.coeffs), x, -1j) * poly_w
+    A1 = _taylor_table(np.conj(F1.coeffs), x, -1j)
     B = _taylor_table(F2.coeffs, x, 1j)
-    q = sum(np.convolve(a, b) for a, b in zip(A.T, B.T))  # q_k: x-rule on sum_{m+n=k} A_m B_n
-    block_vals = np.empty(n_blocks, dtype=complex)
+    qs = []
+    for sym in symbols:
+        A = A1 * (sx * wu * P.polyval(x, np.asarray(sym, dtype=complex)))
+        qs.append(sum(np.convolve(a, b) for a, b in zip(A.T, B.T)))  # q_k: x-rule on sum_{m+n=k} A_m B_n
+    block_vals = np.empty((len(qs), n_blocks), dtype=complex)
     sizes = [len(ix) for ix in np.array_split(np.arange(n_samples), n_blocks)]
     for b in range(n_blocks):
         rng = np.random.default_rng(
@@ -237,15 +241,16 @@ def flat_weak_mc(
         eta = rng.normal(0.0, np.sqrt(t / 2.0), size=sizes[b])
         # Gaussian part of conj(F1) F2 is e^{-(x^2 - eta^2)/a}; the e^{-x^2/a}
         # half lives in the Gauss-Hermite weights, leaving e^{+eta^2/a} here
-        block_vals[b] = np.mean(P.polyval(eta, q) * np.exp(eta**2 / a))
-    value = complex(np.mean(block_vals))
-    stderr = float(
-        np.sqrt(
-            (np.var(block_vals.real, ddof=1) + np.var(block_vals.imag, ddof=1))
-            / n_blocks
+        gauss = np.exp(eta**2 / a)
+        for i, q in enumerate(qs):
+            block_vals[i, b] = np.mean(P.polyval(eta, q) * gauss)
+    return [
+        (
+            complex(np.mean(v)),
+            float(np.sqrt((np.var(v.real, ddof=1) + np.var(v.imag, ddof=1)) / n_blocks)),
         )
-    )
-    return value, stderr
+        for v in block_vals
+    ]
 
 
 @dataclass
@@ -260,35 +265,39 @@ class EuclidReport:
 
 def euclid_toeplitz_check(
     t: float,
-    sym_coeffs: np.ndarray,
+    symbols,
     f1: HermiteExpansion,
     f2: HermiteExpansion,
     n_samples: int = 200000,
     master_seed: int = 2024,
-) -> EuclidReport:
-    """Verify <f1, V f2> = <F1, T_{V~} F2> with V = e^{t Delta/4} V~.
+) -> list[EuclidReport]:
+    """Verify <f1, V f2> = <F1, T_{V~} F2> with V = e^{t Delta/4} V~, per symbol.
 
-    The left side is an exact line integral; the right side is computed both
-    by the 2-D Gauss rule and by the weak Monte Carlo architecture.
+    ``symbols`` holds the coefficient arrays of the V~.  For each, the left
+    side is an exact line integral; the right side is computed both by the
+    2-D Gauss rule and by the weak Monte Carlo architecture, whose one draw
+    of the endpoints serves every symbol.
     """
-    sym_coeffs = np.asarray(sym_coeffs, dtype=complex)
-    if len(sym_coeffs) - 1 > 6:
+    symbols = [np.asarray(sym, dtype=complex) for sym in symbols]
+    if any(len(sym) - 1 > 6 for sym in symbols):
         raise ValueError("symbol degree capped at 6")
-    v_coeffs = heat_polynomial(sym_coeffs, t / 4.0)
     g1 = f1.to_gauss_poly()
     g2 = f2.to_gauss_poly()
-    lhs = l2_inner(g1, g2, v_coeffs)
     F1 = heat_evolve(g1, t)
     F2 = heat_evolve(g2, t)
-    rhs = hl2_flat_inner(F1, F2, t, sym_coeffs)
-    mc, err = flat_weak_mc(t, sym_coeffs, F1, F2, n_samples, master_seed)
-    gap = abs(lhs - rhs)
-    z = abs(mc - lhs) / err if err > 0 else 0.0
-    return EuclidReport(
-        schrodinger=lhs,
-        bargmann_quadrature=rhs,
-        bargmann_mc=mc,
-        mc_stderr=err,
-        deterministic_gap=gap,
-        mc_z_score=z,
-    )
+    mcs = flat_weak_mc(t, symbols, F1, F2, n_samples, master_seed)
+    reports = []
+    for sym, (mc, err) in zip(symbols, mcs):
+        lhs = l2_inner(g1, g2, heat_polynomial(sym, t / 4.0))
+        rhs = hl2_flat_inner(F1, F2, t, sym)
+        gap = abs(lhs - rhs)
+        z = abs(mc - lhs) / err if err > 0 else 0.0
+        reports.append(EuclidReport(
+            schrodinger=lhs,
+            bargmann_quadrature=rhs,
+            bargmann_mc=mc,
+            mc_stderr=err,
+            deterministic_gap=gap,
+            mc_z_score=z,
+        ))
+    return reports

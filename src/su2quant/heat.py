@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .algebra import VOL_K, kc_quadrature, polar_radius, default_cutoff, radial_jacobian, weyl_rule
 from .errors import IllConditioned, TruncationError
@@ -268,6 +267,42 @@ def _unitarity_residual(t: float, beta: float, rule, j) -> float:
     return lhs / f.norm_sq() - 1.0
 
 
+def bracketed_root(f, a: float, b: float, *, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in [a, b] by regula falsi with the Illinois modification.
+
+    The bracket keeps a sign change throughout; an end that survives two
+    steps in a row has its value halved, so both ends close in on the root.
+    Stops once the bracket is narrower than ``xtol + rtol * |x|``, the
+    stopping rule of ``scipy.optimize.brentq`` at the same tolerances.
+    Raises ValueError when f(a) and f(b) have the same sign and
+    RuntimeError after ``maxiter`` steps, as brentq does.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError(f"f(a) and f(b) must have different signs: f({a}) = {fa}, f({b}) = {fb}")
+    kept = None  # the end that survived the last step
+    for _ in range(maxiter):
+        x = b - fb * (b - a) / (fb - fa)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fb > 0.0):
+            b, fb = x, fx
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+        else:
+            a, fa = x, fx
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+        if abs(b - a) < xtol + rtol * abs(x):
+            return x
+    raise RuntimeError(f"no root to tolerance after {maxiter} steps; bracket [{a}, {b}]")
+
+
 def calibrate_nu(
     t: float,
     beta_bracket: tuple[float, float] = (0.6, 1.6),
@@ -279,11 +314,11 @@ def calibrate_nu(
     identity; beta itself is then the root of the spin-1/2 unitarity
     residual.  The spin-1 residual at the solution is reported as the
     overdetermined cross-check.  One polar rule serves every beta: the
-    integrands are radial, so only the radii and fiber weights are read,
-    and beta enters through the Jacobian ratio in the weight.
+    integrands are radial, so only its n_r radii and fiber weights are
+    read, and beta enters through the Jacobian ratio in the weight.
     """
     rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=n_r)
-    beta_star = brentq(
+    beta_star = bracketed_root(
         lambda beta: _unitarity_residual(t, beta, rule, 0.5), *beta_bracket, xtol=1e-10, rtol=1e-12
     )
     n_star = _mass_normalization(t, beta_star, rule)

@@ -12,9 +12,10 @@ exact and one is quadrature:
   lambda_j = sum_y w_y sinh(d_j r_y) / (d_j sinh r_y) (``fiber_scalar``);
 * radius: the sum over r_y is the only quadrature.
 
-So ``hl2_inner`` reads only the radii and fiber weights of the rule.  A
-general pointwise symbol has no such form (``hl2_inner_pointwise``, chunked
-over the K-nodes).
+So ``hl2_inner`` reads only the rule's radii and fiber weights, one per
+radius, and sums n_r terms per spin.  A general pointwise symbol has no
+such form: ``hl2_inner_pointwise`` sums over every K-node and every
+(radius, direction) fiber node, chunked over the K-nodes.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def hl2_inner_pointwise(
     tests compare ``hl2_inner`` against, and because ``bench/spans.py``
     binds to its name.
     """
-    wy = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
+    radial = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
+    wy = np.outer(radial, rule.direction_weights).reshape(-1)  # radius-major, as fiber_nodes
     kn, kw = rule.k_rule.nodes, rule.k_rule.weights
     fnodes = rule.fiber_nodes
     total = 0.0 + 0.0j

@@ -120,7 +120,7 @@ def test_one_part_callers_match_the_complex_route():
                                atol=1e-14 * np.max(np.abs(g)) * np.max(np.abs(h)))
     np.testing.assert_allclose(x @ np.conj(np.swapaxes(x, -1, -2)), eye, rtol=0, atol=1e-12)
     rule = kc_quadrature(2.0, k_two_jmax=1, n_r=8, n_theta=4, n_phi=4)
-    fy = rule.radii[:, None] * rule.directions
+    fy = (rule.radii[:, None, None] * rule.directions).reshape(-1, 3)  # radius-major
     h = rule.fiber_nodes
     np.testing.assert_allclose(h, matrix_from_entries(*exp_entries(np.zeros_like(fy), fy)),
                                rtol=0, atol=1e-14 * np.max(np.abs(h)))

@@ -135,7 +135,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
 def test_error_inside_a_command_exits_3(tmp_path, capsys):
     # t = 200 passes config validation, but the calibration's bracket for
-    # beta then holds no sign change and brentq raises
+    # beta then holds no sign change and the root-finder raises
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"t_values": [200.0]}))
     code = main(["calibrate", "--config", str(cfg), "--out", str(tmp_path)])

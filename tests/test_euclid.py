@@ -120,11 +120,21 @@ def test_flat_weak_mc_determinism():
     t = 0.5
     F = heat_evolve(HermiteExpansion([1.0, 0.5]).to_gauss_poly(), t)
     sym = np.array([0.0, 0.0, 1.0])
-    v1, e1 = flat_weak_mc(t, sym, F, F, 4000, 77)
-    v2, e2 = flat_weak_mc(t, sym, F, F, 4000, 77)
+    [(v1, e1)] = flat_weak_mc(t, [sym], F, F, 4000, 77)
+    [(v2, e2)] = flat_weak_mc(t, [sym], F, F, 4000, 77)
     assert v1 == v2 and e1 == e2
-    v3, _ = flat_weak_mc(t, sym, F, F, 4000, 78)
+    [(v3, _)] = flat_weak_mc(t, [sym], F, F, 4000, 78)
     assert v3 != v1
+
+
+def test_flat_weak_mc_shared_draw_equals_separate_draws():
+    # one draw of the endpoints serves every symbol, bitwise as one call each
+    t = 0.4
+    F1 = euclid_transform(t, HermiteExpansion([1.0, 0.5, 0.0, 0.2]))
+    F2 = euclid_transform(t, HermiteExpansion([0.3, -0.2, 0.7]))
+    symbols = [np.eye(deg + 1)[deg] for deg in range(7)]
+    shared = flat_weak_mc(t, symbols, F1, F2, 2000, 92)
+    assert shared == [flat_weak_mc(t, [sym], F1, F2, 2000, 92)[0] for sym in symbols]
 
 
 def _flat_weak_mc_per_node(t, sym_coeffs, F1, F2, n_samples, master_seed, n_blocks=40, n_x=60):
@@ -156,7 +166,7 @@ def test_flat_weak_mc_matches_per_node_rule(deg):
     sym[deg] = 1.0
     F1 = euclid_transform(t, HermiteExpansion([1.0, 0.5, 0.0, 0.2]))
     F2 = euclid_transform(t, HermiteExpansion([0.3, -0.2, 0.7]))
-    value, err = flat_weak_mc(t, sym, F1, F2, 2000, 92)
+    [(value, err)] = flat_weak_mc(t, [sym], F1, F2, 2000, 92)
     ref_value, ref_err = _flat_weak_mc_per_node(t, sym, F1, F2, 2000, 92)
     assert value == pytest.approx(ref_value, rel=1e-12)
     assert err == pytest.approx(ref_err, rel=1e-12)
@@ -167,8 +177,8 @@ def test_toeplitz_identity_by_degree(deg):
     t = 0.4
     sym = np.zeros(deg + 1)
     sym[deg] = 1.0
-    rep = euclid_toeplitz_check(
-        t, sym,
+    [rep] = euclid_toeplitz_check(
+        t, [sym],
         HermiteExpansion([1.0, 0.5, 0.0, 0.2]),
         HermiteExpansion([0.3, -0.2, 0.7]),
         n_samples=40000, master_seed=99,
@@ -180,5 +190,5 @@ def test_toeplitz_identity_by_degree(deg):
 def test_symbol_degree_cap():
     with pytest.raises(ValueError):
         euclid_toeplitz_check(
-            0.4, np.ones(8), HermiteExpansion([1.0]), HermiteExpansion([1.0])
+            0.4, [np.ones(2), np.ones(8)], HermiteExpansion([1.0]), HermiteExpansion([1.0])
         )

@@ -13,6 +13,7 @@ from su2quant.algebra import (
 from su2quant.errors import IllConditioned
 from su2quant.heat import (
     HeatKernelK,
+    bracketed_root,
     calibrate_nu,
     choose_two_jmax,
     heat_flow,
@@ -167,6 +168,37 @@ def test_heat_flow_rejects_bad_args():
         heat_flow(-0.1, f)
     with pytest.raises(ValueError):
         heat_flow(0.1, f, "sideways")
+
+
+@pytest.mark.parametrize("f, a, b, root", [
+    (lambda x: x**3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+    (lambda x: np.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+    (lambda x: x - 0.25, 1.0, -1.0, 0.25),  # decreasing bracket ends
+])
+def test_bracketed_root_known_roots(f, a, b, root):
+    assert abs(bracketed_root(f, a, b, xtol=1e-10, rtol=1e-12) - root) < 1e-10
+    assert abs(bracketed_root(f, a, b, xtol=1e-4, rtol=0.0) - root) < 1e-4
+
+
+def test_bracketed_root_failures():
+    with pytest.raises(ValueError, match="different signs"):
+        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-10, rtol=1e-12)
+    with pytest.raises(RuntimeError):
+        bracketed_root(lambda x: x**3 - 2.0, 1.0, 2.0, xtol=1e-10, rtol=1e-12, maxiter=3)
+    assert bracketed_root(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-10, rtol=1e-12) == 1.0
+
+
+@pytest.mark.parametrize("t", [0.05, 0.2, 0.5, 1.0, 2.0, 3.0])
+def test_calibration_root_matches_brentq(t):
+    # the same residual, bracket and tolerances as calibrate_nu, solved by SciPy
+    from su2quant.heat import _unitarity_residual
+
+    optimize = pytest.importorskip("scipy.optimize")
+    rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=64)
+    ref = optimize.brentq(
+        lambda beta: _unitarity_residual(t, beta, rule, 0.5), 0.6, 1.6, xtol=1e-10, rtol=1e-12
+    )
+    assert abs(calibrate_nu(t).beta - ref) < 1e-10
 
 
 @pytest.mark.parametrize("t", [0.2, 1.0])

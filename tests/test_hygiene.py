@@ -1,9 +1,13 @@
 """Source hygiene that no installed linter checks: imports that nothing uses,
-functions that only the tests call, and the names the benchmark binds to."""
+functions that only the tests call, the names the benchmark binds to, and
+SciPy kept off the run path."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,3 +140,21 @@ def test_benchmark_bindings_resolve():
         if not callable(obj):
             missing.append(f"{modname}.{qual}")
     assert missing == []
+
+
+def test_run_path_loads_no_scipy():
+    # SciPy serves only the tests: the CLI imports none of it, not even lazily
+    code = "import sys, su2quant.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    imports = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+    ]
+    assert imports == []

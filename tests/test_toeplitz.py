@@ -156,19 +156,20 @@ def test_constant_symbol_gives_inner_product(sampler):
 
 
 def test_mult_entries_match_schrodinger(sampler):
-    vt = BandLimited.character_fn(0.5)
+    # chi_1 couples spin-1/2 entries with m1 - m2 = m1' - m2' (chi_1/2 couples none)
+    vt = BandLimited.character_fn(1.0)
     v = vt.heat(T / 2.0, sign=-1.0)
     ident = LeftInvariantOperator.identity()
-    for f1, f2 in ((_f(0.5, 0.5), _f(0.5, 0.5)), (_f(0.5, 0.5), _f(-0.5, 0.5))):
+    for f1, f2 in ((_f(0.5, 0.5), _f(0.5, 0.5)), (_f(0.5, 0.5), _f(-0.5, -0.5))):
         est = sampler.entry(vt, f1, f2)
         exact = schrodinger_entry(v, ident, f1, f2)
         assert abs(est.value - exact) < 3.0 * est.stderr + 1e-10
 
 
 def test_entry_linear_in_symbol(sampler):
-    f1, f2 = _f(0.5, 0.5), _f(0.5, -0.5)
+    f1, f2 = _f(0.5, 0.5), _f(0.5, 0.5)
     va = BandLimited.constant(1.0)
-    vb = BandLimited.character_fn(0.5)
+    vb = BandLimited.character_fn(1.0)
     ea = sampler.entry(va, f1, f2)
     eb = sampler.entry(vb, f1, f2)
     combo = sampler.entry(2.0 * va + vb, f1, f2)
@@ -193,8 +194,8 @@ def test_zero_symbol_is_exactly_zero(sampler):
 
 
 def test_diff_identity_reduces_to_mult(sampler):
-    vt = BandLimited.character_fn(0.5)
-    f1, f2 = _f(0.5, 0.5), _f(0.5, -0.5)
+    vt = BandLimited.character_fn(1.0)
+    f1, f2 = _f(0.5, 0.5), _f(-0.5, -0.5)
     plain = sampler.entry(vt, f1, f2)
     via_op = sampler.entry(vt, f1, f2, a=LeftInvariantOperator.identity())
     assert via_op.value == pytest.approx(plain.value, abs=1e-12)
@@ -202,7 +203,7 @@ def test_diff_identity_reduces_to_mult(sampler):
 
 def test_diff_entry_matches_schrodinger(sampler):
     a = LeftInvariantOperator.vector_field(3)
-    vt = BandLimited.character_fn(0.5)
+    vt = BandLimited.character_fn(1.0)
     v = vt.heat(T / 2.0, sign=-1.0)
     f1, f2 = _f(0.5, 0.5), _f(0.5, 0.5)
     est = sampler.entry(vt, f1, f2, a=a)

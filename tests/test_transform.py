@@ -96,7 +96,7 @@ def test_adjoint_inversion_oracle(rng):
 def _adjoint_per_node(t, F, rule, two_jmax, rho_tol=1e-9):
     """The adjoint integral as an explicit sum over the K-nodes and fiber nodes."""
     kern = HeatKernelK.build(t, rmax=rule.cutoff, tol=rho_tol)
-    fw = rule.fiber_weights * nu_radial(t, rule.radii)
+    fw = np.outer(rule.fiber_weights * nu_radial(t, rule.radii), rule.direction_weights).reshape(-1)
     kw = rule.k_rule.weights
     spins = range(0, min(two_jmax, kern.two_jmax) + 1)
     m = {two_j: 0.0 for two_j in spins}
