@@ -12,11 +12,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NonInvertible
 
 VOL_K = 16.0 * np.pi**2  # Riemannian volume of SU(2) as the radius-2 sphere
 
@@ -33,38 +31,6 @@ PAULI = np.array(
 BASIS = -0.5j * PAULI
 
 IDENTITY2 = np.eye(2, dtype=complex)
-
-
-@dataclass(frozen=True)
-class AlgebraVector:
-    """Element of su(2) in the orthonormal basis {X_1, X_2, X_3}."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-        if self.coords.shape != (3,):
-            raise ValueError("AlgebraVector needs exactly 3 coordinates")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 2x2 anti-Hermitian matrix sum_k y_k X_k."""
-        return np.einsum("k,kab->ab", self.coords, BASIS)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(self.coords + other.coords)
-
-    def __rmul__(self, scale: float) -> "AlgebraVector":
-        return AlgebraVector(scale * self.coords)
-
-
-def algebra_inner(a: AlgebraVector, b: AlgebraVector) -> float:
-    """<A, B> = -2 tr(AB); coincides with the Euclidean dot of coordinates."""
-    return float(np.dot(a.coords, b.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +170,9 @@ def _exp_matrices(a, b) -> np.ndarray:
 def exp_algebra(y, scale: float = 1.0) -> np.ndarray:
     """exp(scale * Y) in SU(2) for Y in su(2).
 
-    ``y`` may be an AlgebraVector or a (..., 3) real coordinate array; the
-    result has shape (..., 2, 2).
+    ``y`` is a (..., 3) real coordinate array; the result has shape
+    (..., 2, 2).  No CLI path calls it; ``haar_rule`` and the tests do.
     """
-    if isinstance(y, AlgebraVector):
-        y = y.coords
     return _exp_matrices(np.asarray(y, dtype=float) * scale, None)
 
 
@@ -244,38 +208,6 @@ def polar_radius(g: np.ndarray) -> np.ndarray:
     return np.arccosh(np.maximum(t / 2.0, 1.0))
 
 
-def polar_decompose(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor g in SL(2,C) as x exp(iY) with x in SU(2), Y in su(2).
-
-    Returns ``(x, y)`` where ``y`` are the coordinates of Y.  Works on a
-    single matrix or a stack (..., 2, 2); ``iY`` is Hermitian so the positive
-    square root of ``g^dag g`` determines the factorization globally (no
-    branch restriction is needed).
-    """
-    g = np.asarray(g, dtype=complex)
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    if np.any(np.abs(det) < 1e-12):
-        raise NonInvertible("polar_decompose: numerically singular input")
-    # g^dag g = exp(2iY) = exp(y . sigma), eigenvalues e^{+-|y|}
-    a = np.conj(np.swapaxes(g, -1, -2)) @ g
-    cosh_r = np.einsum("...aa->...", a).real / 2.0
-    r = np.arccosh(np.maximum(cosh_r, 1.0))
-    # traceless part: a - cosh(r) I = sinh(r) (unit . sigma)
-    dev = a.copy()
-    dev[..., 0, 0] -= cosh_r
-    dev[..., 1, 1] -= cosh_r
-    vec = np.stack(
-        [0.5 * np.einsum("...ab,ba->...", dev, PAULI[k]).real for k in range(3)],
-        axis=-1,
-    )
-    sinh_r = np.sinh(r)
-    small = sinh_r < 1e-12
-    scale = np.where(small, 1.0, r / np.where(small, 1.0, sinh_r))
-    y = scale[..., None] * vec  # for r ~ 0, vec itself is first-order exact
-    x = g @ _exp_matrices(None, -y)  # exp(-iY), Hermitian
-    return x, y
-
-
 def ad_action(x: np.ndarray, y) -> np.ndarray:
     """Coordinates of Ad_x Y = x Y x^{-1} for x in SU(2); norm preserving.
 
@@ -283,8 +215,6 @@ def ad_action(x: np.ndarray, y) -> np.ndarray:
     products x Y and (x Y) x^dag are taken entry by entry, as elementwise
     calls, so a stack of states costs a few NumPy calls in all.
     """
-    if isinstance(y, AlgebraVector):
-        y = y.coords
     m00, m01, m10 = algebra_entries(np.asarray(y, dtype=float))
     pair = np.broadcast_arrays(
         np.asarray(x, dtype=complex), matrix_from_entries(m00, m01, m10, -m00)
@@ -309,22 +239,26 @@ class QuadratureRuleK:
     """Euler-angle product rule on SU(2) with total mass Vol(K).
 
     Exact (to roundoff) on any band-limited integrand whose total spin does
-    not exceed ``total_two_j / 2``: the two uniform angle rules kill every
-    nonzero half-integer frequency below the aliasing threshold and the
-    Gauss-Legendre rule handles the remaining polynomial in cos(beta).
+    not exceed the ``total_two_j / 2`` of ``haar_rule``: the two uniform
+    angle rules kill every nonzero half-integer frequency below the aliasing
+    threshold and the Gauss-Legendre rule handles the remaining polynomial
+    in cos(beta).
     """
 
     nodes: np.ndarray  # (N, 2, 2) complex
     weights: np.ndarray  # (N,) positive
-    total_two_j: int
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
-        """sum_q w_q * values[..., q]."""
+        """sum_q w_q * values[..., q]; the tests' oracle for integrals on K."""
         return np.einsum("q,...q->...", self.weights, values)
 
 
 def haar_rule(total_two_j: int) -> QuadratureRuleK:
-    """Quadrature exact on band-limited functions of total spin <= total_two_j/2."""
+    """Quadrature exact on band-limited functions of total spin <= total_two_j/2.
+
+    No CLI path calls it: it gives the K-nodes of ``hl2.hl2_inner_pointwise``
+    and the tests' oracles for integrals on K.
+    """
     j_tot = total_two_j / 2.0
     n_angle = int(total_two_j + 2)  # aliasing threshold is total_two_j + 1
     n_beta = int(np.ceil(j_tot)) + 1  # GL exact to degree 2 n - 1 >= 2 j_tot
@@ -341,7 +275,7 @@ def haar_rule(total_two_j: int) -> QuadratureRuleK:
     w_angle = 4.0 * np.pi / n_angle
     # double cover of the (alpha, gamma) torus: halve the product weight
     weights = 0.5 * w_angle * w_angle * np.einsum("a,b,c->abc", np.ones(n_angle), wb, np.ones(n_angle)).reshape(-1)
-    return QuadratureRuleK(nodes=nodes, weights=weights, total_two_j=total_two_j)
+    return QuadratureRuleK(nodes=nodes, weights=weights)
 
 
 @dataclass
@@ -413,89 +347,38 @@ def radial_jacobian(r: np.ndarray, beta: float = 1.0) -> np.ndarray:
 
 @dataclass
 class QuadratureRuleKC:
-    """Product rule for integrals over SL(2,C) in polar coordinates.
+    """Radial rule for integrals over SL(2,C) in polar coordinates g = x exp(i r u . X).
 
-    Nodes are kept factored as ``g = x * exp(i r u . X)`` with ``x`` running
-    over a Haar rule on K, ``r`` over ``radii`` and ``u`` over
-    ``directions``.  Radial integrands see only one node per radius: its
-    fiber weight is the radial weight times J(r) times the sphere rule's
-    total mass.  ``direction_weights`` sum to one, so the weight of the
-    fiber node (r_i, u_k) is ``fiber_weights[i] * direction_weights[k]``.
+    Radial integrands see only one node per radius: its fiber weight is the
+    radial weight times J(r) times the sphere's mass 4 pi, and the K-integral
+    contributes Vol(K).
     """
 
-    k_rule: QuadratureRuleK
     radii: np.ndarray  # (n_r,)
     fiber_weights: np.ndarray  # (n_r,) includes J(r), dr and the sphere's mass
-    directions: np.ndarray  # (n_u, 3) unit vectors
-    direction_weights: np.ndarray  # (n_u,) sum to one
     cutoff: float
-    _fiber_nodes: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def fiber_nodes(self) -> np.ndarray:
-        """exp(i r u . X) for every (radius, direction) pair, radius-major, shape (n_r n_u, 2, 2)."""
-        if self._fiber_nodes is None:
-            y = self.radii[:, None, None] * self.directions
-            self._fiber_nodes = _exp_matrices(None, y.reshape(-1, 3))
-        return self._fiber_nodes
 
     def integrate_radial(self, f_of_r) -> float:
         """Integrate a function of the polar radius alone over K_C."""
         vals = np.asarray(f_of_r(self.radii), dtype=float)
-        return float(np.sum(self.k_rule.weights) * np.dot(self.fiber_weights, vals))
+        return float(VOL_K * np.dot(self.fiber_weights, vals))
 
 
-def kc_quadrature(
-    R: float,
-    k_two_jmax: int = 1,
-    n_r: int = 48,
-    n_theta: int = 20,
-    n_phi: int = 20,
-) -> QuadratureRuleKC:
-    """Polar-coordinate product rule on SL(2,C) with radial cutoff R.
+def kc_quadrature(R: float, n_r: int = 48) -> QuadratureRuleKC:
+    """Polar-coordinate rule on SL(2,C) with radial cutoff R.
 
     Against radial weights (``hl2.hl2_inner``, the adjoint oracle and the
     calibration) the K- and sphere integrals are exact: K by Schur
     orthogonality and the sphere by the scalar fiber Gram matrix lambda_j.
     Those routes read only the n_r ``radii`` and ``fiber_weights``, so the
-    radial Gauss-Legendre sum on [0, R] is their only quadrature.  The
-    K-rule and the n_theta x n_phi directions (Gauss-Legendre in cos(theta)
-    times uniform phi) serve the per-node sum ``hl2.hl2_inner_pointwise``.
+    radial Gauss-Legendre sum on [0, R] is their only quadrature.
     """
     if R <= 0:
         raise ValueError("radial cutoff R must be positive")
-    if k_two_jmax > 24:
-        raise ValueError("spin cutoff is j = 12")
-    # exact on products of two matrix entries with spin <= k_two_jmax/2
-    k_rule = haar_rule(2 * k_two_jmax)
-    # radial Gauss-Legendre on [0, R]
     xs, wr = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * R * (xs + 1.0)
     wr = 0.5 * R * wr
-    # sphere: GL in cos(theta) x uniform phi
-    ct, wt = np.polynomial.legendre.leggauss(n_theta)
-    st = np.sqrt(1.0 - ct**2)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    u = np.stack(
-        [
-            np.outer(st, np.cos(phi)),
-            np.outer(st, np.sin(phi)),
-            np.outer(ct, np.ones(n_phi)),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    wu = (wt[:, None] * wphi * np.ones(n_phi)).reshape(-1)
-    sphere_mass = np.sum(wu)
-
-    return QuadratureRuleKC(
-        k_rule=k_rule,
-        radii=r,
-        fiber_weights=wr * radial_jacobian(r) * sphere_mass,
-        directions=u,
-        direction_weights=wu / sphere_mass,
-        cutoff=R,
-    )
+    return QuadratureRuleKC(radii=r, fiber_weights=wr * radial_jacobian(r) * (4.0 * np.pi), cutoff=R)
 
 
 def default_cutoff(t: float) -> float:

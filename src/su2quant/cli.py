@@ -48,7 +48,7 @@ from .sde import (
     pathwise_medians,
     sample_path,  # noqa: F401 (unused here; bench/tests calls cli.sample_path)
 )
-from .toeplitz import ToeplitzSampler, schrodinger_entry, toeplitz_entry_quadrature
+from .toeplitz import ToeplitzSampler, schrodinger_entry
 from .transform import adjoint_inversion_oracle, inverse_C, transform_C
 from .wigner import TWO_J_CAP, BandLimited, inner_product_K
 
@@ -395,19 +395,18 @@ def gate_laplacian_entries(t: float, R: float, quadrature: dict, pairs) -> list[
     """The V = 1 Laplacian entries by polar quadrature of the radial symbol,
     against -3/4 <f1, f2>, relative to -3/4 ||f1||^2."""
     rule = kc_quadrature(R, **quadrature)
-    # evaluate the symbol at exactly the rule's radial nodes
-    probe = np.unique(rule.radii)
-    table = radial_symbol_table(LeftInvariantOperator.laplacian(), t, probe)
-    symbol = lambda r: np.interp(r, probe, table.real)
+    # hl2_inner reads the symbol at the rule's radii and nowhere else
+    table = radial_symbol_table(LeftInvariantOperator.laplacian(), t, rule.radii).real
     checks = []
     for lbl, f1, f2 in pairs:
-        est = toeplitz_entry_quadrature(t, symbol, f1, f2, rule)
+        value = hl2_inner(transform_C(t, f1), transform_C(t, f2), rule, lambda r: nu_radial(t, r),
+                          radial_symbol=lambda r: table)
         target = -0.75 * inner_product_K(f1, f2).real
-        rel = abs(est.value - target) / (0.75 * f1.norm_sq())
+        rel = abs(value - target) / (0.75 * f1.norm_sq())
         checks.append(
             _check(
                 f"deterministic {lbl},Delta entry t={t}",
-                est.value,
+                value,
                 "relative error < 1e-3",
                 rel < 1e-3,
                 target=target,

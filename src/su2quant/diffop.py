@@ -66,16 +66,6 @@ class LeftInvariantOperator:
     def __rmul__(self, scalar: complex) -> "LeftInvariantOperator":
         return LeftInvariantOperator([(scalar * c, w) for c, w in self.terms])
 
-    def compose(self, other: "LeftInvariantOperator") -> "LeftInvariantOperator":
-        """Operator product self * other (self applied last)."""
-        return LeftInvariantOperator(
-            [
-                (c1 * c2, w1 + w2)
-                for c1, w1 in self.terms
-                for c2, w2 in other.terms
-            ]
-        )
-
     def transpose(self) -> "LeftInvariantOperator":
         """(X_1 ... X_N)^tr = (-1)^N X_N ... X_1, extended linearly.
 

@@ -1,10 +1,6 @@
 """Exception and warning types shared across the package."""
 
 
-class NonInvertible(ValueError):
-    """Matrix argument is numerically singular."""
-
-
 class ParameterDomain(ValueError):
     """Parameter outside the admissible (s, t) domain."""
 

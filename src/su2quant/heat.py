@@ -82,14 +82,20 @@ def rho_tail_bound(t: float, r: float, two_jmax: int) -> float:
 
 
 def choose_two_jmax(t: float, rmax: float = 0.0, tol: float = 1e-10) -> int:
-    two_j = 2
-    while rho_tail_bound(t, rmax, two_j) > tol:
-        two_j += 1
-        if two_j > 4000:
-            raise TruncationError(
-                f"no certified truncation for rho at t={t}, r={rmax}"
-            )
-    return two_j
+    """The least two_jmax in [2, 4000] whose tail bound is <= tol.
+
+    ``rho_tail_bound`` falls as two_jmax grows, so the bound is bisected on.
+    """
+    lo, hi = 1, 4000  # the answer lies in (lo, hi]
+    if rho_tail_bound(t, rmax, hi) > tol:
+        raise TruncationError(f"no certified truncation for rho at t={t}, r={rmax}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rho_tail_bound(t, rmax, mid) > tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass
@@ -237,7 +243,6 @@ class CalibrationRecord:
     normalization: float
     mass_residual: float
     unitarity_residuals: dict[str, float]
-    analytic_beta: float
     analytic_normalization: float
 
 
@@ -331,6 +336,5 @@ def calibrate_nu(
         normalization=n_star,
         mass_residual=mass / VOL_K - 1.0,
         unitarity_residuals={"spin_half": res_half, "spin_one": res_one},
-        analytic_beta=1.0,
         analytic_normalization=(np.pi * t) ** -1.5 * np.exp(-t / 4.0),
     )

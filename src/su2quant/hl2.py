@@ -14,15 +14,15 @@ exact and one is quadrature:
 
 So ``hl2_inner`` reads only the rule's radii and fiber weights, one per
 radius, and sums n_r terms per spin.  A general pointwise symbol has no
-such form: ``hl2_inner_pointwise`` sums over every K-node and every
-(radius, direction) fiber node, chunked over the K-nodes.
+such form: ``hl2_inner_pointwise`` sums over the nodes of a Haar rule on K
+and every (radius, direction) fiber node, chunked over the K-nodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import QuadratureRuleKC, VOL_K
+from .algebra import VOL_K, QuadratureRuleK, QuadratureRuleKC, _exp_matrices
 from .wigner import BandLimited, wigner_matrix
 
 K_CHUNK = 16  # K-nodes per contraction step
@@ -41,17 +41,36 @@ def _factored_values(f: BandLimited, dx: dict, ey: dict) -> np.ndarray:
     return vals
 
 
-def _chunked_tables(rule: QuadratureRuleKC, spins: set[int], chunk: int):
+def _chunked_tables(k_nodes: np.ndarray, fnodes: np.ndarray, spins: set[int], chunk: int):
     """(K-node slice, {2j: D^j(x)} on that slice, {2j: D^j(exp iY)}) per chunk of K-nodes.
 
     Callers evaluate one chunk at a time: on large fiber rules a full
     (n_x, n_y) table of values runs to hundreds of MB.
     """
-    dx = {two_j: wigner_matrix(two_j / 2.0, rule.k_rule.nodes) for two_j in spins}
-    ey = {two_j: wigner_matrix(two_j / 2.0, rule.fiber_nodes) for two_j in spins}
-    for start in range(0, len(rule.k_rule.weights), chunk):
+    dx = {two_j: wigner_matrix(two_j / 2.0, k_nodes) for two_j in spins}
+    ey = {two_j: wigner_matrix(two_j / 2.0, fnodes) for two_j in spins}
+    for start in range(0, len(k_nodes), chunk):
         part = slice(start, start + chunk)
         yield part, {two_j: d[part] for two_j, d in dx.items()}, ey
+
+
+def sphere_grid(n_theta: int = 20, n_phi: int = 20):
+    """Directions u (n_theta n_phi, 3) and their weights, which sum to one.
+
+    Gauss-Legendre in cos(theta) times uniform phi.
+    """
+    ct, wt = np.polynomial.legendre.leggauss(n_theta)
+    st = np.sqrt(1.0 - ct**2)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    u = np.stack(
+        [np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)), np.outer(ct, np.ones(n_phi))], axis=-1
+    )
+    return u.reshape(-1, 3), np.repeat(wt / (2.0 * n_phi), n_phi)  # wt sums to 2
+
+
+def fiber_nodes(radii: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """exp(i r u . X) for every (radius, direction) pair, radius-major, shape (n_r n_u, 2, 2)."""
+    return _exp_matrices(None, (radii[:, None, None] * directions).reshape(-1, 3))
 
 
 def fiber_scalar(two_j: int, rule: QuadratureRuleKC, wy: np.ndarray):
@@ -98,20 +117,25 @@ def hl2_inner_pointwise(
     rule: QuadratureRuleKC,
     radial_weight,
     symbol,
+    k_rule: QuadratureRuleK,
+    sphere,
     chunk: int = K_CHUNK,
 ) -> complex:
     """Same integral with a general pointwise symbol(g), chunked over K-nodes.
 
-    No CLI path calls it.  It stays as the per-node reference that the
-    tests compare ``hl2_inner`` against, and because ``bench/spans.py``
-    binds to its name.
+    The nodes are x * exp(i r u . X) for x on ``k_rule``, r on the rule's
+    radii and u on the ``sphere`` pair (directions, weights summing to one)
+    of ``sphere_grid``.  No CLI path calls it.  It stays as the per-node
+    reference that the tests compare ``hl2_inner`` against, and because
+    ``bench/spans.py`` binds to its name.
     """
+    directions, direction_weights = sphere
     radial = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
-    wy = np.outer(radial, rule.direction_weights).reshape(-1)  # radius-major, as fiber_nodes
-    kn, kw = rule.k_rule.nodes, rule.k_rule.weights
-    fnodes = rule.fiber_nodes
+    wy = np.outer(radial, direction_weights).reshape(-1)  # radius-major, as fiber_nodes
+    kn, kw = k_rule.nodes, k_rule.weights
+    fnodes = fiber_nodes(rule.radii, directions)
     total = 0.0 + 0.0j
-    for part, dx, ey in _chunked_tables(rule, set(F1.blocks) | set(F2.blocks), chunk):
+    for part, dx, ey in _chunked_tables(kn, fnodes, set(F1.blocks) | set(F2.blocks), chunk):
         v1, v2 = _factored_values(F1, dx, ey), _factored_values(F2, dx, ey)
         g = np.einsum("xab,ybc->xyac", kn[part], fnodes)
         sym = np.asarray(symbol(g), dtype=complex)

@@ -155,17 +155,6 @@ def _chunk(increments, k0: int):
     return np.moveaxis(increments[..., k0:k0 + CHUNK_STEPS, :], -2, 0)
 
 
-def _endpoints(a, b, project) -> np.ndarray:
-    """Endpoints (..., 2, 2) of the walk with coordinate increments a + i b (..., n_steps, 3).
-
-    ``b`` may be None, meaning zero.
-    """
-    g = _identity(a.shape[:-2])
-    for k0 in range(0, a.shape[-2], CHUNK_STEPS):
-        _advance(g, _step_exps(_chunk(a, k0), _chunk(b, k0)), k0, project)
-    return _matrices(g)
-
-
 def _check_grid(a: BrownianPath, b: BrownianPath) -> None:
     if a.increments.shape != b.increments.shape:
         raise ValueError("paths must share the step grid")
@@ -183,23 +172,13 @@ def _rotated_chunks(b: BrownianPath, a: BrownianPath, x):
         yield k0, ad_action(np.moveaxis(xs[:, :, :len(za)], (0, 1), (-2, -1)), zb)
 
 
-def ito_map_K(path: BrownianPath) -> np.ndarray:
-    """Endpoints (..., 2, 2) of dx = x o dA on SU(2)."""
-    return _endpoints(path.increments, None, _project_su2)
-
-
-def ito_map_KC(a: BrownianPath, b: BrownianPath) -> np.ndarray:
-    """Endpoints (..., 2, 2) of dg = g o d(A + iB) on SL(2,C)."""
-    _check_grid(a, b)
-    return _endpoints(a.increments, b.increments, _project_sl2c)
-
-
 def rotated_path(b: BrownianPath, a: BrownianPath) -> BrownianPath:
     """The path B' with dB'_k = Ad_{theta(A)_k} dB_k (left-point rule).
 
     Ad is an isometry, so B' has the same increment variances as B; in the
     limit its law is again Brownian, which is what makes the pathwise
-    factorization identity work.
+    factorization identity work.  No CLI path calls it: the tests check
+    ``_rotated_chunks`` against it.
     """
     _check_grid(a, b)
     x = _identity(a.increments.shape[:-2])
@@ -283,9 +262,6 @@ class EndpointEnsemble:
     values: np.ndarray  # (n_paths, 2, 2)
     n_blocks: int
     n_steps: int
-    master_seed: int
-    var_a: float
-    var_b: float
 
     @property
     def n_paths(self) -> int:
@@ -389,10 +365,7 @@ def endpoint_ensembles_KC(
     else:
         for blocks in slabs:
             run_slab(blocks)
-    return [
-        EndpointEnsemble(out, n_blocks, n_steps, master_seed, var_a, var_b)
-        for out, (var_a, var_b) in zip(values, variances)
-    ]
+    return [EndpointEnsemble(out, n_blocks, n_steps) for out in values]
 
 
 def endpoint_ensemble_KC(

@@ -12,9 +12,10 @@ side <F1, T_phi F2> is evaluated two ways:
   with w the subelliptic endpoints theta_C(iB)_1 (B-variance t/2).  This is
   the double integral of conj(F1) F2 mu_{t/2,t}(g x^{-1}) V~(x) against dg dx
   after the substitution g = w x, so it needs no pointwise symbol;
-* for explicit radial symbols (the V = 1 differential-operator route),
-  deterministic quadrature over the polar rule on SL(2,C), exact on K and
-  on the sphere and a radial sum otherwise (``hl2.hl2_inner``).
+* for explicit radial symbols (the V = 1 differential-operator route,
+  ``cli.gate_laplacian_entries``), deterministic quadrature over the polar
+  rule on SL(2,C), exact on K and on the sphere and a radial sum otherwise
+  (``hl2.hl2_inner``).
 
 The x-integral is exact at every spin: D(w x) = D(w) D(x), and the
 integral over x of V~ against a product of two Wigner matrices is a triple
@@ -44,11 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import QuadratureRuleKC
 from .diffop import LeftInvariantOperator, complexify_apply
 from .errors import StatisticalFailure
-from .heat import nu_radial
-from .hl2 import hl2_inner
 from .sde import DEFAULT_N_BLOCKS, EndpointEnsemble, endpoint_ensemble_KC, endpoint_ensembles_KC
 from .transform import transform_C
 from .wigner import BandLimited, inner_product_K, triple_integral_K, wigner_matrix
@@ -58,11 +56,7 @@ from .wigner import BandLimited, inner_product_K, triple_integral_K, wigner_matr
 class ToeplitzEstimate:
     value: complex
     stderr: float
-    n_paths: int
-    n_steps: int
-    master_seed: int | None
-    method: str  # "MC" or "quadrature"
-    block_values: np.ndarray | None = None
+    block_values: np.ndarray
 
 
 def schrodinger_entry(
@@ -98,9 +92,6 @@ class ToeplitzSampler:
         ensemble: EndpointEnsemble | None = None,
     ):
         self.t = t
-        self.n_paths = n_paths
-        self.n_steps = n_steps
-        self.master_seed = master_seed
         self.n_blocks = n_blocks
         if ensemble is None:
             ensemble = endpoint_ensemble_KC(
@@ -173,15 +164,7 @@ class ToeplitzSampler:
                 / self.n_blocks
             )
         )
-        return ToeplitzEstimate(
-            value=value,
-            stderr=stderr,
-            n_paths=self.n_paths,
-            n_steps=self.n_steps,
-            master_seed=self.master_seed,
-            method="MC",
-            block_values=block_vals,
-        )
+        return ToeplitzEstimate(value=value, stderr=stderr, block_values=block_vals)
 
 
 def check_convergence(est: ToeplitzEstimate, factor: float = 1.5) -> None:
@@ -189,10 +172,11 @@ def check_convergence(est: ToeplitzEstimate, factor: float = 1.5) -> None:
 
     Compares the block-mean spread over the first quarter, first half, and
     all blocks; each doubling should shrink the stderr by sqrt(2) within the
-    given factor.  Raises StatisticalFailure otherwise.
+    given factor.  Raises StatisticalFailure otherwise.  No CLI path calls
+    it yet; the tests do.
     """
     bv = est.block_values
-    if bv is None or len(bv) < 16:
+    if len(bv) < 16:
         raise StatisticalFailure("not enough blocks for a convergence check")
 
     def spread(v: np.ndarray) -> float:
@@ -213,32 +197,3 @@ def check_convergence(est: ToeplitzEstimate, factor: float = 1.5) -> None:
             raise StatisticalFailure(
                 f"stderr ratio {ratio:.2f} outside sqrt(2) within factor {factor}"
             )
-
-
-# ---------------------------------------------------------------------------
-# deterministic quadrature route
-# ---------------------------------------------------------------------------
-
-def toeplitz_entry_quadrature(
-    t: float,
-    symbol,
-    f1: BandLimited,
-    f2: BandLimited,
-    rule: QuadratureRuleKC,
-) -> ToeplitzEstimate:
-    """int conj(F1) phi F2 nu_t dg over the polar rule.
-
-    ``symbol`` is phi as a function of the polar radius; ``symbol=None``
-    means phi = 1.
-    """
-    F1 = transform_C(t, f1)
-    F2 = transform_C(t, f2)
-    value = hl2_inner(F1, F2, rule, lambda r: nu_radial(t, r), radial_symbol=symbol)
-    return ToeplitzEstimate(
-        value=complex(value),
-        stderr=0.0,
-        n_paths=0,
-        n_steps=0,
-        master_seed=None,
-        method="quadrature",
-    )

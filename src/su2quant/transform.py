@@ -1,28 +1,20 @@
 """Segal-Bargmann transforms on SU(2), exact on Peter-Weyl coefficients.
 
-The single-parameter transform C_t applies the half-time heat operator and
+The transform C_t applies the half-time heat operator and
 analytically continues to SL(2,C).  On the spin-j block this is
 multiplication by e^{-t c_j / 2}, so the transform is computed on
 coefficients.  The integral definition survives only as an oracle
 (adjoint_inversion_oracle below): its K- and sphere integrals are exact
 (Schur orthogonality, then the scalar fiber Gram matrix), and only its
 radial integral is quadrature.
-
-The two-parameter transform B_{s,t} is given by the same coefficient map.
-The parameter s enters only through the measures on the two sides, so the
-class records it and enforces the admissible domain s > t/2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .algebra import QuadratureRuleKC
 from .errors import ParameterDomain
 from .heat import HeatKernelK, heat_flow, nu_radial
-from .hl2 import fiber_scalar, hl2_inner
+from .hl2 import fiber_scalar
 from .wigner import BandLimited, HolomorphicObservable
 
 
@@ -32,19 +24,6 @@ def transform_C(t: float, f: BandLimited) -> HolomorphicObservable:
         raise ParameterDomain("transform time t must be positive")
     out = heat_flow(t, f, direction="forward")
     return HolomorphicObservable(out.blocks)
-
-
-def transform_B(s: float, t: float, f: BandLimited) -> HolomorphicObservable:
-    """B_{s,t} f; the coefficient map does not depend on s.
-
-    s only changes the measures (rho_s on the domain, mu_{s,t} on the range)
-    and must satisfy s > t/2 for the range measure to exist.
-    """
-    if t <= 0:
-        raise ParameterDomain("transform time t must be positive")
-    if s <= t / 2.0:
-        raise ParameterDomain(f"need s > t/2, got s={s}, t/2={t / 2.0}")
-    return transform_C(t, f)
 
 
 def inverse_C(t: float, F: HolomorphicObservable) -> BandLimited:
@@ -57,39 +36,6 @@ def inverse_C(t: float, F: HolomorphicObservable) -> BandLimited:
         raise ParameterDomain("transform time t must be positive")
     out = heat_flow(t, BandLimited(F.blocks), direction="backward")
     return BandLimited(out.blocks)
-
-
-@dataclass
-class TransformedPair:
-    """A function together with its transform and the parameters used."""
-
-    f: BandLimited
-    F: HolomorphicObservable
-    t: float
-    s: float | None = None
-    which: str = "C"
-
-    @classmethod
-    def make_B(cls, s: float, t: float, f: BandLimited) -> "TransformedPair":
-        return cls(f=f, F=transform_B(s, t, f), t=t, s=s, which="B")
-
-    def domain_norm_sq(self) -> float:
-        """||f||^2 on the domain side: Haar for C, rho_s dx for B.
-
-        Against the heat density, int h rho_s dx = (e^{s Delta/2} h)(e)
-        because rho_s is the symmetric heat kernel at the identity; with
-        h = |f|^2 expanded through Clebsch-Gordan coupling this is exact.
-        """
-        if self.which == "C":
-            return self.f.norm_sq()
-        mod_sq = self.f.conjugate().multiply(self.f)
-        smoothed = mod_sq.heat(self.s, sign=-1.0)
-        return float(np.real(smoothed(np.eye(2))))
-
-
-def range_norm_sq_C(t: float, F: HolomorphicObservable, rule: QuadratureRuleKC) -> float:
-    """||F||^2 in HL^2(K_C, nu_t), by factored quadrature."""
-    return float(np.real(hl2_inner(F, F, rule, lambda r: nu_radial(t, r))))
 
 
 def adjoint_inversion_oracle(

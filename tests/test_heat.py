@@ -10,7 +10,7 @@ from su2quant.algebra import (
     random_su2,
     weyl_rule,
 )
-from su2quant.errors import IllConditioned
+from su2quant.errors import IllConditioned, TruncationError
 from su2quant.heat import (
     HeatKernelK,
     bracketed_root,
@@ -61,6 +61,24 @@ def test_rho_projects_band_limited():
 def test_tail_bound_certificate_monotone():
     assert rho_tail_bound(0.5, 0.0, 10) < rho_tail_bound(0.5, 0.0, 6)
     assert rho_tail_bound(0.5, 1.0, 10) > rho_tail_bound(0.5, 0.0, 10)
+
+
+def test_choose_two_jmax_bisection_matches_linear_walk():
+    # the grid holds every (t, rmax, tol) the CLI asks for: the adjoint
+    # oracle's (t, default_cutoff(t) + 1.5, 1e-9) and the semigroup's
+    # (0.2, 0, 2e-9), (0.5, 0, 2e-9) and (0.7, 0, 1e-12)
+    def walk(t, rmax, tol):
+        two_j = 2
+        while rho_tail_bound(t, rmax, two_j) > tol:
+            two_j += 1
+        return two_j
+
+    for t in (0.05, 0.2, 0.5, 0.7, 1.0, 2.0, 3.0):
+        for rmax in (0.0, 1.0, 3.0, 4.5, 5.5, 8.0):
+            for tol in (1e-9, 2e-9, 1e-10, 1e-12):
+                assert choose_two_jmax(t, rmax, tol) == walk(t, rmax, tol), (t, rmax, tol)
+    with pytest.raises(TruncationError):
+        choose_two_jmax(0.01, 10.0)  # the bound at two_jmax = 4000 is still above tol
 
 
 def test_nu_constants():

@@ -86,34 +86,47 @@ def _unreached_definitions() -> set[str]:
 # Definitions that only the tests call, with the reason each stays.  A new
 # test-only function fails below; deleting one means deleting its entry.
 TEST_ONLY = {
-    "algebra.AlgebraVector.matrix": "the 2x2 matrix of an su(2) vector; pins the basis convention",
     "algebra.QuadratureRuleK.integrate": "the Haar-rule sum, the tests' oracle for integrals on K",
-    "algebra.QuadratureRuleKC.fiber_nodes": "the fiber nodes of the per-node reference hl2_inner_pointwise",
-    "algebra.algebra_inner": "the metric <X, Y> = -2 tr(XY); pins the convention",
-    "algebra.polar_decompose": "g = x exp(iY); checked against the fiber nodes",
-    "diffop.LeftInvariantOperator.compose": "operator products, for the transpose identities",
-    "euclid.euclid_transform": "the flat Segal-Bargmann transform, checked against its closed form",
+    "algebra.exp_algebra": "helper of haar_rule; the exponential of su(2) the tests build group elements with",
+    "algebra.haar_rule": "builds the K-nodes of hl2_inner_pointwise and the tests' Haar oracles; bench/spans.py binds to it",
     "hl2._chunked_tables": "helper of hl2_inner_pointwise",
     "hl2._factored_values": "helper of hl2_inner_pointwise",
+    "hl2.fiber_nodes": "builds the fiber nodes of hl2_inner_pointwise",
     "hl2.hl2_inner_pointwise": "the per-node reference for hl2_inner; bench/spans.py binds to it",
-    "sde._endpoints": "helper of the Ito maps",
-    "sde.ito_map_K": "the paper's Ito map theta",
-    "sde.ito_map_KC": "the paper's Ito map theta_C",
-    "sde.rotated_path": "the paper's rotated path, for the rotation identity",
+    "hl2.sphere_grid": "builds the directions of the fiber nodes of hl2_inner_pointwise",
+    "sde.rotated_path": "the paper's rotated path, the reference for _rotated_chunks",
     "toeplitz.check_convergence": "nested-block stderr check; no command reports it yet",
-    "transform.TransformedPair.domain_norm_sq": "the domain norm of B_{s,t}",
-    "transform.TransformedPair.make_B": "the pair (f, B_{s,t} f)",
-    "transform.range_norm_sq_C": "||F||^2 in HL^2(nu_t), for the unitarity tests",
-    "transform.transform_B": "the two-parameter transform B_{s,t}",
-    "wigner.BandLimited.conjugate": "helper of TransformedPair.domain_norm_sq",
-    "wigner.clebsch_gordan": "single Clebsch-Gordan coefficients, checked at known values",
     "wigner.project_onto_entries": "projection of Haar-rule samples onto entries, the oracle for multiply",
-    "wigner.wigner_entry": "one matrix entry D^j_{m,m'} with its index checks",
 }
 
 
 def test_test_only_definitions_are_allowlisted():
     assert sorted(_unreached_definitions()) == sorted(TEST_ONLY)
+
+
+def _unloaded_fields() -> set[str]:
+    """Fields of dataclasses in src/ whose name no attribute load in src/ reads."""
+    loaded, fields = set(), set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _reads(d) for d in node.decorator_list
+            ):
+                fields |= {f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    return {f for f in fields if f.rsplit(".", 1)[-1] not in loaded}
+
+
+# Dataclass fields that are written and never read in src/, with the reason
+# each stays.  A new write-only field fails below.
+WRITE_ONLY = {}
+
+
+def test_write_only_fields_are_allowlisted():
+    assert sorted(_unloaded_fields()) == sorted(WRITE_ONLY)
 
 
 def test_benchmark_bindings_resolve():

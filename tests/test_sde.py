@@ -3,7 +3,6 @@ import sys
 import numpy as np
 import pytest
 
-from su2quant.algebra import exp_complex
 from su2quant.sde import (
     CHUNK_STEPS,
     BrownianPath,
@@ -13,8 +12,6 @@ from su2quant.sde import (
     endpoint_ensembles_KC,
     expected_character_K,
     expected_character_KC,
-    ito_map_K,
-    ito_map_KC,
     pathwise_identity_residual,
     rotated_path,
     sample_path,
@@ -54,39 +51,9 @@ def test_endpoint_gaussian_ks():
 
 
 def test_ito_map_zero_path_is_identity():
-    z = BrownianPath(np.zeros((20, 3)), 0.0)
-    np.testing.assert_allclose(ito_map_K(z), np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(ito_map_KC(z, z), np.eye(2), atol=1e-14)
-
-
-def test_ito_map_group_membership():
-    a = sample_path(1.0, 500, SEED)
-    x = ito_map_K(a)
-    np.testing.assert_allclose(x @ np.conj(x.T), np.eye(2), atol=1e-10)
-    b = sample_path(0.5, 500, SEED + 1)
-    g = ito_map_KC(a, b)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    assert abs(det - 1.0) < 1e-10
-
-
-def test_kernel_matches_product_of_matrix_exponentials():
-    # reference: the left-to-right product of expm(sum_k z_k X_k), step by step
-    from scipy.linalg import expm
-
-    from su2quant.algebra import BASIS
-
-    rng = np.random.default_rng(SEED)
-    a = BrownianPath(0.2 * rng.standard_normal((4, 70, 3)), 0.0)
-    b = BrownianPath(0.2 * rng.standard_normal((4, 70, 3)), 0.0)
-    for kernel, z in (
-        (ito_map_K(a), a.increments + 0j),
-        (ito_map_KC(a, b), a.increments + 1j * b.increments),
-    ):
-        for p in range(4):
-            ref = np.eye(2, dtype=complex)
-            for dz in z[p]:
-                ref = ref @ expm(np.einsum("k,kab->ab", dz, BASIS))
-            np.testing.assert_allclose(kernel[p], ref, rtol=0, atol=1e-12)
+    # the Ito maps of zero-variance paths: every endpoint is exactly I
+    for ens in (endpoint_ensemble_K(0.0, 50, 20, SEED), endpoint_ensemble_KC(0.0, 0.0, 50, 20, SEED)):
+        np.testing.assert_array_equal(ens.values, np.broadcast_to(np.eye(2), (50, 2, 2)))
 
 
 def test_pathwise_batch_equals_pairs():
@@ -183,7 +150,7 @@ def test_shared_normals_equal_separate_ensembles(pairs, n_paths, n_blocks):
     for (s, t), ens in zip(pairs, shared):
         alone = endpoint_ensemble_KC(s, t, n_paths, 70, SEED, n_blocks=n_blocks)
         np.testing.assert_array_equal(ens.values, alone.values)
-        assert (ens.var_a, ens.var_b, ens.n_blocks) == (alone.var_a, alone.var_b, alone.n_blocks)
+        assert (ens.n_blocks, ens.n_steps) == (alone.n_blocks, alone.n_steps)
 
 
 def test_shared_normals_need_one_draw_pattern():
@@ -196,7 +163,14 @@ def test_shared_normals_need_one_draw_pattern():
 
 
 def _per_step_endpoints(s, t, n_paths, n_steps, seed, n_blocks):
-    """Reference: each block draws its da, then its db, at every step; g <- g exp(dZ)."""
+    """Reference: each block draws its da, then its db, at every step; g <- g expm(dZ).
+
+    The step matrices come from SciPy's expm, apart from su2quant's closed form.
+    """
+    from scipy.linalg import expm
+
+    from su2quant.algebra import BASIS
+
     var_a, var_b = max(s - t / 2.0, 0.0), t / 2.0
     sa, sb = np.sqrt(var_a / n_steps), np.sqrt(var_b / n_steps)
     out = []
@@ -206,7 +180,8 @@ def _per_step_endpoints(s, t, n_paths, n_steps, seed, n_blocks):
         for _ in range(n_steps):
             da = rng.standard_normal((len(rows), 3)) if var_a > 0 else 0.0
             db = rng.standard_normal((len(rows), 3)) if var_b > 0 else 0.0
-            g = g @ exp_complex(sa * da + 1j * (sb * db))
+            dz = np.broadcast_to(sa * da + 1j * (sb * db), (len(rows), 3))
+            g = g @ np.array([expm(np.einsum("k,kab->ab", z, BASIS)) for z in dz])
         out.append(g)
     return np.concatenate(out)
 
@@ -267,13 +242,14 @@ def test_drift_after_reprojection():
     ens = endpoint_ensemble_KC(0.25, 0.5, 200, 1024, SEED)
     dets = np.linalg.det(ens.values)
     assert np.max(np.abs(dets - 1.0)) < 1e-10
+    x = endpoint_ensemble_K(1.0, 200, 1024, SEED).values
+    np.testing.assert_allclose(x @ np.conj(np.swapaxes(x, -1, -2)),
+                               np.broadcast_to(np.eye(2), x.shape), rtol=0, atol=1e-10)
 
 
 def test_mismatched_paths_rejected():
     a = sample_path(1.0, 10, SEED)
     b = sample_path(1.0, 20, SEED)
-    with pytest.raises(ValueError):
-        ito_map_KC(a, b)
     with pytest.raises(ValueError):
         rotated_path(b, a)
     with pytest.raises(ValueError):

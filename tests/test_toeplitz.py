@@ -4,13 +4,9 @@ import pytest
 from su2quant.algebra import default_cutoff, haar_rule, kc_quadrature
 from su2quant.diffop import LeftInvariantOperator
 from su2quant.errors import StatisticalFailure
-from su2quant.toeplitz import (
-    ToeplitzEstimate,
-    ToeplitzSampler,
-    check_convergence,
-    schrodinger_entry,
-    toeplitz_entry_quadrature,
-)
+from su2quant.heat import nu_radial
+from su2quant.hl2 import hl2_inner
+from su2quant.toeplitz import ToeplitzEstimate, ToeplitzSampler, check_convergence, schrodinger_entry
 from su2quant.transform import transform_C
 from su2quant.wigner import BandLimited, inner_product_K, wigner_matrix
 
@@ -227,38 +223,35 @@ def test_seed_and_worker_invariance():
 def test_convergence_check(sampler):
     est = sampler.entry(BandLimited.character_fn(1.0), _f(0.5, 0.5), _f(0.5, 0.5))
     check_convergence(est)  # should pass at 20k paths over 40 blocks
-    few = ToeplitzEstimate(
-        value=0.0, stderr=1.0, n_paths=10, n_steps=10, master_seed=0,
-        method="MC", block_values=np.ones(4, dtype=complex),
-    )
+    few = ToeplitzEstimate(value=0.0, stderr=1.0, block_values=np.ones(4, dtype=complex))
     with pytest.raises(StatisticalFailure):
         check_convergence(few)
     rigged = ToeplitzEstimate(
-        value=0.0, stderr=1.0, n_paths=10, n_steps=10, master_seed=0,
-        method="MC",
+        value=0.0, stderr=1.0,
         block_values=np.concatenate([np.zeros(20), np.ones(20)]).astype(complex),
     )
     with pytest.raises(StatisticalFailure):
         check_convergence(rigged)
 
 
+def _quadrature_entry(symbol, f1, f2):
+    """<C_t f1, T_phi C_t f2> for a radial symbol phi by polar quadrature, as the Laplacian gate takes it."""
+    rule = kc_quadrature(default_cutoff(T) + 1.5, n_r=64)
+    return hl2_inner(transform_C(T, f1), transform_C(T, f2), rule, lambda r: nu_radial(T, r),
+                     radial_symbol=symbol)
+
+
 def test_quadrature_route_identity_symbol():
-    rule = kc_quadrature(default_cutoff(T) + 1.5, k_two_jmax=2, n_r=64)
     f1, f2 = _f(0.5, 0.5), _f(0.5, -0.5)
-    est = toeplitz_entry_quadrature(T, None, f1, f2, rule)
-    assert est.method == "quadrature"
-    assert est.stderr == 0.0
-    assert est.value == pytest.approx(inner_product_K(f1, f2), abs=1e-8)
-    n = toeplitz_entry_quadrature(T, None, f1, f1, rule)
-    assert n.value.real == pytest.approx(f1.norm_sq(), rel=1e-8)
+    assert _quadrature_entry(None, f1, f2) == pytest.approx(inner_product_K(f1, f2), abs=1e-8)
+    assert _quadrature_entry(None, f1, f1).real == pytest.approx(f1.norm_sq(), rel=1e-8)
 
 
 def test_quadrature_radial_symbol_constant_matches():
-    rule = kc_quadrature(default_cutoff(T) + 1.5, k_two_jmax=2, n_r=64)
     f = _f(0.5, 0.5)
-    base = toeplitz_entry_quadrature(T, None, f, f, rule)
-    scaled = toeplitz_entry_quadrature(T, lambda r: 2.0 * np.ones_like(r), f, f, rule)
-    assert scaled.value == pytest.approx(2.0 * base.value, rel=1e-10)
+    base = _quadrature_entry(None, f, f)
+    scaled = _quadrature_entry(lambda r: 2.0 * np.ones_like(r), f, f)
+    assert scaled == pytest.approx(2.0 * base, rel=1e-10)
 
 
 def test_sup_K_known_values():

@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
 
-from su2quant.algebra import VOL_K, default_cutoff, kc_quadrature
-from su2quant.errors import IllConditioned, ParameterDomain
+from su2quant.algebra import VOL_K, default_cutoff, haar_rule, kc_quadrature
+from su2quant.errors import IllConditioned
 from su2quant.heat import HeatKernelK, nu_radial
-from su2quant.hl2 import K_CHUNK, _chunked_tables, _factored_values, hl2_inner
-from su2quant.transform import (
-    TransformedPair,
-    adjoint_inversion_oracle,
-    inverse_C,
-    range_norm_sq_C,
-    transform_B,
-    transform_C,
-)
+from su2quant.hl2 import K_CHUNK, _chunked_tables, _factored_values, fiber_nodes, hl2_inner, sphere_grid
+from su2quant.transform import adjoint_inversion_oracle, inverse_C, transform_C
 from su2quant.wigner import BandLimited, HolomorphicObservable, character
 
 
@@ -21,8 +14,8 @@ def rng():
     return np.random.default_rng(7)
 
 
-def _rule(t, k_two_jmax=2):
-    return kc_quadrature(default_cutoff(t) + 1.5, k_two_jmax=k_two_jmax, n_r=64)
+def _rule(t):
+    return kc_quadrature(default_cutoff(t) + 1.5, n_r=64)
 
 
 def test_constant_is_fixed():
@@ -53,19 +46,8 @@ def test_unitarity_on_quadrature(rng):
     from su2quant.wigner import inner_product_K
 
     assert lhs == pytest.approx(inner_product_K(f1, f2), abs=1e-8)
-    assert range_norm_sq_C(t, F1, rule) == pytest.approx(f1.norm_sq(), rel=1e-10)
-
-
-def test_transform_B_same_coefficients_and_domain(rng):
-    f = BandLimited({1: rng.standard_normal((2, 2))})
-    Fc = transform_C(0.5, f)
-    for s in (0.3, 1.0, 5.0):
-        Fb = transform_B(s, 0.5, f)
-        np.testing.assert_allclose(Fb.blocks[1], Fc.blocks[1])
-    with pytest.raises(ParameterDomain):
-        transform_B(0.25, 0.5, f)
-    with pytest.raises(ParameterDomain):
-        transform_B(1.0, -0.5, f)
+    norm_sq = hl2_inner(F1, F1, rule, lambda r: nu_radial(t, r)).real
+    assert norm_sq == pytest.approx(f1.norm_sq(), rel=1e-10)
 
 
 def test_inverse_roundtrip(rng):
@@ -87,20 +69,22 @@ def test_inverse_guard():
 
 def test_adjoint_inversion_oracle(rng):
     t = 0.5
-    rule = _rule(t, k_two_jmax=2)
+    rule = _rule(t)
     f = BandLimited({1: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))})
     rec = adjoint_inversion_oracle(t, transform_C(t, f), rule, two_jmax=2)
     np.testing.assert_allclose(rec.blocks[1], f.blocks[1], atol=1e-4)
 
 
-def _adjoint_per_node(t, F, rule, two_jmax, rho_tol=1e-9):
+def _adjoint_per_node(t, F, rule, two_jmax, k_rule, sphere, rho_tol=1e-9):
     """The adjoint integral as an explicit sum over the K-nodes and fiber nodes."""
     kern = HeatKernelK.build(t, rmax=rule.cutoff, tol=rho_tol)
-    fw = np.outer(rule.fiber_weights * nu_radial(t, rule.radii), rule.direction_weights).reshape(-1)
-    kw = rule.k_rule.weights
+    directions, direction_weights = sphere
+    fw = np.outer(rule.fiber_weights * nu_radial(t, rule.radii), direction_weights).reshape(-1)
+    kw = k_rule.weights
     spins = range(0, min(two_jmax, kern.two_jmax) + 1)
     m = {two_j: 0.0 for two_j in spins}
-    for part, dx, ey in _chunked_tables(rule, set(F.blocks) | set(spins), K_CHUNK):
+    fnodes = fiber_nodes(rule.radii, directions)
+    for part, dx, ey in _chunked_tables(k_rule.nodes, fnodes, set(F.blocks) | set(spins), K_CHUNK):
         weighted = _factored_values(F, dx, ey) * fw
         for two_j in spins:
             m[two_j] += np.einsum(
@@ -117,13 +101,13 @@ def test_adjoint_oracle_matches_per_node_sum(rng):
     # on a K-exact rule the Schur closed form equals the node sum; spin 3/2
     # lies past two_jmax and spin 0 is absent from F, so neither has a block
     t = 0.5
-    rule = kc_quadrature(default_cutoff(t) + 1.5, k_two_jmax=3, n_r=16, n_theta=8, n_phi=8)
+    rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=16)
     F = HolomorphicObservable({
         k: rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
         for k in (1, 2, 3)
     })
     rec = adjoint_inversion_oracle(t, F, rule, two_jmax=2)
-    ref = _adjoint_per_node(t, F, rule, two_jmax=2)
+    ref = _adjoint_per_node(t, F, rule, 2, haar_rule(6), sphere_grid(8, 8))
     assert set(rec.blocks) == set(ref.blocks) == {1, 2}
     for k, c in ref.blocks.items():
         np.testing.assert_allclose(rec.blocks[k], c, rtol=0, atol=1e-12 * np.max(np.abs(c)))
@@ -135,7 +119,7 @@ def test_adjoint_oracle_R_stability(rng):
     f = BandLimited({1: rng.standard_normal((2, 2))})
     F = transform_C(t, f)
     r1 = adjoint_inversion_oracle(t, F, _rule(t), two_jmax=1)
-    big = kc_quadrature(default_cutoff(t) + 3.0, k_two_jmax=1, n_r=96)
+    big = kc_quadrature(default_cutoff(t) + 3.0, n_r=96)
     r2 = adjoint_inversion_oracle(t, F, big, two_jmax=1)
     assert np.max(np.abs(r1.blocks[1] - r2.blocks[1])) < 1e-6
 
@@ -150,17 +134,3 @@ def test_intertwining_with_derivatives(rng):
     lhs = transform_C(t, a.apply(f))
     rhs = complexify_apply(a, transform_C(t, f))
     np.testing.assert_allclose(lhs.blocks[2], rhs.blocks[2], atol=1e-12)
-
-
-def test_transformed_pair_B_norm(rng):
-    # ||f||^2 against rho_s dx via the smoothed |f|^2 at the identity
-    from su2quant.algebra import haar_rule
-
-    s, t = 1.0, 0.5
-    f = BandLimited({1: rng.standard_normal((2, 2))})
-    pair = TransformedPair.make_B(s, t, f)
-    rule = haar_rule(20)
-    kern = HeatKernelK.build(s, tol=1e-12)
-    dens = kern.on_traces(np.einsum("qaa->q", rule.nodes).real)
-    quad = rule.integrate(np.abs(f(rule.nodes)) ** 2 * dens)
-    assert pair.domain_norm_sq() == pytest.approx(float(quad), rel=1e-9)

@@ -5,14 +5,13 @@ from su2quant.algebra import VOL_K, exp_algebra, exp_complex, haar_rule, random_
 from su2quant.wigner import (
     BandLimited,
     casimir_eigenvalue,
+    cg_table,
     character,
-    clebsch_gordan,
     generator_matrix,
     inner_product_K,
     project_onto_entries,
     triple_integral_K,
     two_j_of,
-    wigner_entry,
     wigner_matrix,
 )
 
@@ -70,11 +69,15 @@ def test_unitarity_on_K(rng):
 def test_wigner_entry_index_checks(rng):
     g = random_su2(rng)
     with pytest.raises(IndexError):
-        wigner_entry(0.5, 0.0, 0.5, g)  # no m = 0 at half-integer spin
+        BandLimited.entry(0.5, 0.0, 0.5)  # no m = 0 at half-integer spin
     with pytest.raises(IndexError):
-        wigner_entry(1.0, 2.0, 0.0, g)
-    val = wigner_entry(0.5, 0.5, 0.5, g)
-    assert val == pytest.approx(g[0, 0])
+        BandLimited.entry(1.0, 2.0, 0.0)
+    with pytest.raises(IndexError):
+        BandLimited.entry(0.5, 1.5, 0.5)  # row -1 would wrap to the last row
+    with pytest.raises(IndexError):
+        BandLimited.entry(1, 0.5, 0)  # j - m not an integer
+    assert BandLimited.entry(0.5, 0.5, 0.5)(g) == pytest.approx(g[0, 0])
+    assert BandLimited.entry(0.5, -0.5, 0.5)(g) == pytest.approx(g[1, 0])
 
 
 def test_character_diagonal_closed_form():
@@ -127,13 +130,19 @@ def test_casimir_action_on_blocks(rng):
     np.testing.assert_allclose(lap.blocks[2], -2.0 * f.blocks[2], atol=1e-12)
 
 
+def _cg(j1, j2, j, m1, m2):
+    """<j1 m1; j2 m2 | j (m1+m2)> read from cg_table, whose rows run m = j ... -j."""
+    table = cg_table(int(2 * j1), int(2 * j2), int(2 * j))
+    return table[int(j1 - m1), int(j2 - m2), int(j - m1 - m2)]
+
+
 def test_clebsch_gordan_known_values():
-    assert clebsch_gordan(0.5, 0.5, 1, 0.5, 0.5) == pytest.approx(1.0)
-    assert clebsch_gordan(0.5, 0.5, 1, 0.5, -0.5) == pytest.approx(np.sqrt(0.5))
-    assert clebsch_gordan(0.5, 0.5, 0, 0.5, -0.5) == pytest.approx(np.sqrt(0.5))
-    assert clebsch_gordan(0.5, 0.5, 0, -0.5, 0.5) == pytest.approx(-np.sqrt(0.5))
-    assert clebsch_gordan(1, 1, 2, 1, 1) == pytest.approx(1.0)
-    assert clebsch_gordan(1, 0.5, 0.5, 0, 0.5) == pytest.approx(-np.sqrt(1.0 / 3.0))
+    assert _cg(0.5, 0.5, 1, 0.5, 0.5) == pytest.approx(1.0)
+    assert _cg(0.5, 0.5, 1, 0.5, -0.5) == pytest.approx(np.sqrt(0.5))
+    assert _cg(0.5, 0.5, 0, 0.5, -0.5) == pytest.approx(np.sqrt(0.5))
+    assert _cg(0.5, 0.5, 0, -0.5, 0.5) == pytest.approx(-np.sqrt(0.5))
+    assert _cg(1, 1, 2, 1, 1) == pytest.approx(1.0)
+    assert _cg(1, 0.5, 0.5, 0, 0.5) == pytest.approx(-np.sqrt(1.0 / 3.0))
 
 
 def test_clebsch_gordan_orthogonality():
@@ -141,21 +150,10 @@ def test_clebsch_gordan_orthogonality():
     j1, j2 = 1.0, 1.5
     for m1, m2 in ((1.0, 0.5), (0.0, -0.5)):
         total = sum(
-            clebsch_gordan(j1, j2, J, m1, m2) ** 2
+            _cg(j1, j2, J, m1, m2) ** 2
             for J in (0.5, 1.5, 2.5)
         )
         assert total == pytest.approx(1.0, rel=1e-12)
-
-
-def test_conjugate_matches_pointwise(rng):
-    x = random_su2(rng, 30)
-    f = BandLimited(
-        {
-            1: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-            3: rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
-        }
-    )
-    np.testing.assert_allclose(f.conjugate()(x), np.conj(f(x)), atol=1e-12)
 
 
 def test_multiply_matches_pointwise(rng):
