@@ -11,9 +11,9 @@ from .algebra import (
     polar_radius,
     random_su2,
 )
-from .diffop import LeftInvariantOperator, apply_transpose_to_nu, complexify_apply
+from .diffop import LeftInvariantOperator, apply_transpose_to_nu
 from .euclid import GaussPoly, HermiteExpansion, euclid_toeplitz_check, euclid_transform
-from .heat import HeatKernelK, calibrate_nu, heat_flow, nu, nu_radial
+from .heat import HeatKernelK, calibrate_nu, nu, nu_radial
 from .sde import (
     BrownianPath,
     EndpointEnsemble,
@@ -28,7 +28,6 @@ from .toeplitz import ToeplitzEstimate, ToeplitzSampler, schrodinger_entry
 from .transform import inverse_C, transform_C
 from .wigner import (
     BandLimited,
-    HolomorphicObservable,
     casimir_eigenvalue,
     character,
     inner_product_K,

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,6 +254,15 @@ class QuadratureRuleK:
         return np.einsum("q,...q->...", self.weights, values)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] for n points, built once per n and read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def haar_rule(total_two_j: int) -> QuadratureRuleK:
     """Quadrature exact on band-limited functions of total spin <= total_two_j/2.
 
@@ -264,7 +274,7 @@ def haar_rule(total_two_j: int) -> QuadratureRuleK:
     n_beta = int(np.ceil(j_tot)) + 1  # GL exact to degree 2 n - 1 >= 2 j_tot
     alphas = 4.0 * np.pi * np.arange(n_angle) / n_angle
     gammas = alphas
-    xs, wb = np.polynomial.legendre.leggauss(n_beta)
+    xs, wb = _gauss_legendre(n_beta)
     betas = np.arccos(xs)
 
     # x(alpha, beta, gamma) = e^{alpha X3} e^{beta X2} e^{gamma X3}
@@ -320,7 +330,7 @@ def weyl_rule(total_two_j: int, axis_two_j: int) -> ClassRuleK:
     n_b = total_two_j // 2 + 1  # exact to degree 2 n_b - 1 >= total_two_j
     n_c = axis_two_j // 2 + 1
     b = np.pi * np.arange(1, n_b + 1) / (n_b + 1)
-    c, wc = np.polynomial.legendre.leggauss(n_c)
+    c, wc = _gauss_legendre(n_c)
     # Vol(K) (2/pi) * pi/(n_b+1) sin^2 b * wc/2
     wb = VOL_K * np.sin(b) ** 2 / (n_b + 1)
     return ClassRuleK(
@@ -375,7 +385,7 @@ def kc_quadrature(R: float, n_r: int = 48) -> QuadratureRuleKC:
     """
     if R <= 0:
         raise ValueError("radial cutoff R must be positive")
-    xs, wr = np.polynomial.legendre.leggauss(n_r)
+    xs, wr = _gauss_legendre(n_r)
     r = 0.5 * R * (xs + 1.0)
     wr = 0.5 * R * wr
     return QuadratureRuleKC(radii=r, fiber_weights=wr * radial_jacobian(r) * (4.0 * np.pi), cutoff=R)

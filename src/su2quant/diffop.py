@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import exp_complex, polar_radius
 from .errors import StepUnderflow
 from .heat import nu
-from .wigner import BandLimited, HolomorphicObservable
+from .wigner import BandLimited
 
 Word = tuple[int, ...]
 
@@ -77,22 +77,15 @@ class LeftInvariantOperator:
 
     # -- action on band-limited functions -----------------------------------
     def apply(self, f: BandLimited) -> BandLimited:
+        """A f, exactly on coefficients; on a holomorphic F = C_t f this is A_C F.
+
+        The holomorphic field X_C = (X - i JX)/2 agrees with X on holomorphic
+        functions, so A_C acts through the same generator matrices as A.
+        """
         out = BandLimited({})
         for coeff, word in self.terms:
             out = out + coeff * f.apply_word(word)
         return out.prune(0.0)
-
-
-def complexify_apply(
-    a: LeftInvariantOperator, F: HolomorphicObservable
-) -> HolomorphicObservable:
-    """A_C F for holomorphic F, exactly on coefficients.
-
-    The holomorphic field X_C = (X - i JX)/2 agrees with X on holomorphic
-    functions, so A_C acts through the same generator matrices as A does on
-    the restriction to K.
-    """
-    return HolomorphicObservable(a.apply(BandLimited(F.blocks)).blocks)
 
 
 # ---------------------------------------------------------------------------

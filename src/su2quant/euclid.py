@@ -24,6 +24,8 @@ import numpy as np
 from numpy.polynomial import hermite as H
 from numpy.polynomial import polynomial as P
 
+from .sde import block_estimate, block_rng
+
 DEGREE_CAP = 24
 
 
@@ -220,11 +222,11 @@ def flat_weak_mc(
     all Monte Carlo error is in the eta-average.  The polynomial part,
     sum_{m,n} A_m(x) B_n(x) eta^{m+n} with A_m = (-i)^m conj(p1)^(m)(x)/m!
     and B_n = i^n p2^(n)(x)/n!, is a polynomial in eta: the Gauss-Hermite
-    x-rule is applied once per symbol, to its coefficients, and each
-    endpoint costs one real polyval per symbol.  Every symbol in
-    ``symbols`` (coefficient arrays) is averaged over one draw of the
-    endpoints.  Matching hl2_flat_inner validates the Fubini reduction used
-    by the group-side sampler.
+    x-rule is applied once per symbol, to its coefficients q, and each
+    block's value is q . m with m the block's means of eta^k e^{eta^2/a}.
+    Every symbol in ``symbols`` (coefficient arrays) is averaged over one
+    draw of the endpoints, through the same m.  Matching hl2_flat_inner
+    validates the Fubini reduction used by the group-side sampler.
     """
     a = F1.width
     if abs(F2.width - a) > 1e-12:
@@ -238,25 +240,21 @@ def flat_weak_mc(
     for sym in symbols:
         A = A1 * (sx * wu * P.polyval(x, np.asarray(sym, dtype=complex)))
         qs.append(sum(np.convolve(a, b) for a, b in zip(A.T, B.T)))  # q_k: x-rule on sum_{m+n=k} A_m B_n
-    block_vals = np.empty((len(qs), n_blocks), dtype=complex)
+    # moments[k, b] = block-b mean of eta^k e^{eta^2/a} (conj(F1) F2 has Gaussian part
+    # e^{-(x^2 - eta^2)/a}, and the Gauss-Hermite weights hold e^{-x^2/a}); a running
+    # product keeps each moment independent of how many the symbols need
+    moments = np.empty((max(len(q) for q in qs), n_blocks))
     sizes = [len(ix) for ix in np.array_split(np.arange(n_samples), n_blocks)]
     for b in range(n_blocks):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=master_seed, spawn_key=(b,))
-        )
-        eta = rng.normal(0.0, np.sqrt(t / 2.0), size=sizes[b])
-        # Gaussian part of conj(F1) F2 is e^{-(x^2 - eta^2)/a}; the e^{-x^2/a}
-        # half lives in the Gauss-Hermite weights, leaving e^{+eta^2/a} here
-        gauss = np.exp(eta**2 / a)
-        for i, q in enumerate(qs):
-            block_vals[i, b] = np.mean(P.polyval(eta, q) * gauss)
-    return [
-        (
-            complex(np.mean(v)),
-            float(np.sqrt((np.var(v.real, ddof=1) + np.var(v.imag, ddof=1)) / n_blocks)),
-        )
-        for v in block_vals
-    ]
+        eta = block_rng(master_seed, b).normal(0.0, np.sqrt(t / 2.0), size=sizes[b])
+        term = np.exp(eta**2 / a)
+        for k in range(len(moments)):
+            moments[k, b] = np.mean(term)
+            term *= eta
+    # one contiguous row per symbol, reduced as in a call of its own
+    block_vals = np.array([q @ moments[: len(q)] for q in qs])
+    mean, stderr = block_estimate(block_vals)
+    return [(complex(m), float(e)) for m, e in zip(mean, stderr)]
 
 
 @dataclass

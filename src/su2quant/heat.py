@@ -1,14 +1,15 @@
 """Heat kernels on SU(2) and SL(2,C), and exact heat flow on coefficients.
 
-Three kernels are provided:
+Two kernels are provided:
 
 * ``HeatKernelK`` -- the heat kernel rho_t on K at the identity, as a
   character series evaluated from traces, cut where an explicit tail bound
   (one that also covers its analytic continuation to SL(2,C)) is small;
 * ``nu`` -- the fiber-invariant kernel on SL(2,C) (the heat kernel at the
-  identity coset of the hyperbolic quotient), in closed radial form;
-* ``heat_flow`` -- forward/backward heat evolution of band-limited
-  functions, exact on Peter-Weyl coefficients.
+  identity coset of the hyperbolic quotient), in closed radial form.
+
+Heat flow of band-limited functions is exact on Peter-Weyl coefficients
+and lives with them, in ``BandLimited.heat``.
 
 The closed form of ``nu`` is ``N(t) (beta r / sinh(beta r)) exp(-r^2/t)``
 with the radial Haar Jacobian ``(sinh(beta r)/beta)^2``.  The constants are
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import VOL_K, kc_quadrature, polar_radius, default_cutoff, radial_jacobian, weyl_rule
-from .errors import IllConditioned, TruncationError
+from .errors import TruncationError
 from .hl2 import hl2_inner
-from .wigner import BandLimited, casimir_eigenvalue
+from .wigner import BandLimited, characters
 
 NU_BETA = 1.0  # radial-Jacobian rate; calibrated, equals the curvature scale
 
@@ -141,24 +142,19 @@ def convolve_on_traces(traces: np.ndarray, kernel_weight_pairs):
 def _recurrence(traces, kernels, weights=None) -> list[np.ndarray]:
     """sum_j (2j+1) e^{-t j(j+1)/2} chi_j(tau) / Vol(K) for each kernel, in one pass.
 
-    chi_j comes from the Chebyshev-type recurrence chi_{j+1/2} = tau chi_j -
-    chi_{j-1/2} in reused buffers: large node sets would otherwise spend most
-    of the time allocating temporaries.  With ``weights`` (one vector per
-    kernel over the last axis of ``traces``) each sum is contracted against
-    its weights spin by spin.
+    chi_j comes from ``wigner.characters``, shared by all kernels.  With
+    ``weights`` (one vector per kernel over the last axis of ``traces``)
+    each sum is contracted against its weights spin by spin.
     """
     tau = np.ascontiguousarray(traces, dtype=np.float64)
-    chi_prev = np.zeros_like(tau)
-    chi = np.ones_like(tau)
-    scaled = np.empty_like(tau)
     if weights is None:
+        scaled = np.empty_like(tau)
         accs = [np.ones_like(tau) for _ in kernels]
     else:
         accs = [np.full(tau.shape[0], np.sum(w)) for w in weights]
-    for two_j in range(1, max(k.two_jmax for k in kernels) + 1):
-        np.multiply(tau, chi, out=scaled)
-        scaled -= chi_prev
-        chi_prev, chi, scaled = chi, scaled, chi_prev
+    chis = characters(tau, max(k.two_jmax for k in kernels))
+    next(chis)  # chi_0 = 1 is in the initial sums
+    for two_j, chi in enumerate(chis, start=1):
         j = two_j / 2.0
         for i, (kern, acc) in enumerate(zip(kernels, accs)):
             if two_j > kern.two_jmax:
@@ -202,34 +198,6 @@ def semigroup_sup_error(t: float, s: float, traces: np.ndarray) -> float:
     direct = kts.on_traces(traces)
     convs = convolve_on_traces(rule.traces_against(traces), pairs)
     return max(float(np.max(np.abs(conv - direct))) for conv in convs)
-
-
-# ---------------------------------------------------------------------------
-# heat flow on band-limited functions
-# ---------------------------------------------------------------------------
-
-BACKWARD_AMPLIFICATION_GUARD = 1e6
-
-
-def heat_flow(tau: float, f: BandLimited, direction: str = "forward") -> BandLimited:
-    """e^{+-tau Delta/2} on coefficients: multiply block j by e^{-+tau c_j/2}.
-
-    Backward flow refuses to amplify the top block by more than 1e6; very
-    irregular data has no usable backward image.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if direction == "forward":
-        return f.heat(tau, sign=-1.0)
-    if direction != "backward":
-        raise ValueError(f"unknown direction {direction!r}")
-    amp = np.exp(tau * casimir_eigenvalue(f.two_jmax / 2.0) / 2.0)
-    if amp > BACKWARD_AMPLIFICATION_GUARD:
-        raise IllConditioned(
-            f"backward flow would amplify spin-{f.two_jmax / 2} coefficients "
-            f"by {amp:.2e} (guard {BACKWARD_AMPLIFICATION_GUARD:.0e})"
-        )
-    return f.heat(tau, sign=+1.0)
 
 
 # ---------------------------------------------------------------------------

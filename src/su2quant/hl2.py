@@ -1,6 +1,6 @@
 """Inner products over SL(2,C) against radial weights, on factored rules.
 
-The polar product rules keep nodes as pairs ``g = x * exp(iY)``, and
+In polar coordinates ``g = x * exp(iY)`` with x in K, and
 ``D^j(g) = D^j(x) D^j(exp(iY))``.  Against a radial weight, two steps are
 exact and one is quadrature:
 
@@ -13,16 +13,17 @@ exact and one is quadrature:
 * radius: the sum over r_y is the only quadrature.
 
 So ``hl2_inner`` reads only the rule's radii and fiber weights, one per
-radius, and sums n_r terms per spin.  A general pointwise symbol has no
-such form: ``hl2_inner_pointwise`` sums over the nodes of a Haar rule on K
-and every (radius, direction) fiber node, chunked over the K-nodes.
+radius (``QuadratureRuleKC`` keeps nothing else), and sums n_r terms per
+spin.  A general pointwise symbol has no such form: ``hl2_inner_pointwise``
+sums over the nodes of a Haar rule on K and every (radius, direction)
+fiber node, chunked over the K-nodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import VOL_K, QuadratureRuleK, QuadratureRuleKC, _exp_matrices
+from .algebra import VOL_K, QuadratureRuleK, QuadratureRuleKC, _exp_matrices, _gauss_legendre
 from .wigner import BandLimited, wigner_matrix
 
 K_CHUNK = 16  # K-nodes per contraction step
@@ -59,7 +60,7 @@ def sphere_grid(n_theta: int = 20, n_phi: int = 20):
 
     Gauss-Legendre in cos(theta) times uniform phi.
     """
-    ct, wt = np.polynomial.legendre.leggauss(n_theta)
+    ct, wt = _gauss_legendre(n_theta)
     st = np.sqrt(1.0 - ct**2)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     u = np.stack(

@@ -249,10 +249,22 @@ def pathwise_medians(steps, seed: int) -> list[float]:
 # endpoint ensembles
 # ---------------------------------------------------------------------------
 
-def _block_rng(master_seed: int, block: int) -> np.random.Generator:
+def block_rng(master_seed: int, block: int) -> np.random.Generator:
+    """The generator of Monte Carlo block ``block``, derived from the master seed by its index."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(block,))
     )
+
+
+def block_estimate(block_values: np.ndarray):
+    """Mean over the last axis of per-block values, and its block standard error.
+
+    The stderr is sqrt((var Re + var Im) / n_blocks), sample variances over
+    the blocks; for real values it is the usual std / sqrt(n_blocks).
+    """
+    v = np.asarray(block_values)
+    var = np.var(v.real, axis=-1, ddof=1) + np.var(v.imag, axis=-1, ddof=1)
+    return np.mean(v, axis=-1), np.sqrt(var / v.shape[-1])
 
 
 @dataclass
@@ -272,12 +284,8 @@ class EndpointEnsemble:
 
     def block_statistic(self, per_path: np.ndarray):
         """Mean and block-based standard error of a per-path statistic."""
-        blocks = np.array(
-            [np.mean(b, axis=0) for b in np.array_split(per_path, self.n_blocks)]
-        )
-        mean = np.mean(blocks, axis=0)
-        stderr = np.std(blocks, axis=0, ddof=1) / np.sqrt(self.n_blocks)
-        return mean, stderr
+        blocks = [np.mean(b, axis=0) for b in np.array_split(per_path, self.n_blocks)]
+        return block_estimate(np.stack(blocks, axis=-1))
 
 
 def endpoint_ensembles_KC(
@@ -327,7 +335,7 @@ def endpoint_ensembles_KC(
     def run_slab(blocks: range) -> None:
         cuts = offsets[blocks.start:blocks.stop + 1] - offsets[blocks.start]
         rows = cuts[-1]
-        rngs = [_block_rng(master_seed, i) for i in blocks]
+        rngs = [block_rng(master_seed, i) for i in blocks]
         # one chunk of one block at a time: its normals, laid out (steps, {da, db}, rows, 3)
         normals = np.empty(CHUNK_STEPS * n_drawn * max(np.diff(cuts)) * 3)
         # the chunk's coordinates sa da, sb db, laid out (steps, times, rows, 3),

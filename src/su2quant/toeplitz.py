@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffop import LeftInvariantOperator, complexify_apply
+from .diffop import LeftInvariantOperator
 from .errors import StatisticalFailure
-from .sde import DEFAULT_N_BLOCKS, EndpointEnsemble, endpoint_ensemble_KC, endpoint_ensembles_KC
+from .sde import DEFAULT_N_BLOCKS, EndpointEnsemble, block_estimate, endpoint_ensemble_KC, endpoint_ensembles_KC
 from .transform import transform_C
 from .wigner import BandLimited, inner_product_K, triple_integral_K, wigner_matrix
 
@@ -148,7 +148,7 @@ class ToeplitzSampler:
         F1 = transform_C(self.t, f1)
         F2 = transform_C(self.t, f2)
         if a is not None:
-            F2 = complexify_apply(a, F2)
+            F2 = a.apply(F2)
         block_vals = np.zeros(self.n_blocks, dtype=complex)
         for tj1, c1 in F1.blocks.items():
             for tj2, c2 in F2.blocks.items():
@@ -156,15 +156,8 @@ class ToeplitzSampler:
                 i_c2 = np.einsum("cd,ebfd->ebfc", c2, triple_integral_K(v_tilde, tj1, tj2))
                 w = np.einsum("ab,ebfc->aecf", np.conj(c1), i_c2)
                 block_vals += self.moment_tensors(tj1, tj2) @ w.ravel()
-        value = complex(np.mean(block_vals))
-        stderr = float(
-            np.sqrt(
-                (np.var(np.real(block_vals), ddof=1)
-                 + np.var(np.imag(block_vals), ddof=1))
-                / self.n_blocks
-            )
-        )
-        return ToeplitzEstimate(value=value, stderr=stderr, block_values=block_vals)
+        value, stderr = block_estimate(block_vals)
+        return ToeplitzEstimate(value=complex(value), stderr=float(stderr), block_values=block_vals)
 
 
 def check_convergence(est: ToeplitzEstimate, factor: float = 1.5) -> None:
@@ -178,17 +171,8 @@ def check_convergence(est: ToeplitzEstimate, factor: float = 1.5) -> None:
     bv = est.block_values
     if len(bv) < 16:
         raise StatisticalFailure("not enough blocks for a convergence check")
-
-    def spread(v: np.ndarray) -> float:
-        return float(
-            np.sqrt(
-                (np.var(np.real(v), ddof=1) + np.var(np.imag(v), ddof=1))
-                / len(v)
-            )
-        )
-
     n = len(bv)
-    s4, s2, s1 = spread(bv[: n // 4]), spread(bv[: n // 2]), spread(bv)
+    s4, s2, s1 = (float(block_estimate(v)[1]) for v in (bv[: n // 4], bv[: n // 2], bv))
     if s1 == 0.0:
         return  # exactly zero estimator (e.g. V~ = 0)
     for big, small in ((s4, s2), (s2, s1)):

@@ -11,36 +11,44 @@ radial integral is quadrature.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import QuadratureRuleKC
-from .errors import ParameterDomain
-from .heat import HeatKernelK, heat_flow, nu_radial
+from .errors import IllConditioned, ParameterDomain
+from .heat import HeatKernelK, nu_radial
 from .hl2 import fiber_scalar
-from .wigner import BandLimited, HolomorphicObservable
+from .wigner import BandLimited, casimir_eigenvalue
+
+BACKWARD_AMPLIFICATION_GUARD = 1e6
 
 
-def transform_C(t: float, f: BandLimited) -> HolomorphicObservable:
-    """C_t f: heat-evolve for time t and read as an entire function on SL(2,C)."""
+def transform_C(t: float, f: BandLimited) -> BandLimited:
+    """C_t f: heat-evolve for time t; the result evaluates as an entire function on SL(2,C)."""
     if t <= 0:
         raise ParameterDomain("transform time t must be positive")
-    out = heat_flow(t, f, direction="forward")
-    return HolomorphicObservable(out.blocks)
+    return f.heat(t)
 
 
-def inverse_C(t: float, F: HolomorphicObservable) -> BandLimited:
+def inverse_C(t: float, F: BandLimited) -> BandLimited:
     """Exact inverse of C_t on band-limited data: coefficient division.
 
-    Raises IllConditioned through the backward heat-flow guard when the top
-    block would be amplified past 1e6.
+    Backward flow refuses to amplify the top block by more than 1e6 and
+    raises IllConditioned; very irregular data has no usable backward image.
     """
     if t <= 0:
         raise ParameterDomain("transform time t must be positive")
-    out = heat_flow(t, BandLimited(F.blocks), direction="backward")
-    return BandLimited(out.blocks)
+    amp = np.exp(t * casimir_eigenvalue(F.two_jmax / 2.0) / 2.0)
+    if amp > BACKWARD_AMPLIFICATION_GUARD:
+        raise IllConditioned(
+            f"backward flow would amplify spin-{F.two_jmax / 2} coefficients "
+            f"by {amp:.2e} (guard {BACKWARD_AMPLIFICATION_GUARD:.0e})"
+        )
+    return F.heat(t, sign=+1.0)
 
 
 def adjoint_inversion_oracle(
     t: float,
-    F: HolomorphicObservable,
+    F: BandLimited,
     rule: QuadratureRuleKC,
     two_jmax: int,
     rho_tol: float = 1e-9,

@@ -116,11 +116,28 @@ def wigner_matrix(j, g: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, -1, 0).reshape(batch + (d, d))
 
 
-def character(j, g: np.ndarray):
-    """Weyl character chi_j(g) = sum_k lambda^(2j - 2k), entire in g.
+def characters(tau, two_jmax: int):
+    """Yield chi_j at the points with traces ``tau``, for two_j = 0, 1, ..., two_jmax.
 
-    lambda, 1/lambda are the eigenvalues of g; the symmetric Laurent sum is
-    evaluated directly (it has no 0/0 degeneracy at lambda near +-1).
+    chi_j comes from the Chebyshev-type recurrence chi_{j+1/2} = tau chi_j -
+    chi_{j-1/2} in reused buffers, so each yielded array is overwritten two
+    steps later: large node sets would otherwise spend most of the time
+    allocating temporaries.  ``tau`` may be real (SU(2)) or complex (SL(2,C)).
+    """
+    chi_prev = np.zeros_like(tau)
+    chi = np.ones_like(tau)
+    scratch = np.empty_like(tau)
+    yield chi
+    for _ in range(two_jmax):
+        np.multiply(tau, chi, out=scratch)
+        scratch -= chi_prev
+        chi_prev, chi, scratch = chi, scratch, chi_prev
+        yield chi
+
+
+def character(j, g: np.ndarray):
+    """Weyl character chi_j(g), entire in g: the trace recurrence ``characters``.
+
     Characters are stable at any spin, so the band-limit cap does not apply;
     heat kernel series routinely need j well past it.
     """
@@ -128,21 +145,8 @@ def character(j, g: np.ndarray):
     if abs(2 * float(j) - two_j) > 1e-9 or two_j < 0:
         raise ValueError(f"spin {j} is not a nonnegative half-integer")
     g = np.asarray(g, dtype=complex)
-    tr = g[..., 0, 0] + g[..., 1, 1]
-    if two_j == 0:
-        return np.ones_like(tr)
-    lam = (tr + np.sqrt(tr * tr - 4.0 + 0j)) / 2.0
-    # guard the exactly-degenerate point lambda = +-1
-    degen = np.abs(lam * lam - 1.0) < 1e-14
-    chi = np.zeros_like(tr)
-    lam2 = lam * lam
-    term = lam ** (-two_j)
-    for _ in range(two_j + 1):
-        chi = chi + term
-        term = term * lam2
-    if np.any(degen):
-        sign = np.where(np.real(lam) >= 0, 1.0, -1.0)
-        chi = np.where(degen, (two_j + 1) * sign**two_j, chi)
+    for chi in characters(g[..., 0, 0] + g[..., 1, 1], two_j):
+        pass
     return chi
 
 
@@ -392,15 +396,6 @@ class BandLimited:
                         raise ValueError("product exceeds the spin cutoff")
                     out[tJ] = out.get(tJ, 0) + blk
         return type(self)(out).prune(0.0)
-
-
-class HolomorphicObservable(BandLimited):
-    """Band-limited expansion read as an entire function on SL(2,C).
-
-    Evaluation is inherited unchanged: matrix entries are polynomials in the
-    entries of g, so the restriction to K is the BandLimited value and the
-    extension is the unique analytic continuation.
-    """
 
 
 def inner_product_K(f1: BandLimited, f2: BandLimited) -> complex:

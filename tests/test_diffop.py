@@ -6,7 +6,6 @@ from su2quant.diffop import (
     LeftInvariantOperator,
     apply_complexified_word,
     apply_transpose_to_nu,
-    complexify_apply,
     phi_identity_symbol,
     radial_symbol_table,
 )
@@ -88,9 +87,9 @@ def test_complexify_identity_and_casimir(rng):
     t = 0.5
     f = BandLimited({2: rng.standard_normal((3, 3))})
     F = transform_C(t, f)
-    same = complexify_apply(LeftInvariantOperator.identity(), F)
+    same = LeftInvariantOperator.identity().apply(F)
     np.testing.assert_allclose(same.blocks[2], F.blocks[2])
-    lap = complexify_apply(LeftInvariantOperator.laplacian(), F)
+    lap = LeftInvariantOperator.laplacian().apply(F)
     np.testing.assert_allclose(lap.blocks[2], -2.0 * F.blocks[2], atol=1e-12)
 
 
@@ -100,7 +99,7 @@ def test_complexified_word_fd_vs_exact(rng):
     f = BandLimited({1: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))})
     F = transform_C(t, f)
     a = LeftInvariantOperator([(1.0, (3,)), (0.5, (1, 2))])
-    aF = complexify_apply(a, F)
+    aF = a.apply(F)
     pts = random_su2(rng, 20) @ exp_complex(1j * 0.4 * rng.standard_normal((20, 3)))
     for g in pts:
         fd = sum(

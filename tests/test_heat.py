@@ -10,13 +10,12 @@ from su2quant.algebra import (
     random_su2,
     weyl_rule,
 )
-from su2quant.errors import IllConditioned, TruncationError
+from su2quant.errors import TruncationError
 from su2quant.heat import (
     HeatKernelK,
     bracketed_root,
     calibrate_nu,
     choose_two_jmax,
-    heat_flow,
     nu,
     nu_normalization,
     nu_radial,
@@ -164,28 +163,6 @@ def test_weyl_convolution_matches_haar_rule(t, s):
 
     np.testing.assert_allclose(conv2, conv3, rtol=0, atol=1e-12)
     assert semigroup_sup_error(t, s, np.einsum("paa->p", g).real) <= 1e-12
-
-
-def test_heat_flow_forward_backward_roundtrip():
-    rng = np.random.default_rng(2)
-    f = BandLimited({1: rng.standard_normal((2, 2)), 3: rng.standard_normal((4, 4))})
-    out = heat_flow(0.4, heat_flow(0.4, f, "forward"), "backward")
-    for k, c in f.blocks.items():
-        np.testing.assert_allclose(out.blocks[k], c, atol=1e-13)
-
-
-def test_heat_flow_backward_guard():
-    f = BandLimited({24: np.ones((25, 25))})
-    with pytest.raises(IllConditioned):
-        heat_flow(1.0, f, "backward")
-
-
-def test_heat_flow_rejects_bad_args():
-    f = BandLimited.constant(1.0)
-    with pytest.raises(ValueError):
-        heat_flow(-0.1, f)
-    with pytest.raises(ValueError):
-        heat_flow(0.1, f, "sideways")
 
 
 @pytest.mark.parametrize("f, a, b, root", [

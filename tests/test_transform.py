@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from su2quant.algebra import VOL_K, default_cutoff, haar_rule, kc_quadrature
-from su2quant.errors import IllConditioned
+from su2quant.errors import IllConditioned, ParameterDomain
 from su2quant.heat import HeatKernelK, nu_radial
 from su2quant.hl2 import K_CHUNK, _chunked_tables, _factored_values, fiber_nodes, hl2_inner, sphere_grid
 from su2quant.transform import adjoint_inversion_oracle, inverse_C, transform_C
-from su2quant.wigner import BandLimited, HolomorphicObservable, character
+from su2quant.wigner import BandLimited, character
 
 
 @pytest.fixture
@@ -62,9 +62,18 @@ def test_inverse_roundtrip(rng):
 
 
 def test_inverse_guard():
-    F = HolomorphicObservable({24: np.ones((25, 25))})
+    F = BandLimited({24: np.ones((25, 25))})
     with pytest.raises(IllConditioned):
         inverse_C(2.0, F)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.1])
+def test_transform_rejects_nonpositive_time(t):
+    f = BandLimited.constant(1.0)
+    with pytest.raises(ParameterDomain):
+        transform_C(t, f)
+    with pytest.raises(ParameterDomain):
+        inverse_C(t, f)
 
 
 def test_adjoint_inversion_oracle(rng):
@@ -102,7 +111,7 @@ def test_adjoint_oracle_matches_per_node_sum(rng):
     # lies past two_jmax and spin 0 is absent from F, so neither has a block
     t = 0.5
     rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=16)
-    F = HolomorphicObservable({
+    F = BandLimited({
         k: rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
         for k in (1, 2, 3)
     })
@@ -126,11 +135,11 @@ def test_adjoint_oracle_R_stability(rng):
 
 def test_intertwining_with_derivatives(rng):
     # C_t(A f) = A_C(C_t f) exactly on coefficients
-    from su2quant.diffop import LeftInvariantOperator, complexify_apply
+    from su2quant.diffop import LeftInvariantOperator
 
     t = 0.6
     f = BandLimited({2: rng.standard_normal((3, 3))})
     a = LeftInvariantOperator([(1.0, (1, 3)), (-0.5j, (2,)), (2.0, (3, 3, 1, 2))])
     lhs = transform_C(t, a.apply(f))
-    rhs = complexify_apply(a, transform_C(t, f))
+    rhs = a.apply(transform_C(t, f))
     np.testing.assert_allclose(lhs.blocks[2], rhs.blocks[2], atol=1e-12)

@@ -102,6 +102,11 @@ def test_character_matches_trace_on_complexification(rng):
     for j in (0.5, 1.0, 2.0):
         tr = np.einsum("...aa->...", wigner_matrix(j, g))
         np.testing.assert_allclose(character(j, g), tr, atol=1e-12)
+    # far out in SL(2,C), |Y| around 8-15, relative to max(|tr|, 1)
+    g = random_su2(rng, 2000) @ exp_complex(5j * rng.standard_normal((2000, 3)))
+    for j in (0.5, 1.0, 1.5):
+        tr = np.einsum("...aa->...", wigner_matrix(j, g))
+        assert np.max(np.abs(character(j, g) - tr) / np.maximum(np.abs(tr), 1.0)) < 1e-10
 
 
 def test_generator_matrices_represent_brackets():
