@@ -17,6 +17,7 @@ from .heat import HeatKernelK, calibrate_nu, nu, nu_radial
 from .sde import (
     BrownianPath,
     EndpointEnsemble,
+    SampledPath,
     endpoint_ensemble_K,
     endpoint_ensemble_KC,
     endpoint_ensembles_KC,

@@ -25,6 +25,14 @@ walks on SU(2) and on the slice then take the one-part branches of
 ``exp_entries`` (real cos and sin, or cosh and sinh, of |increment| / 2),
 and only walks with both parts take its complex-mu route.
 
+Paths enter the kernel a chunk of steps at a time (``chunks``): a
+``BrownianPath`` holds its increments, and a ``SampledPath`` draws them from
+one generator per draw, SPAN_STEPS steps per call, into a buffer that the
+next span overwrites.  ``pathwise_medians`` runs the 200 pairs of the
+pathwise gate as one such streamed batch, one call of
+``pathwise_identity_residual`` per step count: the NumPy calls of a chunk
+serve all 200 draws, and the batch's increments are never held whole.
+
 Reductions are deterministic and independent of the worker count: paths are
 organized in a fixed number of blocks, each block owns a generator derived
 from the master seed by its block index, and block results are combined in
@@ -35,11 +43,13 @@ consecutive blocks; each slab allocates its buffers once.
 (s, t) enters only through the scales, so ensembles at several (s, t) use
 common normals: ``endpoint_ensembles_KC`` draws each block's chunk once,
 scales it per time and walks the times side by side as rows of one slab.
+The exponentials of a chunk are formed for the whole slab at once; on the
+complex-mu route two steps per call, which bounds its complex temporaries.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,34 +66,98 @@ SLAB_PATHS = 2048
 # Fewer, larger NumPy calls per path-step are what let --workers threads
 # run at once instead of queueing on the interpreter lock.
 CHUNK_STEPS = 8
+# Steps a streamed SampledPath draws per generator call: a multiple of
+# CHUNK_STEPS, so the chunks of a span line up with those of given paths.
+# At 32 the pathwise gate's 200 pairs trace a peak of 1.84 MB at 800 steps
+# (held batches of 40 pairs: 1.80 MB); 64 steps traced 2.15 MB.
+SPAN_STEPS = 32
+
+
+def _chunks(spans):
+    """Split (..., m, 3) increments into chunks of CHUNK_STEPS steps, each (c, ..., 3)."""
+    for inc in spans:
+        for i in range(0, inc.shape[-2], CHUNK_STEPS):
+            yield np.moveaxis(inc[..., i:i + CHUNK_STEPS, :], -2, 0)
 
 
 @dataclass
 class BrownianPath:
-    """Algebra-valued paths on [0, 1]; leading axes of (..., n_steps, 3) index draws."""
+    """Algebra-valued paths on [0, 1] with given increments; leading axes of (..., n_steps, 3) index draws."""
 
     increments: np.ndarray
     sigma_sq: float
-    seed: int | None = None
 
     @property
     def n_steps(self) -> int:
         return self.increments.shape[-2]
 
     @property
+    def batch_shape(self) -> tuple:
+        return self.increments.shape[:-2]
+
+    @property
     def dt(self) -> float:
         return 1.0 / self.n_steps
 
+    def chunks(self):
+        return _chunks([self.increments])
 
-def sample_path(sigma_sq: float, n_steps: int, seed: int) -> BrownianPath:
+
+@dataclass
+class SampledPath:
+    """Brownian paths on [0, 1] with variance sigma_sq, one per seed, drawn as they are read.
+
+    Draw k takes its (n_steps, 3) normals from default_rng(seed k) and scales
+    them by sqrt(sigma_sq / n_steps).  ``seeds`` is one int (a single path)
+    or a sequence (a batch; its leading axis indexes the draws).  ``chunks``
+    draws SPAN_STEPS steps per generator call into one reused buffer, so a
+    batch is never held whole; a Generator gives the same normals whether
+    drawn in one call or in consecutive pieces, so the increments are the
+    same bit for bit.  ``increments`` draws every step in one call.
+    """
+
+    sigma_sq: float
+    n_steps: int
+    seeds: int | Sequence[int]
+
+    @property
+    def batch_shape(self) -> tuple:
+        return np.shape(self.seeds)
+
+    @property
+    def dt(self) -> float:
+        return 1.0 / self.n_steps
+
+    @property
+    def increments(self) -> np.ndarray:
+        """All increments as one array (..., n_steps, 3)."""
+        return next(self._spans(self.n_steps))
+
+    def chunks(self):
+        return _chunks(self._spans(SPAN_STEPS))
+
+    def _spans(self, span: int):
+        """The increments, ``span`` steps at a time, as (..., m, 3) views of one buffer that each span overwrites."""
+        rngs = [np.random.default_rng(s) for s in np.ravel(self.seeds).tolist()]
+        buf = np.empty(self.batch_shape + (min(span, self.n_steps), 3))
+        rows = buf.reshape(len(rngs), -1, 3)
+        scale = np.sqrt(self.sigma_sq / self.n_steps)
+        for k0 in range(0, self.n_steps, span):
+            m = min(span, self.n_steps - k0)
+            for rng, row in zip(rngs, rows):
+                rng.standard_normal(out=row[:m])
+            inc = buf[..., :m, :]
+            inc *= scale
+            yield inc
+
+
+def sample_path(sigma_sq: float, n_steps: int, seed: int | Sequence[int]) -> SampledPath:
+    """The Brownian path of variance sigma_sq drawn from ``seed``, or one path per seed of a sequence."""
     if sigma_sq < 0:
         raise ValueError("variance must be nonnegative")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(sigma_sq / n_steps)
-    inc = scale * rng.standard_normal((n_steps, 3))
-    return BrownianPath(increments=inc, sigma_sq=sigma_sq, seed=seed)
+    return SampledPath(sigma_sq, n_steps, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -148,31 +222,25 @@ def _advance(g, e, k0: int, project, states=None) -> None:
             g[...] = project(g)
 
 
-def _chunk(increments, k0: int):
-    """Steps k0, ..., k0 + CHUNK_STEPS - 1 of (..., n_steps, 3) increments as (c, ..., 3); None stays None."""
-    if increments is None:
-        return None
-    return np.moveaxis(increments[..., k0:k0 + CHUNK_STEPS, :], -2, 0)
-
-
-def _check_grid(a: BrownianPath, b: BrownianPath) -> None:
-    if a.increments.shape != b.increments.shape:
+def _check_grid(a, b) -> None:
+    if (a.batch_shape, a.n_steps) != (b.batch_shape, b.n_steps):
         raise ValueError("paths must share the step grid")
 
 
-def _rotated_chunks(b: BrownianPath, a: BrownianPath, x):
-    """Advance x through theta(A) in place; yield (k0, dB'_k for the chunk, (c, ..., 3)).
+def _rotated_chunks(b, a, x):
+    """Advance x through theta(A) in place; yield (k0, dA_k, dB_k, dB'_k) for each chunk, each (c, ..., 3).
 
     dB'_k = Ad_{x_k} dB_k with x_k the state entering step k (left-point rule).
     """
     xs = np.empty((2, 2, CHUNK_STEPS) + x.shape[2:], dtype=complex)
-    for k0 in range(0, a.n_steps, CHUNK_STEPS):
-        za, zb = _chunk(a.increments, k0), _chunk(b.increments, k0)
+    k0 = 0
+    for za, zb in zip(a.chunks(), b.chunks()):
         _advance(x, _step_exps(za), k0, _project_su2, states=xs)
-        yield k0, ad_action(np.moveaxis(xs[:, :, :len(za)], (0, 1), (-2, -1)), zb)
+        yield k0, za, zb, ad_action(np.moveaxis(xs[:, :, :len(za)], (0, 1), (-2, -1)), zb)
+        k0 += len(za)
 
 
-def rotated_path(b: BrownianPath, a: BrownianPath) -> BrownianPath:
+def rotated_path(b, a) -> BrownianPath:
     """The path B' with dB'_k = Ad_{theta(A)_k} dB_k (left-point rule).
 
     Ad is an isometry, so B' has the same increment variances as B; in the
@@ -181,67 +249,53 @@ def rotated_path(b: BrownianPath, a: BrownianPath) -> BrownianPath:
     ``_rotated_chunks`` against it.
     """
     _check_grid(a, b)
-    x = _identity(a.increments.shape[:-2])
-    inc = np.concatenate([db for _, db in _rotated_chunks(b, a, x)])
-    return BrownianPath(increments=np.moveaxis(inc, 0, -2), sigma_sq=b.sigma_sq, seed=b.seed)
+    x = _identity(a.batch_shape)
+    inc = np.concatenate([db for *_, db in _rotated_chunks(b, a, x)])
+    return BrownianPath(increments=np.moveaxis(inc, 0, -2), sigma_sq=b.sigma_sq)
 
 
-def pathwise_identity_residual(a: BrownianPath, b: BrownianPath):
+def pathwise_identity_residual(a, b):
     """Frobenius distance between theta_C(A+iB)_1 and theta_C(iB^{theta(A)})_1 theta(A)_1.
 
-    Both sides are computed from the same increments at the same
-    discretization; the residual measures only the discretization error of
-    the factorization identity.  A pair of single paths gives a float, a
-    batch an array with one residual per draw.  theta(A) leads by one chunk
-    of steps; theta_C(A+iB) and theta_C(iB') then take that chunk side by
-    side as one batch, so only a chunk of rotated increments is held at once.
-    The step exponentials of theta_C(iB') take the Hermitian branch of
-    ``exp_entries``.
+    ``a`` and ``b`` are paths on one step grid, given (``BrownianPath``) or
+    drawn as they are read (``SampledPath``).  Both sides are computed from
+    the same increments at the same discretization; the residual measures
+    only the discretization error of the factorization identity.  A pair of
+    single paths gives a float, a batch an array with one residual per draw.
+    theta(A) leads by one chunk of steps; theta_C(A+iB) and theta_C(iB')
+    then take that chunk side by side as one batch, so only a chunk of
+    rotated increments is held at once.  The step exponentials of
+    theta_C(iB') take the Hermitian branch of ``exp_entries``.
     """
     _check_grid(a, b)
-    shape = a.increments.shape[:-2]
+    shape = a.batch_shape
     x, g = _identity(shape), _identity((2,) + shape)
     e = np.empty((2, 2, CHUNK_STEPS, 2) + shape, dtype=complex)
     e_rows = e.reshape((4, CHUNK_STEPS, 2) + shape)
-    for k0, db in _rotated_chunks(b, a, x):
-        c = len(db)
-        exp_entries(_chunk(a.increments, k0), _chunk(b.increments, k0), out=e_rows[:, :c, 0])
-        exp_entries(None, db, out=e_rows[:, :c, 1])
+    for k0, da, db, db_rot in _rotated_chunks(b, a, x):
+        c = len(da)
+        exp_entries(da, db, out=e_rows[:, :c, 0])
+        exp_entries(None, db_rot, out=e_rows[:, :c, 1])
         _advance(g, e[:, :, :c], k0, _project_sl2c)
     lhs, rhs = _matrices(g[:, :, 0]), _matrices(g[:, :, 1]) @ _matrices(x)
     res = np.linalg.norm(lhs - rhs, axis=(-2, -1))
     return float(res) if res.ndim == 0 else res
 
 
-# Draws per batched call of the pathwise identity: small enough that the
-# batch's increments stay far below the process's resident set.
-PATHWISE_BATCH = 40
-
-
-def _draws(sigma_sq: float, n_steps: int, first_seed: int) -> BrownianPath:
-    """The paths sample_path gives for PATHWISE_BATCH seeds from first_seed, as one batch."""
-    inc = np.empty((PATHWISE_BATCH, n_steps, 3))
-    for k in range(PATHWISE_BATCH):
-        inc[k] = sample_path(sigma_sq, n_steps, first_seed + k).increments
-    return BrownianPath(inc, sigma_sq)
-
-
 def pathwise_medians(steps, seed: int) -> list[float]:
     """Median pathwise_identity_residual over 200 pairs of paths at each step count n.
 
-    Draw k pairs A = sample_path(0.75, n, seed + 10000 + k) with
-    B = sample_path(0.25, n, seed + 20000 + k); the pairs are run
-    PATHWISE_BATCH at a time, which gives the residuals of single pairs.
+    Pair k is A = sample_path(0.75, n, seed + 10000 + k) with
+    B = sample_path(0.25, n, seed + 20000 + k).  The 200 pairs are one batch
+    in one call, streamed SPAN_STEPS steps at a time from their 400
+    generators, so the batch's increments are never held whole; the
+    residuals are those of the single pairs.
     """
     meds = []
     for n in steps:
-        rs = [
-            pathwise_identity_residual(
-                _draws(0.75, n, seed + 10000 + k), _draws(0.25, n, seed + 20000 + k)
-            )
-            for k in range(0, 200, PATHWISE_BATCH)
-        ]
-        meds.append(float(np.median(np.concatenate(rs))))
+        a = sample_path(0.75, n, range(seed + 10000, seed + 10200))
+        b = sample_path(0.25, n, range(seed + 20000, seed + 20200))
+        meds.append(float(np.median(pathwise_identity_residual(a, b))))
     return meds
 
 
@@ -357,17 +411,20 @@ def endpoint_ensembles_KC(
             if a is None or b is None:
                 exp_entries(a, b, out=e_rows[:, :c])
             else:
-                # the complex-mu route, one block of one time per call, so
-                # its complex temporaries stay as small as a block's
-                for i in range(n_times):
-                    for lo, hi in zip(cuts, cuts[1:]):
-                        exp_entries(a[:, i, lo:hi], b[:, i, lo:hi], out=e_rows[:, :c, i, lo:hi])
+                # the complex-mu route, two steps of the whole slab per call:
+                # few calls, and complex temporaries of a quarter chunk (a
+                # whole chunk per call took the traced peak of sde-check's
+                # ensemble from 2.9 to 4.6 MB)
+                for i in range(0, c, 2):
+                    exp_entries(a[i:i + 2], b[i:i + 2], out=e_rows[:, i:i + 2])
             _advance(g, e[:, :, :c], k0, _project_sl2c)
         first = offsets[blocks.start]
         for i, out in enumerate(values):
             out[first:first + rows] = np.moveaxis(g[:, :, i], (0, 1), (-2, -1))
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_slab, slabs))
     else:

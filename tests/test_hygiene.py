@@ -1,6 +1,6 @@
 """Source hygiene that no installed linter checks: imports that nothing uses,
 functions that only the tests call, the names the benchmark binds to, and
-SciPy kept off the run path."""
+SciPy kept off the run path and the thread pool off the CLI's import."""
 
 import ast
 import importlib
@@ -155,14 +155,19 @@ def test_benchmark_bindings_resolve():
     assert missing == []
 
 
-def test_run_path_loads_no_scipy():
-    # SciPy serves only the tests: the CLI imports none of it, not even lazily
-    code = "import sys, su2quant.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _modules_after_cli_import() -> set[str]:
+    """The modules a fresh interpreter holds after ``import su2quant.cli``."""
+    code = "import sys, su2quant.cli; print(' '.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.split())
+
+
+def test_run_path_loads_no_scipy():
+    # SciPy serves only the tests: the CLI imports none of it, not even lazily
+    assert sorted(m for m in _modules_after_cli_import() if m.split(".")[0] == "scipy") == []
     imports = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in sorted((ROOT / "src").rglob("*.py"))
@@ -171,3 +176,8 @@ def test_run_path_loads_no_scipy():
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
     ]
     assert imports == []
+
+
+def test_cli_import_loads_no_thread_pool():
+    # only an ensemble run with workers > 1 imports concurrent.futures, when it starts
+    assert sorted(m for m in _modules_after_cli_import() if m.split(".")[0] == "concurrent") == []

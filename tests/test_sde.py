@@ -1,11 +1,14 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from su2quant.sde import (
     CHUNK_STEPS,
+    SPAN_STEPS,
     BrownianPath,
+    block_rng,
     character_moment,
     endpoint_ensemble_K,
     endpoint_ensemble_KC,
@@ -13,6 +16,7 @@ from su2quant.sde import (
     expected_character_K,
     expected_character_KC,
     pathwise_identity_residual,
+    pathwise_medians,
     rotated_path,
     sample_path,
 )
@@ -64,6 +68,83 @@ def test_pathwise_batch_equals_pairs():
     assert batch.shape == (5,)
     for k, (ak, bk) in enumerate(draws):
         assert batch[k] == pytest.approx(pathwise_identity_residual(ak, bk), rel=1e-10)
+
+
+def _reference_increments(sigma_sq, n_steps, seed):
+    """Reference: the increments of one seed as one call draws them, every step at once."""
+    return np.sqrt(sigma_sq / n_steps) * np.random.default_rng(seed).standard_normal((n_steps, 3))
+
+
+@pytest.mark.parametrize("n_steps", [100, 45])
+def test_streamed_increments_equal_sample_path(n_steps):
+    # a partial last span and a partial last chunk
+    assert n_steps % SPAN_STEPS and n_steps % CHUNK_STEPS
+    for first in (SEED, 10_000, 20_000):
+        seeds = range(first, first + 7)
+        batch = sample_path(0.75, n_steps, seeds)
+        # the chunks are views of a buffer that the next span overwrites
+        streamed = np.concatenate([chunk.copy() for chunk in batch.chunks()])
+        assert streamed.shape == (n_steps, 7, 3)
+        for k, seed in enumerate(seeds):
+            ref = _reference_increments(0.75, n_steps, seed)
+            np.testing.assert_array_equal(streamed[:, k], ref)
+            np.testing.assert_array_equal(sample_path(0.75, n_steps, seed).increments, ref)
+        np.testing.assert_array_equal(batch.increments, np.moveaxis(streamed, 0, 1))
+
+
+def _held_batch_residuals(steps, seed, batch=40):
+    """Reference: the gate's 200 pairs as held batches of 40 paths, one call per batch."""
+    out = []
+    for n in steps:
+        res = []
+        for k in range(0, 200, batch):
+            a, b = (
+                BrownianPath(np.stack([_reference_increments(var, n, seed + offset + k + i)
+                                       for i in range(batch)]), var)
+                for var, offset in ((0.75, 10_000), (0.25, 20_000))
+            )
+            res.append(pathwise_identity_residual(a, b))
+        out.append(np.concatenate(res))
+    return out
+
+
+def test_pathwise_medians_equal_held_batches():
+    steps = [45, 100]
+    held = _held_batch_residuals(steps, SEED)
+    assert pathwise_medians(steps, SEED) == [float(np.median(r)) for r in held]
+    for n, res in zip(steps, held):
+        a = sample_path(0.75, n, range(SEED + 10_000, SEED + 10_200))
+        b = sample_path(0.25, n, range(SEED + 20_000, SEED + 20_200))
+        np.testing.assert_array_equal(pathwise_identity_residual(a, b), res)
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak of the memory tracemalloc sees (NumPy's buffers included) while fn runs, in MB.
+
+    fn runs once untraced first, so that modules NumPy imports on first use
+    (numpy.ma, for np.median) are not counted.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_pathwise_gate_streams_its_increments():
+    # measured 1.84 MB (held batches of 40 pairs: 1.80 MB), bound with a 25%
+    # margin; holding the 200 pairs whole at 800 steps takes 7.7 MB for the
+    # increments alone
+    assert _traced_peak_mb(lambda: pathwise_medians([800], SEED)) < 2.3
+
+
+def test_offslice_ensemble_memory():
+    # sde-check's (1, 0.5) ensemble: measured 2.89 MB (per-block exponentials:
+    # 2.85 MB), bound with a 15% margin; exponentiating a whole chunk of the
+    # slab per call measured 4.6 MB
+    assert _traced_peak_mb(lambda: endpoint_ensemble_KC(1.0, 0.5, 5000, 200, SEED)) < 3.3
 
 
 def test_rotated_path_properties():
@@ -195,6 +276,36 @@ def test_chunked_ensemble_matches_per_step_loop(s, t):
     ref = _per_step_endpoints(s, t, 31, n_steps, SEED, 3)
     ens = endpoint_ensemble_KC(s, t, 31, n_steps, SEED, n_blocks=3)
     np.testing.assert_allclose(ens.values, ref, rtol=0, atol=1e-13)
+
+
+def _per_block_exponential_endpoints(s, t, n_paths, n_steps, seed, n_blocks):
+    """Reference: each block walked alone, its step exponentials formed one chunk of one block per call."""
+    from su2quant.algebra import exp_entries
+    from su2quant.sde import _advance, _identity, _project_sl2c
+
+    dt = 1.0 / n_steps
+    sa, sb = np.sqrt((s - t / 2.0) * dt), np.sqrt(t / 2.0 * dt)
+    out = []
+    for block, rows in enumerate(np.array_split(np.arange(n_paths), n_blocks)):
+        rng = block_rng(seed, block)
+        g = _identity((len(rows),))
+        for k0 in range(0, n_steps, CHUNK_STEPS):
+            z = rng.standard_normal((min(CHUNK_STEPS, n_steps - k0), 2, len(rows), 3))
+            e = exp_entries(sa * z[:, 0], sb * z[:, 1])
+            _advance(g, e.reshape((2, 2) + e.shape[1:]), k0, _project_sl2c)
+        out.append(np.moveaxis(g, (0, 1), (-2, -1)))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_offslice_ensemble_equals_per_block_exponentials(workers):
+    # uneven blocks of 125 and 126 paths in three slabs; 70 steps: a partial
+    # last chunk and one reprojection
+    n_paths, n_steps = 5001, 70
+    assert n_paths % 40 and n_steps % CHUNK_STEPS
+    ref = _per_block_exponential_endpoints(1.0, 0.5, n_paths, n_steps, SEED, 40)
+    ens = endpoint_ensemble_KC(1.0, 0.5, n_paths, n_steps, SEED, workers=workers)
+    np.testing.assert_array_equal(ens.values, ref)
 
 
 def test_real_ensemble_moments():
