@@ -126,15 +126,17 @@ def _exp_one_part(v, hermitian: bool, out):
     in place of s.
     """
     v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-    r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    h = 0.5 * r
+    # r, h and s share two buffers (arrays even for one element): each --workers thread holds them
+    r = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3, out=np.empty(np.shape(v1)))
+    h = np.multiply(0.5, r, out=np.empty_like(r))
     c = np.cosh(h) if hermitian else np.cos(h)
-    s = np.divide(np.sinh(h) if hermitian else np.sin(h), r,
-                  out=np.full(r.shape, 0.5), where=r > 0)  # sinh(h) / r -> 1/2 at r = 0
+    (np.sinh if hermitian else np.sin)(h, out=h)
+    s = np.divide(h, r, out=r, where=(pos := r > 0))
+    np.copyto(s, 0.5, where=~pos)  # sinh(h) / r -> 1/2 at r = 0
     if out is None:
-        out = np.empty((4,) + r.shape, dtype=complex)
+        out = np.empty((4,) + s.shape, dtype=complex)
     e00, e01, e10, e11 = (out[k, ...] for k in range(4))  # views, 0-d included
-    s3 = s * v3
+    s3 = np.multiply(s, v3, out=h)
     if hermitian:  # e00, e11 = c +- s v3; e01, e10 = s v1 -+ i s v2
         np.add(c, s3, out=e00.real)
         np.subtract(c, s3, out=e11.real)

@@ -38,12 +38,14 @@ organized in a fixed number of blocks, each block owns a generator derived
 from the master seed by its block index, and block results are combined in
 block order.  A block draws the normals of a chunk of steps in one call, in
 the order one call per step would give.  Workers map over slabs of
-consecutive blocks; each slab allocates its buffers once.
+consecutive blocks (``_slab_plan``); each allocates its buffers once, and as
+every step is elementwise, the slabs change no bit of any endpoint.
 
 (s, t) enters only through the scales, so ensembles at several (s, t) use
 common normals: ``endpoint_ensembles_KC`` draws each block's chunk once,
-scales it per time and walks the times side by side as rows of one slab.
-The exponentials of a chunk are formed for the whole slab at once; on the
+scales it per time and walks the times side by side, so a slab of n times
+has n rows per path and its NumPy calls are n times longer.  The
+exponentials of a chunk are formed for the whole slab at once; on the
 complex-mu route two steps per call, which bounds its complex temporaries.
 """
 
@@ -59,8 +61,8 @@ from .wigner import character
 
 DEFAULT_N_BLOCKS = 40
 REPROJECT_EVERY = 64
-# Consecutive blocks share a slab of up to this many paths.  Narrow slabs
-# keep the working set in cache and the peak memory flat.
+# Paths per time in a slab: a slab of two times has twice the rows, and its
+# longer NumPy calls are what lets two threads overlap (README).
 SLAB_PATHS = 2048
 # Steps whose normals and exponentials are formed in one call per block.
 # Fewer, larger NumPy calls per path-step are what let --workers threads
@@ -192,15 +194,6 @@ def _project_su2(g):
     return _project_sl2c(0.5 * (g + cofactor / cdet))
 
 
-def _step_exps(a, b=None) -> np.ndarray:
-    """exp(sum_k (a_k + i b_k) X_k) for real coordinates (c, ..., 3), as entries (2, 2, c, ...).
-
-    Either part may be None, meaning zero; see ``exp_entries``.
-    """
-    e = exp_entries(a, b)
-    return e.reshape((2, 2) + e.shape[1:])
-
-
 def _advance(g, e, k0: int, project, states=None) -> None:
     """Take the steps k0, k0 + 1, ... of one chunk in place: g <- g exp(M_k).
 
@@ -235,7 +228,8 @@ def _rotated_chunks(b, a, x):
     xs = np.empty((2, 2, CHUNK_STEPS) + x.shape[2:], dtype=complex)
     k0 = 0
     for za, zb in zip(a.chunks(), b.chunks()):
-        _advance(x, _step_exps(za), k0, _project_su2, states=xs)
+        e = exp_entries(za, None)
+        _advance(x, e.reshape((2, 2) + e.shape[1:]), k0, _project_su2, states=xs)
         yield k0, za, zb, ad_action(np.moveaxis(xs[:, :, :len(za)], (0, 1), (-2, -1)), zb)
         k0 += len(za)
 
@@ -342,6 +336,14 @@ class EndpointEnsemble:
         return block_estimate(np.stack(blocks, axis=-1))
 
 
+def _slab_plan(n_paths: int, n_blocks: int) -> tuple[np.ndarray, list[range]]:
+    """Path offsets of the blocks, and slabs of consecutive blocks of at most SLAB_PATHS paths each."""
+    sizes = [len(idx) for idx in np.array_split(np.arange(n_paths), n_blocks)]
+    per_slab = max(1, SLAB_PATHS // max(1, *sizes))
+    slabs = [range(i, min(i + per_slab, n_blocks)) for i in range(0, n_blocks, per_slab)]
+    return np.cumsum([0] + sizes), slabs
+
+
 def endpoint_ensembles_KC(
     pairs,
     n_paths: int,
@@ -356,9 +358,9 @@ def endpoint_ensembles_KC(
     for bit: the pairs share the master seed, so they share the normals, and
     only the scales differ.  The pairs must draw the same parts (all on the
     slice s = t/2, all at t = 0, or all off both); ValueError otherwise.
-    The block decomposition, per-block seeds and slabs depend only on
-    (master_seed, n_paths, n_blocks, n_steps, len(pairs)), never on the
-    worker count, so the endpoints are byte-identical whatever ``workers`` is.
+    The blocks and their seeds depend only on (master_seed, n_paths,
+    n_blocks), and every step is elementwise, so the endpoints are
+    byte-identical whatever ``workers`` or the slabs are.
     """
     variances = []
     for s, t in pairs:
@@ -378,12 +380,7 @@ def endpoint_ensembles_KC(
     dt = 1.0 / n_steps
     scales = [[np.sqrt(v[k] * dt) for v in variances] for k in (0, 1)]
     n_times = len(pairs)
-    sizes = [len(idx) for idx in np.array_split(np.arange(n_paths), n_blocks)]
-    offsets = np.cumsum([0] + sizes)
-    # block sizes differ by at most one, so each slab takes the same count;
-    # the times stack their rows, so a slab holds fewer paths per time
-    per_slab = max(1, SLAB_PATHS // max(1, n_times * max(sizes)))
-    slabs = [range(i, min(i + per_slab, n_blocks)) for i in range(0, n_blocks, per_slab)]
+    offsets, slabs = _slab_plan(n_paths, n_blocks)
     values = [np.empty((n_paths, 2, 2), dtype=complex) for _ in pairs]
 
     def run_slab(blocks: range) -> None:

@@ -155,9 +155,9 @@ def test_benchmark_bindings_resolve():
     assert missing == []
 
 
-def _modules_after_cli_import() -> set[str]:
-    """The modules a fresh interpreter holds after ``import su2quant.cli``."""
-    code = "import sys, su2quant.cli; print(' '.join(sys.modules))"
+def _modules_after_cli_import(cli: bool = True) -> set[str]:
+    """The modules a fresh interpreter holds after ``import su2quant.cli``, or at start-up without it."""
+    code = f"import sys{', su2quant.cli' if cli else ''}; print(' '.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env, cwd=ROOT)
@@ -181,3 +181,12 @@ def test_run_path_loads_no_scipy():
 def test_cli_import_loads_no_thread_pool():
     # only an ensemble run with workers > 1 imports concurrent.futures, when it starts
     assert sorted(m for m in _modules_after_cli_import() if m.split(".")[0] == "concurrent") == []
+
+
+def test_cli_import_loads_nothing_beyond_numpy_and_the_standard_library():
+    # the benchmark's setup_s times this import in every probe, so a new
+    # third-party import on the CLI's path would show there first; packages
+    # that site hooks load into every interpreter are not the CLI's
+    allowed = set(sys.stdlib_module_names) | {"__main__", "numpy", "su2quant"}
+    allowed |= {m.split(".")[0] for m in _modules_after_cli_import(cli=False)}
+    assert sorted({m.split(".")[0] for m in _modules_after_cli_import()} - allowed) == []

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from su2quant import sde
 from su2quant.sde import (
     CHUNK_STEPS,
     SPAN_STEPS,
@@ -147,6 +148,14 @@ def test_offslice_ensemble_memory():
     assert _traced_peak_mb(lambda: endpoint_ensemble_KC(1.0, 0.5, 5000, 200, SEED)) < 3.3
 
 
+def test_two_time_ensemble_memory():
+    # toeplitz-mult's walk of two times on two threads: measured 10.8 MB, of
+    # which 3.2 MB are the outputs; bound with a 15% margin.  One slab for
+    # all 25,000 paths would take 26 MB in step exponentials alone
+    fn = lambda: endpoint_ensembles_KC([(0.25, 0.5), (0.5, 1.0)], 25000, 16, SEED, workers=2)
+    assert _traced_peak_mb(fn) < 12.4
+
+
 def test_rotated_path_properties():
     a = sample_path(0.7, 100, SEED)
     b = sample_path(0.3, 100, SEED + 1)
@@ -232,6 +241,40 @@ def test_shared_normals_equal_separate_ensembles(pairs, n_paths, n_blocks):
         alone = endpoint_ensemble_KC(s, t, n_paths, 70, SEED, n_blocks=n_blocks)
         np.testing.assert_array_equal(ens.values, alone.values)
         assert (ens.n_blocks, ens.n_steps) == (alone.n_blocks, alone.n_steps)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0.25, 0.5)], [(0.25, 0.5), (0.5, 1.0)],  # the subelliptic slice
+    [(1.0, 0.5)], [(1.0, 0.5), (2.0, 1.0)],  # off the slice
+    [(0.7, 0.0)], [(0.7, 0.0), (1.0, 0.0)],  # SU(2)
+])
+def test_slabs_change_no_bit(monkeypatch, pairs):
+    # one block per slab, the default (slabs of 16, 16 and 8 blocks of 125
+    # and 126 paths), and one slab for every path of every time; 66 steps:
+    # a partial last chunk and one reprojection
+    n_paths, n_steps = 5001, 66
+    ref = endpoint_ensembles_KC(pairs, n_paths, n_steps, SEED)
+    for slab_paths in (1, sde.SLAB_PATHS, n_paths * len(pairs)):
+        monkeypatch.setattr(sde, "SLAB_PATHS", slab_paths)
+        for workers in (1, 2):
+            ensembles = endpoint_ensembles_KC(pairs, n_paths, n_steps, SEED, workers=workers)
+            for ens, alone in zip(ensembles, ref):
+                np.testing.assert_array_equal(ens.values, alone.values)
+
+
+def test_slab_plan_counts_paths_per_time(monkeypatch):
+    # at the benchmark's 25,000 paths, a one-time and a two-time walk both
+    # take three 625-path blocks per slab
+    plans, plan = [], sde._slab_plan
+
+    def recorded(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(sde, "_slab_plan", recorded)
+    endpoint_ensemble_KC(0.25, 0.5, 25000, 1, SEED)
+    endpoint_ensembles_KC([(0.25, 0.5), (0.5, 1.0)], 25000, 1, SEED)
+    assert [slabs for _, slabs in plans] == [[range(i, min(i + 3, 40)) for i in range(0, 40, 3)]] * 2
 
 
 def test_shared_normals_need_one_draw_pattern():
