@@ -4,16 +4,12 @@ from .algebra import (
     VOL_K,
     QuadratureRuleK,
     QuadratureRuleKC,
-    exp_algebra,
-    exp_complex,
-    haar_rule,
     kc_quadrature,
-    polar_radius,
     random_su2,
 )
-from .diffop import LeftInvariantOperator, apply_transpose_to_nu
+from .diffop import LeftInvariantOperator
 from .euclid import GaussPoly, HermiteExpansion, euclid_toeplitz_check, euclid_transform
-from .heat import HeatKernelK, calibrate_nu, nu, nu_radial
+from .heat import HeatKernelK, calibrate_nu, nu_radial
 from .sde import (
     BrownianPath,
     EndpointEnsemble,
@@ -22,7 +18,6 @@ from .sde import (
     endpoint_ensemble_KC,
     endpoint_ensembles_KC,
     pathwise_identity_residual,
-    rotated_path,
     sample_path,
 )
 from .toeplitz import ToeplitzEstimate, ToeplitzSampler, schrodinger_entry

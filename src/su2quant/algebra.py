@@ -179,12 +179,6 @@ def exp_algebra(y, scale: float = 1.0) -> np.ndarray:
     return _exp_matrices(np.asarray(y, dtype=float) * scale, None)
 
 
-def exp_complex(z) -> np.ndarray:
-    """exp(sum_k z_k X_k) in SL(2,C) for complex coordinates z (..., 3)."""
-    z = np.asarray(z, dtype=complex)
-    return _exp_matrices(z.real, z.imag)
-
-
 def random_su2(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Haar-random SU(2) elements via normalized Gaussian quaternions."""
     size = (4,) if n is None else (n, 4)
@@ -201,15 +195,8 @@ def random_su2(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polar decomposition and the adjoint action
+# the adjoint action
 # ---------------------------------------------------------------------------
-
-def polar_radius(g: np.ndarray) -> np.ndarray:
-    """|Y| in the decomposition g = x exp(iY), from tr(g^dag g) = 2 cosh|Y|."""
-    g = np.asarray(g, dtype=complex)
-    t = np.einsum("...ab,...ab->...", np.conj(g), g).real
-    return np.arccosh(np.maximum(t / 2.0, 1.0))
-
 
 def ad_action(x: np.ndarray, y) -> np.ndarray:
     """Coordinates of Ad_x Y = x Y x^{-1} for x in SU(2); norm preserving.

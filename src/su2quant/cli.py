@@ -392,11 +392,11 @@ def gate_differential(t: float, sampler: ToeplitzSampler, pairs):
 
 
 def gate_laplacian_entries(t: float, R: float, quadrature: dict, pairs) -> list[dict]:
-    """The V = 1 Laplacian entries by polar quadrature of the radial symbol,
+    """The V = 1 Laplacian entries by polar quadrature of its closed-form symbol,
     against -3/4 <f1, f2>, relative to -3/4 ||f1||^2."""
     rule = kc_quadrature(R, **quadrature)
     # hl2_inner reads the symbol at the rule's radii and nowhere else
-    table = radial_symbol_table(LeftInvariantOperator.laplacian(), t, rule.radii).real
+    table = radial_symbol_table(t, rule.radii)
     checks = []
     for lbl, f1, f2 in pairs:
         value = hl2_inner(transform_C(t, f1), transform_C(t, f2), rule, lambda r: nu_radial(t, r),

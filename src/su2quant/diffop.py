@@ -1,12 +1,23 @@
-"""Left-invariant differential operators, their transposes, and symbols.
+"""Left-invariant differential operators and the Laplacian's Toeplitz symbol.
 
 An operator is a finite linear combination of words in the basis vector
 fields X_1, X_2, X_3.  On band-limited functions everything acts exactly on
-coefficients through the representation matrices of the generators.  The
-only numerical differentiation in the package lives here, in
-``apply_transpose_to_nu``: nested central differences of the closed-form
-fiber-invariant kernel along the holomorphic directions
-X_C = (X - i JX) / 2, with Richardson extrapolation.
+coefficients through the representation matrices of the generators.
+
+The differential-operator theorem writes the symbol of A as
+phi_{1,A} = (A_C^tr nu_t) / nu_t, with X_C = (X - i JX) / 2 the holomorphic
+field.  For the Laplacian it has a closed form.  nu_t depends on
+g = x e^{iY} only through tr(g^dag g) = 2 cosh|Y|, so it is right
+K-invariant: X_k nu = 0, and X_k commutes with JX_k, which leaves
+Delta_C^tr nu = -1/4 sum_k (JX_k)^2 nu = -1/4 Delta_{H^3} nu, the Laplacian
+of the quotient SL(2,C)/SU(2) = H^3 (curvature -1, r = |Y| its distance to
+the base point).  There nu_t is, up to a factor in t alone, the heat kernel
+p_s(r) = (4 pi s)^(-3/2) (r / sinh r) e^{-s - r^2/(4s)} at s = t/4, and
+Delta_{H^3} p_s = d/ds p_s gives
+
+    phi_{1,Delta}(r) = -1/4 d/ds log p_s = 1/4 + 3/(2t) - r^2/t^2.
+
+The tests check this against nested holomorphic central differences of nu_t.
 """
 
 from __future__ import annotations
@@ -15,9 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import exp_complex, polar_radius
-from .errors import StepUnderflow
-from .heat import nu
 from .wigner import BandLimited
 
 Word = tuple[int, ...]
@@ -66,15 +74,6 @@ class LeftInvariantOperator:
     def __rmul__(self, scalar: complex) -> "LeftInvariantOperator":
         return LeftInvariantOperator([(scalar * c, w) for c, w in self.terms])
 
-    def transpose(self) -> "LeftInvariantOperator":
-        """(X_1 ... X_N)^tr = (-1)^N X_N ... X_1, extended linearly.
-
-        This is the formal adjoint for the real pairing int (Af) h dx on K.
-        """
-        return LeftInvariantOperator(
-            [(c * (-1.0) ** len(w), w[::-1]) for c, w in self.terms]
-        )
-
     # -- action on band-limited functions -----------------------------------
     def apply(self, f: BandLimited) -> BandLimited:
         """A f, exactly on coefficients; on a holomorphic F = C_t f this is A_C F.
@@ -88,95 +87,10 @@ class LeftInvariantOperator:
         return out.prune(0.0)
 
 
-# ---------------------------------------------------------------------------
-# finite differences along holomorphic directions
-# ---------------------------------------------------------------------------
+def radial_symbol_table(t: float, radii) -> np.ndarray:
+    """The Laplacian's symbol phi_{1,Delta} = 1/4 + 3/(2t) - r^2/t^2 at the polar radii r.
 
-def _exp_dir(k: int, h: complex) -> np.ndarray:
-    """exp(h X_k) for complex step h (h = i|h| gives the JX direction)."""
-    z = np.zeros(3, dtype=complex)
-    z[k - 1] = h
-    return exp_complex(z)
-
-
-def _holomorphic_derivative(fn, g: np.ndarray, k: int, h: float):
-    """X_C fn at g, one matrix or a stack (..., 2, 2), via central differences with real step h.
-
-    X_C = (X - i JX)/2 with X the real directional derivative along
-    g exp(s X_k) and JX along g exp(i s X_k).
-    """
-    d_re = (fn(g @ _exp_dir(k, h)) - fn(g @ _exp_dir(k, -h))) / (2.0 * h)
-    d_im = (fn(g @ _exp_dir(k, 1j * h)) - fn(g @ _exp_dir(k, -1j * h))) / (2.0 * h)
-    return 0.5 * (d_re - 1j * d_im)
-
-
-def _word_derivative(fn, g: np.ndarray, word: Word, h: float):
-    if not word:
-        return fn(g)
-    k, rest = word[0], word[1:]
-    return _holomorphic_derivative(
-        lambda gg: _word_derivative(fn, gg, rest, h), g, k, h
-    )
-
-
-def apply_complexified_word(fn, g: np.ndarray, word: Word, h: float):
-    """(X_C)_{k_1} ... (X_C)_{k_N} fn at g, Richardson-extrapolated.
-
-    ``g`` is one matrix or a stack (..., 2, 2); ``fn`` maps either to one
-    value per matrix.
-
-    Central differences are O(h^2); combining steps h and h/2 removes the
-    leading term, leaving O(h^4).
-    """
-    coarse = _word_derivative(fn, g, word, h)
-    fine = _word_derivative(fn, g, word, h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-
-
-DEGREE_CAP = 4
-
-
-def apply_transpose_to_nu(
-    a: LeftInvariantOperator, t: float, g: np.ndarray, h: float | None = None
-):
-    """A_C^tr nu_t evaluated at g; the numerator of the symbol phi_{1,A}.
-
-    The transpose is formed on words first, then each transposed word is
-    applied to the closed-form kernel by nested holomorphic central
-    differences.  ``g`` is one matrix or a stack (..., 2, 2), with one value
-    per matrix.
-    """
-    if a.degree > DEGREE_CAP:
-        raise ValueError(f"degree {a.degree} exceeds the cap {DEGREE_CAP}")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    g = np.asarray(g, dtype=complex)
-    if h is None:
-        h = 5e-3
-    r = float(np.max(polar_radius(g)))
-    if h < 1e-6 * (1.0 + r):
-        raise StepUnderflow(f"step {h:.2e} below the resolvable scale at |Y|={r:.2f}")
-    total = 0.0 + 0.0j
-    for coeff, word in a.transpose().terms:
-        total = total + coeff * apply_complexified_word(lambda gg: nu(t, gg), g, word, h)
-    return total
-
-
-def phi_identity_symbol(a: LeftInvariantOperator, t: float, g: np.ndarray):
-    """phi_{1,A}(g) = (A_C^tr nu_t)(g) / nu_t(g), one value per matrix of g."""
-    return apply_transpose_to_nu(a, t, g) / nu(t, np.asarray(g, dtype=complex))
-
-
-def radial_symbol_table(
-    a: LeftInvariantOperator, t: float, radii: np.ndarray
-) -> np.ndarray:
-    """phi_{1,A} along the fiber g = exp(i r X_3), one value per radius.
-
-    For conjugation-invariant operators (powers of the Laplacian) the symbol
-    is a function of |Y| alone, so this table determines it everywhere.
-    Every radius is evaluated in one batch.
+    It is a function of |Y| alone, so this table determines it everywhere.
     """
     r = np.asarray(radii, dtype=float)
-    z = np.zeros(r.shape + (3,), dtype=complex)
-    z[..., 2] = 1j * r
-    return np.asarray(phi_identity_symbol(a, t, exp_complex(z)), dtype=complex)
+    return 0.25 + 1.5 / t - r**2 / t**2

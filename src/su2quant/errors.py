@@ -11,12 +11,3 @@ class IllConditioned(RuntimeError):
 
 class TruncationError(RuntimeError):
     """Series truncation certificate failed at the requested point."""
-
-
-class StepUnderflow(RuntimeError):
-    """Finite-difference step fell below the resolvable scale."""
-
-
-class StatisticalFailure(RuntimeError):
-    """Monte Carlo error estimate is not converging as expected."""
-

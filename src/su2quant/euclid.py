@@ -26,7 +26,7 @@ from numpy.polynomial import polynomial as P
 
 from .sde import block_estimate, block_rng
 
-DEGREE_CAP = 24
+MAX_DEGREE = 24
 
 
 @dataclass
@@ -40,8 +40,8 @@ class GaussPoly:
         self.coeffs = np.trim_zeros(np.asarray(self.coeffs, dtype=complex), "b")
         if len(self.coeffs) == 0:
             self.coeffs = np.zeros(1, dtype=complex)
-        if len(self.coeffs) - 1 > DEGREE_CAP:
-            raise ValueError(f"degree exceeds the cap {DEGREE_CAP}")
+        if len(self.coeffs) - 1 > MAX_DEGREE:
+            raise ValueError(f"degree exceeds the cap {MAX_DEGREE}")
         if self.width <= 0:
             raise ValueError("Gaussian width must be positive")
 
@@ -109,8 +109,8 @@ class HermiteExpansion:
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=complex)
-        if len(self.coefficients) - 1 > DEGREE_CAP:
-            raise ValueError(f"degree exceeds the cap {DEGREE_CAP}")
+        if len(self.coefficients) - 1 > MAX_DEGREE:
+            raise ValueError(f"degree exceeds the cap {MAX_DEGREE}")
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.coefficients) ** 2))

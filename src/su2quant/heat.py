@@ -5,13 +5,14 @@ Two kernels are provided:
 * ``HeatKernelK`` -- the heat kernel rho_t on K at the identity, as a
   character series evaluated from traces, cut where an explicit tail bound
   (one that also covers its analytic continuation to SL(2,C)) is small;
-* ``nu`` -- the fiber-invariant kernel on SL(2,C) (the heat kernel at the
-  identity coset of the hyperbolic quotient), in closed radial form.
+* ``nu_radial`` -- the fiber-invariant kernel on SL(2,C) (the heat kernel
+  at the identity coset of the hyperbolic quotient), in closed form in the
+  polar radius r = |Y| of g = x e^{iY}, the only variable it depends on.
 
 Heat flow of band-limited functions is exact on Peter-Weyl coefficients
 and lives with them, in ``BandLimited.heat``.
 
-The closed form of ``nu`` is ``N(t) (beta r / sinh(beta r)) exp(-r^2/t)``
+The closed form of ``nu_radial`` is ``N(t) (beta r / sinh(beta r)) exp(-r^2/t)``
 with the radial Haar Jacobian ``(sinh(beta r)/beta)^2``.  The constants are
 not taken on faith: ``calibrate_nu`` pins ``(beta, N(t))`` from two
 independent integral identities (total mass and transform unitarity) and the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import VOL_K, kc_quadrature, polar_radius, default_cutoff, radial_jacobian, weyl_rule
+from .algebra import VOL_K, kc_quadrature, default_cutoff, radial_jacobian, weyl_rule
 from .errors import TruncationError
 from .hl2 import hl2_inner
 from .wigner import BandLimited, characters
@@ -54,11 +55,6 @@ def nu_radial(t: float, r, beta: float = NU_BETA, normalization: float | None = 
     small = br < 1e-8
     ratio = np.where(small, 1.0 - br**2 / 6.0, br / np.sinh(np.where(small, 1.0, br)))
     return n0 * ratio * np.exp(-(r**2) / t)
-
-
-def nu(t: float, g: np.ndarray):
-    """Fiber-invariant heat kernel on SL(2,C); depends only on |Y| in g = x e^{iY}."""
-    return nu_radial(t, polar_radius(g))
 
 
 # ---------------------------------------------------------------------------

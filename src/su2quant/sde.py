@@ -234,20 +234,6 @@ def _rotated_chunks(b, a, x):
         k0 += len(za)
 
 
-def rotated_path(b, a) -> BrownianPath:
-    """The path B' with dB'_k = Ad_{theta(A)_k} dB_k (left-point rule).
-
-    Ad is an isometry, so B' has the same increment variances as B; in the
-    limit its law is again Brownian, which is what makes the pathwise
-    factorization identity work.  No CLI path calls it: the tests check
-    ``_rotated_chunks`` against it.
-    """
-    _check_grid(a, b)
-    x = _identity(a.batch_shape)
-    inc = np.concatenate([db for *_, db in _rotated_chunks(b, a, x)])
-    return BrownianPath(increments=np.moveaxis(inc, 0, -2), sigma_sq=b.sigma_sq)
-
-
 def pathwise_identity_residual(a, b):
     """Frobenius distance between theta_C(A+iB)_1 and theta_C(iB^{theta(A)})_1 theta(A)_1.
 

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffop import LeftInvariantOperator
-from .errors import StatisticalFailure
 from .sde import DEFAULT_N_BLOCKS, EndpointEnsemble, block_estimate, endpoint_ensemble_KC, endpoint_ensembles_KC
 from .transform import transform_C
 from .wigner import BandLimited, inner_product_K, triple_integral_K, wigner_matrix
@@ -158,26 +157,3 @@ class ToeplitzSampler:
                 block_vals += self.moment_tensors(tj1, tj2) @ w.ravel()
         value, stderr = block_estimate(block_vals)
         return ToeplitzEstimate(value=complex(value), stderr=float(stderr), block_values=block_vals)
-
-
-def check_convergence(est: ToeplitzEstimate, factor: float = 1.5) -> None:
-    """Verify stderr shrinks like n^{-1/2} across nested block subsets.
-
-    Compares the block-mean spread over the first quarter, first half, and
-    all blocks; each doubling should shrink the stderr by sqrt(2) within the
-    given factor.  Raises StatisticalFailure otherwise.  No CLI path calls
-    it yet; the tests do.
-    """
-    bv = est.block_values
-    if len(bv) < 16:
-        raise StatisticalFailure("not enough blocks for a convergence check")
-    n = len(bv)
-    s4, s2, s1 = (float(block_estimate(v)[1]) for v in (bv[: n // 4], bv[: n // 2], bv))
-    if s1 == 0.0:
-        return  # exactly zero estimator (e.g. V~ = 0)
-    for big, small in ((s4, s2), (s2, s1)):
-        ratio = big / small if small > 0.0 else np.inf
-        if not (np.sqrt(2.0) / factor <= ratio <= np.sqrt(2.0) * factor):
-            raise StatisticalFailure(
-                f"stderr ratio {ratio:.2f} outside sqrt(2) within factor {factor}"
-            )

@@ -19,7 +19,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .algebra import BASIS, VOL_K, QuadratureRuleK
+from .algebra import BASIS, VOL_K
 
 TWO_J_CAP = 24  # j = 12; analytic continuation amplifies entries like e^{2j|Y|}
 
@@ -406,19 +406,3 @@ def inner_product_K(f1: BandLimited, f2: BandLimited) -> complex:
         if c2 is not None:
             total += VOL_K / (two_j + 1) * np.sum(np.conj(c1) * c2)
     return complex(total)
-
-
-def project_onto_entries(
-    values: np.ndarray, rule: QuadratureRuleK, two_jmax: int
-) -> BandLimited:
-    """Project pointwise samples on a Haar rule onto matrix entries.
-
-    Used as the quadrature oracle for the Clebsch-Gordan product expansion;
-    exact when the sampled function is band-limited within the rule's reach.
-    """
-    blocks = {}
-    for two_j in range(0, two_jmax + 1):
-        mats = wigner_matrix(two_j / 2.0, rule.nodes)
-        proj = np.einsum("q,qmn,q->mn", rule.weights, np.conj(mats), values)
-        blocks[two_j] = (two_j + 1) / VOL_K * proj
-    return BandLimited(blocks).prune(1e-12)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from conftest import record_gate
+from reference import fd_radial_symbol_table
 
 from su2quant.algebra import default_cutoff
 from su2quant.cli import (
@@ -27,7 +28,7 @@ from su2quant.cli import (
     gate_semigroup,
 )
 from su2quant.cli import main as cli_main
-from su2quant.diffop import LeftInvariantOperator, radial_symbol_table
+from su2quant.diffop import LeftInvariantOperator
 from su2quant.sde import expected_character_KC
 from su2quant.toeplitz import ToeplitzSampler
 
@@ -186,9 +187,10 @@ def test_criterion_08_differential_operator_deterministic():
     checks = gate_laplacian_entries(t, default_cutoff(t) + 1.5, {"n_r": 64}, _all_pairs())
     scale = 0.75 * _spin_half_entries()[0][1].norm_sq()
     worst = max(abs(complex(*c["value"]) - c["target"]) / scale for c in checks)
-    # radial profile must be degree-1 in r^2 on [0, 3]
+    # the finite-difference radial profile must be degree-1 in r^2 on [0, 3],
+    # an independent check of the closed form the entries use
     rr = np.linspace(0.0, 3.0, 25)
-    vals = radial_symbol_table(LeftInvariantOperator.laplacian(), t, rr).real
+    vals = fd_radial_symbol_table(LeftInvariantOperator.laplacian(), t, rr).real
     coef = np.polyfit(rr**2, vals, 1)
     resid = float(np.max(np.abs(np.polyval(coef, rr**2) - vals)))
     dt = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import exp_complex, polar_radius
 
 from su2quant.algebra import (
     BASIS,
@@ -8,12 +9,10 @@ from su2quant.algebra import (
     ad_action,
     default_cutoff,
     exp_algebra,
-    exp_complex,
     exp_entries,
     haar_rule,
     kc_quadrature,
     matrix_from_entries,
-    polar_radius,
     radial_jacobian,
     random_su2,
 )

@@ -4,7 +4,17 @@ from collections import Counter
 
 import pytest
 
-from su2quant.cli import DEFAULTS, SCHEMA, ConfigError, gate_calibration, load_config, main
+from su2quant.algebra import default_cutoff
+from su2quant.cli import (
+    DEFAULTS,
+    SCHEMA,
+    ConfigError,
+    _spin_half_entries,
+    gate_calibration,
+    gate_laplacian_entries,
+    load_config,
+    main,
+)
 from su2quant.sde import DEFAULT_N_BLOCKS
 
 
@@ -144,6 +154,17 @@ def test_error_inside_a_command_exits_3(tmp_path, capsys):
     assert report["error"]["type"] == "ValueError"
     assert "different signs" in report["error"]["message"]
     assert "Traceback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t, tol", [(0.01, 1e-3), (0.2, 1e-10), (0.5, 1e-10)])
+def test_laplacian_entries_at_small_t(t, tol):
+    # the closed-form symbol stays finite where nu_t underflows far out on the fiber
+    entries = _spin_half_entries()
+    pairs = [(f"{n1},{n2}", f1, f2) for n1, f1 in entries for n2, f2 in entries]
+    checks = gate_laplacian_entries(t, default_cutoff(t) + 1.5, DEFAULTS["quadrature"], pairs)
+    scale = 0.75 * entries[0][1].norm_sq()
+    assert all(c["passed"] for c in checks)
+    assert max(abs(complex(*c["value"]) - c["target"]) / scale for c in checks) <= tol
 
 
 def test_calibrate_run_and_report(tmp_path, capsys):

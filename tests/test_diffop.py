@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
-
-from su2quant.algebra import exp_complex, haar_rule, random_su2
-from su2quant.diffop import (
-    LeftInvariantOperator,
+from reference import (
+    StepUnderflow,
     apply_complexified_word,
     apply_transpose_to_nu,
+    exp_complex,
+    fd_radial_symbol_table,
+    nu,
     phi_identity_symbol,
-    radial_symbol_table,
+    transpose,
 )
-from su2quant.errors import StepUnderflow
-from su2quant.heat import nu
+
+from su2quant.algebra import haar_rule, random_su2
+from su2quant.diffop import LeftInvariantOperator, radial_symbol_table
 from su2quant.transform import transform_C
 from su2quant.wigner import BandLimited
 
@@ -28,14 +30,14 @@ def test_identity_word_is_identity(rng):
 
 def test_transpose_signs():
     x1 = LeftInvariantOperator.vector_field(1)
-    assert x1.transpose().terms == [(-1.0 + 0j, (1,))]
+    assert transpose(x1).terms == [(-1.0 + 0j, (1,))]
     x12 = LeftInvariantOperator([(1.0, (1, 2))])
-    assert x12.transpose().terms == [(1.0 + 0j, (2, 1))]
+    assert transpose(x12).terms == [(1.0 + 0j, (2, 1))]
 
 
 def test_transpose_involution(rng):
     a = LeftInvariantOperator([(0.3, (1, 2, 3)), (-1j, (2,)), (2.0, ())])
-    back = a.transpose().transpose()
+    back = transpose(transpose(a))
     assert back.terms == a.terms
 
 
@@ -48,7 +50,7 @@ def test_transpose_is_adjoint_by_parts(rng):
     for w in words:
         a = LeftInvariantOperator([(1.0, w)])
         lhs = rule.integrate(a.apply(f)(rule.nodes) * h(rule.nodes))
-        rhs = rule.integrate(f(rule.nodes) * a.transpose().apply(h)(rule.nodes))
+        rhs = rule.integrate(f(rule.nodes) * transpose(a).apply(h)(rule.nodes))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -61,7 +63,7 @@ def test_transpose_adjoint_random_words(rng):
         word = tuple(int(k) for k in rng.integers(1, 4, size=deg))
         a = LeftInvariantOperator([(1.0, word)])
         lhs = rule.integrate(a.apply(f)(rule.nodes) * h(rule.nodes))
-        rhs = rule.integrate(f(rule.nodes) * a.transpose().apply(h)(rule.nodes))
+        rhs = rule.integrate(f(rule.nodes) * transpose(a).apply(h)(rule.nodes))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -127,7 +129,7 @@ def test_single_field_symbol_imaginary_on_fiber():
 def test_laplacian_symbol_is_linear_in_r_squared():
     t = 0.5
     rr = np.linspace(0.05, 3.0, 25)
-    vals = radial_symbol_table(LeftInvariantOperator.laplacian(), t, rr)
+    vals = fd_radial_symbol_table(LeftInvariantOperator.laplacian(), t, rr)
     assert np.max(np.abs(vals.imag)) < 1e-10
     coef = np.polyfit(rr**2, vals.real, 1)
     resid = np.max(np.abs(np.polyval(coef, rr**2) - vals.real))
@@ -139,7 +141,29 @@ def test_radial_symbol_table_batch_matches_loop():
     rr = np.linspace(0.05, 3.0, 9)
     for a in (LeftInvariantOperator.laplacian(), LeftInvariantOperator.vector_field(3)):
         loop = [phi_identity_symbol(a, t, exp_complex(np.array([0.0, 0.0, 1j * r]))) for r in rr]
-        np.testing.assert_allclose(radial_symbol_table(a, t, rr), loop, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fd_radial_symbol_table(a, t, rr), loop, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("t, tol", [(0.2, 2e-4), (0.5, 6e-6), (1.0, 4e-7), (2.0, 3e-8)])
+def test_closed_form_laplacian_symbol_matches_finite_differences(t, tol):
+    # the closed form against the finite-difference oracle on the fiber
+    # exp(i r X_3); the oracle's O(h^4) error grows as t shrinks
+    rr = np.linspace(0.0, 6.0, 61)
+    exact = radial_symbol_table(t, rr)
+    fd = fd_radial_symbol_table(LeftInvariantOperator.laplacian(), t, rr)
+    assert np.max(np.abs(fd.imag)) < 1e-10
+    assert np.max(np.abs(fd.real - exact) / np.maximum(np.abs(exact), 1.0)) < tol
+
+
+def test_closed_form_laplacian_symbol_off_the_fiber(rng):
+    # phi_{1,Delta} at x e^{iY} depends on |Y| alone
+    t = 0.5
+    y = rng.standard_normal((20, 3))
+    y *= rng.uniform(0.0, 3.0, (20, 1)) / np.linalg.norm(y, axis=-1, keepdims=True)
+    g = random_su2(rng, 20) @ exp_complex(1j * y)
+    fd = phi_identity_symbol(LeftInvariantOperator.laplacian(), t, g)
+    exact = radial_symbol_table(t, np.linalg.norm(y, axis=-1))
+    assert np.max(np.abs(fd - exact) / np.maximum(np.abs(exact), 1.0)) < 6e-6
 
 
 def test_degree_cap_and_step_underflow():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from reference import exp_complex, nu, polar_radius
 
 from su2quant.algebra import (
     VOL_K,
     default_cutoff,
-    exp_complex,
     haar_rule,
     kc_quadrature,
     random_su2,
@@ -16,7 +16,6 @@ from su2quant.heat import (
     bracketed_root,
     calibrate_nu,
     choose_two_jmax,
-    nu,
     nu_normalization,
     nu_radial,
     rho_tail_bound,
@@ -215,7 +214,6 @@ def test_subelliptic_radial_marginal_matches_nu():
     """
     from scipy.stats import ks_2samp
 
-    from su2quant.algebra import polar_radius
     from su2quant.sde import endpoint_ensemble_KC
 
     t = 0.5

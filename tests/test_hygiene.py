@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: imports that nothing uses,
 functions that only the tests call, the names the benchmark binds to, and
-SciPy kept off the run path and the thread pool off the CLI's import."""
+SciPy and the tests' reference module kept off the run path and the thread
+pool off the CLI's import."""
 
 import ast
 import importlib
@@ -87,6 +88,7 @@ def _unreached_definitions() -> set[str]:
 # test-only function fails below; deleting one means deleting its entry.
 TEST_ONLY = {
     "algebra.QuadratureRuleK.integrate": "the Haar-rule sum, the tests' oracle for integrals on K",
+    "algebra._exp_matrices": "helper of haar_rule and fiber_nodes",
     "algebra.exp_algebra": "helper of haar_rule; the exponential of su(2) the tests build group elements with",
     "algebra.haar_rule": "builds the K-nodes of hl2_inner_pointwise and the tests' Haar oracles; bench/spans.py binds to it",
     "hl2._chunked_tables": "helper of hl2_inner_pointwise",
@@ -94,14 +96,34 @@ TEST_ONLY = {
     "hl2.fiber_nodes": "builds the fiber nodes of hl2_inner_pointwise",
     "hl2.hl2_inner_pointwise": "the per-node reference for hl2_inner; bench/spans.py binds to it",
     "hl2.sphere_grid": "builds the directions of the fiber nodes of hl2_inner_pointwise",
-    "sde.rotated_path": "the paper's rotated path, the reference for _rotated_chunks",
-    "toeplitz.check_convergence": "nested-block stderr check; no command reports it yet",
-    "wigner.project_onto_entries": "projection of Haar-rule samples onto entries, the oracle for multiply",
 }
 
 
 def test_test_only_definitions_are_allowlisted():
     assert sorted(_unreached_definitions()) == sorted(TEST_ONLY)
+
+
+def test_package_root_reexports_no_test_only_name():
+    tree = ast.parse((ROOT / "src" / "su2quant" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(exported & {name.rsplit(".", 1)[-1] for name in TEST_ONLY}) == []
+
+
+def _src_imports(package: str) -> list[str]:
+    """file:line of every import of ``package`` or its submodules in src/."""
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == package for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package
+    ]
+
+
+def test_src_imports_no_test_reference():
+    # the reference forms in tests/reference.py are the tests' oracles, not the run path
+    assert _src_imports("reference") == []
 
 
 def _unloaded_fields() -> set[str]:
@@ -168,14 +190,7 @@ def _modules_after_cli_import(cli: bool = True) -> set[str]:
 def test_run_path_loads_no_scipy():
     # SciPy serves only the tests: the CLI imports none of it, not even lazily
     assert sorted(m for m in _modules_after_cli_import() if m.split(".")[0] == "scipy") == []
-    imports = [
-        f"{path.relative_to(ROOT)}:{node.lineno}"
-        for path in sorted((ROOT / "src").rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
-    ]
-    assert imports == []
+    assert _src_imports("scipy") == []
 
 
 def test_cli_import_loads_no_thread_pool():

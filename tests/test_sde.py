@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import rotated_path
 
 from su2quant import sde
 from su2quant.sde import (
@@ -18,7 +19,6 @@ from su2quant.sde import (
     expected_character_KC,
     pathwise_identity_residual,
     pathwise_medians,
-    rotated_path,
     sample_path,
 )
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from reference import StatisticalFailure, check_convergence
 
 from su2quant.algebra import default_cutoff, haar_rule, kc_quadrature
 from su2quant.diffop import LeftInvariantOperator
-from su2quant.errors import StatisticalFailure
 from su2quant.heat import nu_radial
 from su2quant.hl2 import hl2_inner
-from su2quant.toeplitz import ToeplitzEstimate, ToeplitzSampler, check_convergence, schrodinger_entry
+from su2quant.toeplitz import ToeplitzEstimate, ToeplitzSampler, schrodinger_entry
 from su2quant.transform import transform_C
 from su2quant.wigner import BandLimited, inner_product_K, wigner_matrix
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import exp_complex
 
 from su2quant.algebra import VOL_K, default_cutoff, haar_rule, kc_quadrature
 from su2quant.errors import IllConditioned, ParameterDomain
@@ -28,8 +29,6 @@ def test_character_is_eigenfunction():
     t = 0.3
     F = transform_C(t, BandLimited.character_fn(1.0))
     y = np.array([[0.1, -0.2, 0.4]])
-    from su2quant.algebra import exp_complex
-
     g = exp_complex(1j * y)
     np.testing.assert_allclose(
         F(g), np.exp(-t) * character(1.0, g), atol=1e-12

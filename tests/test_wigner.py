@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from reference import exp_complex, project_onto_entries
 
-from su2quant.algebra import VOL_K, exp_algebra, exp_complex, haar_rule, random_su2
+from su2quant.algebra import VOL_K, exp_algebra, haar_rule, random_su2
 from su2quant.wigner import (
     BandLimited,
     casimir_eigenvalue,
@@ -9,7 +10,6 @@ from su2quant.wigner import (
     character,
     generator_matrix,
     inner_product_K,
-    project_onto_entries,
     triple_integral_K,
     two_j_of,
     wigner_matrix,
