@@ -18,6 +18,10 @@ from functools import lru_cache
 import numpy as np
 
 VOL_K = 16.0 * np.pi**2  # Riemannian volume of SU(2) as the radius-2 sphere
+# float64 elements per buffer in the blocked passes over (points x nodes)
+# trace matrices (``ClassRuleK.traces_against``, the heat recurrence): 256 kB,
+# so the recurrence's four live buffers stay within a 2 MB L2 cache
+BLOCK_ELEMENTS = 1 << 15
 
 PAULI = np.array(
     [
@@ -296,9 +300,21 @@ class ClassRuleK:
 
     def traces_against(self, traces_g: np.ndarray) -> np.ndarray:
         """tr(g h^{-1}) = 2(cos a cos b + sin a sin b c), shape (p, N), from tr(g) = 2 cos a."""
-        cos_a = 0.5 * np.asarray(traces_g, dtype=float)
+        cos_a = 0.5 * np.asarray(traces_g, dtype=float).reshape(-1)
         sin_a = np.sqrt(np.clip(1.0 - cos_a**2, 0.0, None))
-        return 2.0 * (np.outer(cos_a, self.cos_b) + np.outer(sin_a, self.sin_b_c))
+        out = np.empty((cos_a.size, self.cos_b.size))
+        rows = max(1, BLOCK_ELEMENTS // self.cos_b.size)
+        scratch = np.empty((min(rows, cos_a.size), self.cos_b.size))
+        # row blocks of 2 (outer(cos_a, cos_b) + outer(sin_a, sin_b_c)), the
+        # same operations in the same order, with no full-size temporary
+        for start in range(0, cos_a.size, rows):
+            block = out[start:start + rows]
+            part = scratch[: len(block)]
+            np.multiply(cos_a[start:start + rows, None], self.cos_b, out=block)
+            np.multiply(sin_a[start:start + rows, None], self.sin_b_c, out=part)
+            block += part
+            block *= 2.0
+        return out
 
 
 def weyl_rule(total_two_j: int, axis_two_j: int) -> ClassRuleK:

@@ -64,10 +64,6 @@ class LeftInvariantOperator:
         return cls([(1.0, (k, k)) for k in (1, 2, 3)])
 
     # -- algebra ------------------------------------------------------------
-    @property
-    def degree(self) -> int:
-        return max((len(w) for _, w in self.terms), default=0)
-
     def __add__(self, other: "LeftInvariantOperator") -> "LeftInvariantOperator":
         return LeftInvariantOperator(self.terms + other.terms)
 

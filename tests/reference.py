@@ -63,6 +63,11 @@ def transpose(a: LeftInvariantOperator) -> LeftInvariantOperator:
     return LeftInvariantOperator([(c * (-1.0) ** len(w), w[::-1]) for c, w in a.terms])
 
 
+def degree(a: LeftInvariantOperator) -> int:
+    """The order of ``a``: the length of its longest word."""
+    return max((len(w) for _, w in a.terms), default=0)
+
+
 # ---------------------------------------------------------------------------
 # finite differences along holomorphic directions
 # ---------------------------------------------------------------------------
@@ -117,8 +122,8 @@ def apply_transpose_to_nu(a: LeftInvariantOperator, t: float, g: np.ndarray, h: 
     differences.  ``g`` is one matrix or a stack (..., 2, 2), with one value
     per matrix.
     """
-    if a.degree > DEGREE_CAP:
-        raise ValueError(f"degree {a.degree} exceeds the cap {DEGREE_CAP}")
+    if degree(a) > DEGREE_CAP:
+        raise ValueError(f"degree {degree(a)} exceeds the cap {DEGREE_CAP}")
     if t <= 0:
         raise ValueError("t must be positive")
     g = np.asarray(g, dtype=complex)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from conftest import traced_peak_mb
 from reference import exp_complex, nu, polar_radius
 
 from su2quant.algebra import (
+    BLOCK_ELEMENTS,
     VOL_K,
     default_cutoff,
     haar_rule,
@@ -16,12 +18,13 @@ from su2quant.heat import (
     bracketed_root,
     calibrate_nu,
     choose_two_jmax,
+    convolve_on_traces,
     nu_normalization,
     nu_radial,
     rho_tail_bound,
     semigroup_sup_error,
 )
-from su2quant.wigner import BandLimited, character
+from su2quant.wigner import BandLimited, character, characters
 
 
 def test_rho_mass_one():
@@ -96,8 +99,6 @@ def test_nu_mass_identity():
 
 
 def test_shared_pass_class_evaluations():
-    from su2quant.heat import convolve_on_traces
-
     rng = np.random.default_rng(3)
     ka = HeatKernelK.build(0.3, tol=1e-12)
     kb = HeatKernelK.build(0.7, tol=1e-12)
@@ -162,6 +163,81 @@ def test_weyl_convolution_matches_haar_rule(t, s):
 
     np.testing.assert_allclose(conv2, conv3, rtol=0, atol=1e-12)
     assert semigroup_sup_error(t, s, np.einsum("paa->p", g).real) <= 1e-12
+
+
+def _whole_array_recurrence(traces, kernels, weights=None):
+    """The per-spin loop of the character series over the whole array at once."""
+    tau = np.ascontiguousarray(traces, dtype=np.float64)
+    if weights is None:
+        scaled = np.empty_like(tau)
+        accs = [np.ones_like(tau) for _ in kernels]
+    else:
+        accs = [np.full(tau.shape[0], np.sum(w)) for w in weights]
+    chis = characters(tau, max(k.two_jmax for k in kernels))
+    next(chis)
+    for two_j, chi in enumerate(chis, start=1):
+        j = two_j / 2.0
+        for i, (kern, acc) in enumerate(zip(kernels, accs)):
+            if two_j > kern.two_jmax:
+                continue
+            coeff = (two_j + 1) * np.exp(-kern.t * j * (j + 1) / 2.0)
+            if weights is None:
+                np.multiply(chi, coeff, out=scaled)
+                acc += scaled
+            else:
+                acc += coeff * (chi @ weights[i])
+    for acc in accs:
+        acc /= VOL_K
+    return accs
+
+
+def _semigroup_kernels_and_rule(t=0.2, s=0.5):
+    """heat-check's truncated kernels at (t, s) and their Weyl rule."""
+    kt = HeatKernelK(t, choose_two_jmax(t, 0.0, 2e-9))
+    ks = HeatKernelK(s, choose_two_jmax(s, 0.0, 2e-9))
+    return kt, ks, weyl_rule(kt.two_jmax + ks.two_jmax, max(kt.two_jmax, ks.two_jmax))
+
+
+# heat-check's 1000 x 345 matrix (blocks of 88 rows, the last one ragged),
+# one with a ragged gemv group, one row, and a matrix inside one block
+@pytest.mark.parametrize("n_points", [1000, 1003, 1, 21])
+def test_blocks_change_no_bit_on_trace_matrices(n_points):
+    kt, ks, rule = _semigroup_kernels_and_rule()
+    tr_g = np.einsum("paa->p", random_su2(np.random.default_rng(17), n_points)).real
+    cos_a = 0.5 * tr_g
+    sin_a = np.sqrt(np.clip(1.0 - cos_a**2, 0.0, None))
+    whole = 2.0 * (np.outer(cos_a, rule.cos_b) + np.outer(sin_a, rule.sin_b_c))
+    tr = rule.traces_against(tr_g)
+    assert np.array_equal(tr, whole)
+
+    w_s = rule.weights * ks.on_traces(rule.traces)
+    w_t = rule.weights * kt.on_traces(rule.traces)
+    got = convolve_on_traces(tr, [(kt, w_s), (ks, w_t)])
+    want = _whole_array_recurrence(whole, [kt, ks], [w_s, w_t])
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    # unweighted, the flat slices cut across rows
+    assert np.array_equal(kt.on_traces(tr), _whole_array_recurrence(whole, [kt])[0])
+    got = ks.pair_on_traces(kt, tr)
+    want = _whole_array_recurrence(whole, [ks, kt])
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_blocks_change_no_bit_on_flat_traces():
+    # three whole flat blocks and a ragged end
+    tr = np.random.default_rng(19).uniform(-2.0, 2.0, size=3 * BLOCK_ELEMENTS + 1000)
+    kt, ks, _ = _semigroup_kernels_and_rule()
+    assert np.array_equal(kt.on_traces(tr), _whole_array_recurrence(tr, [kt])[0])
+    got = kt.pair_on_traces(ks, tr)
+    want = _whole_array_recurrence(tr, [kt, ks])
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_semigroup_check_memory():
+    # heat-check's (0.2, 0.5) check on 1000 points: measured 3.6 MB, of which
+    # the 1000 x 345 trace matrix is 2.76 MB; bound with a 15% margin.
+    # Whole-array passes measured 11.1 MB
+    traces = np.einsum("paa->p", random_su2(np.random.default_rng(23), 1000)).real
+    assert traced_peak_mb(lambda: semigroup_sup_error(0.2, 0.5, traces)) < 4.1
 
 
 @pytest.mark.parametrize("f, a, b, root", [

@@ -60,6 +60,9 @@ def _unreached_definitions() -> set[str]:
     is read anywhere in src/ outside the bodies of unread definitions; the
     scan repeats until that set is stable, so helpers of test-only code are
     test-only too.  Imports are not reads, and dunder methods are skipped.
+    Methods match by their last name only, so a test-only method that shares
+    its name with one read in src/ (or with any attribute read there) passes
+    as reached.
     """
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     bodies, always = {}, set()

@@ -1,8 +1,8 @@
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak_mb
 from reference import rotated_path
 
 from su2quant import sde
@@ -119,33 +119,18 @@ def test_pathwise_medians_equal_held_batches():
         np.testing.assert_array_equal(pathwise_identity_residual(a, b), res)
 
 
-def _traced_peak_mb(fn) -> float:
-    """Peak of the memory tracemalloc sees (NumPy's buffers included) while fn runs, in MB.
-
-    fn runs once untraced first, so that modules NumPy imports on first use
-    (numpy.ma, for np.median) are not counted.
-    """
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
 def test_pathwise_gate_streams_its_increments():
     # measured 1.84 MB (held batches of 40 pairs: 1.80 MB), bound with a 25%
     # margin; holding the 200 pairs whole at 800 steps takes 7.7 MB for the
     # increments alone
-    assert _traced_peak_mb(lambda: pathwise_medians([800], SEED)) < 2.3
+    assert traced_peak_mb(lambda: pathwise_medians([800], SEED)) < 2.3
 
 
 def test_offslice_ensemble_memory():
     # sde-check's (1, 0.5) ensemble: measured 2.89 MB (per-block exponentials:
     # 2.85 MB), bound with a 15% margin; exponentiating a whole chunk of the
     # slab per call measured 4.6 MB
-    assert _traced_peak_mb(lambda: endpoint_ensemble_KC(1.0, 0.5, 5000, 200, SEED)) < 3.3
+    assert traced_peak_mb(lambda: endpoint_ensemble_KC(1.0, 0.5, 5000, 200, SEED)) < 3.3
 
 
 def test_two_time_ensemble_memory():
@@ -153,7 +138,7 @@ def test_two_time_ensemble_memory():
     # which 3.2 MB are the outputs; bound with a 15% margin.  One slab for
     # all 25,000 paths would take 26 MB in step exponentials alone
     fn = lambda: endpoint_ensembles_KC([(0.25, 0.5), (0.5, 1.0)], 25000, 16, SEED, workers=2)
-    assert _traced_peak_mb(fn) < 12.4
+    assert traced_peak_mb(fn) < 12.4
 
 
 def test_rotated_path_properties():
