@@ -159,13 +159,6 @@ def _exp_one_part(v, hermitian: bool, out):
     return out
 
 
-def matrix_from_entries(e00, e01, e10, e11) -> np.ndarray:
-    """Stack four same-shaped entry arrays into matrices (..., 2, 2)."""
-    out = np.empty(np.shape(e00) + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = e00, e01, e10, e11
-    return out
-
-
 def _exp_matrices(a, b) -> np.ndarray:
     """exp_entries(a, b) written in place as matrices (..., 2, 2): no entry array to copy."""
     shape = np.shape(a if b is None else b)[:-1]
@@ -205,17 +198,24 @@ def random_su2(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
 def ad_action(x: np.ndarray, y) -> np.ndarray:
     """Coordinates of Ad_x Y = x Y x^{-1} for x in SU(2); norm preserving.
 
-    ``x`` (..., 2, 2) and ``y`` (..., 3) broadcast against each other.  The
-    products x Y and (x Y) x^dag are taken entry by entry, as elementwise
-    calls, so a stack of states costs a few NumPy calls in all.
+    ``x`` is an entry array (2, 2, ...), the layout the path kernel holds its
+    states in, and ``y`` (..., 3); their trailing axes broadcast against each
+    other.  The products x Y and (x Y) x^dag are taken entry by entry, as
+    elementwise calls, so a stack of states costs a few NumPy calls in all.
     """
     m00, m01, m10 = algebra_entries(np.asarray(y, dtype=float))
-    pair = np.broadcast_arrays(
-        np.asarray(x, dtype=complex), matrix_from_entries(m00, m01, m10, -m00)
-    )
-    x, m = (np.moveaxis(a, (-2, -1), (0, 1)) for a in pair)  # entry arrays (2, 2, ...)
-    xm = x[:, :1] * m[0] + x[:, 1:] * m[1]
-    xmx = xm[:, :1] * np.conj(x[:, 0]) + xm[:, 1:] * np.conj(x[:, 1])
+    m = np.empty((2, 2) + np.shape(m00), dtype=complex)
+    m[0, 0], m[0, 1], m[1, 0], m[1, 1] = m00, m01, m10, -m00
+    del m00, m01, m10
+    nd = max(np.ndim(x), m.ndim)  # entry axes lead, so pad the batch axes to one rank
+    x, m = (a.reshape(a.shape[:2] + (1,) * (nd - a.ndim) + a.shape[2:])
+            for a in (np.asarray(x, dtype=complex), m))
+    # sums taken in place: a chunk of states holds few temporaries at once
+    xm = x[:, :1] * m[0]
+    xm += x[:, 1:] * m[1]
+    del m
+    xmx = xm[:, :1] * np.conj(x[:, 0])
+    xmx += xm[:, 1:] * np.conj(x[:, 1])
     # y_k = i tr(M sigma_k), real for anti-Hermitian M
     return np.stack([
         -(xmx[0, 1] + xmx[1, 0]).imag,

@@ -33,19 +33,18 @@ import numpy as np
 
 from .algebra import kc_quadrature, random_su2, default_cutoff
 from .diffop import LeftInvariantOperator, radial_symbol_table
-from .euclid import HermiteExpansion, euclid_toeplitz_check
+from .euclid import MAX_SYMBOL_DEGREE, HermiteExpansion, euclid_toeplitz_check
 from .heat import calibrate_nu, nu_radial, semigroup_sup_error
 from .hl2 import hl2_inner
 from .sde import (
     DEFAULT_N_BLOCKS,
-    BrownianPath,
     character_moment,
     endpoint_ensemble_K,
     endpoint_ensemble_KC,
     expected_character_K,
     expected_character_KC,
-    pathwise_identity_residual,
-    pathwise_medians,
+    pathwise_identity_residual,  # noqa: F401 (unused here; bench/tests calls it through cli)
+    pathwise_residuals,
     sample_path,  # noqa: F401 (unused here; bench/tests calls cli.sample_path)
 )
 from .toeplitz import ToeplitzSampler, schrodinger_entry
@@ -143,6 +142,10 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
                 raise ConfigError(
                     f"config field 'spins': expected a non-empty list of half-integers j "
                     f"with 0 <= j <= {TWO_J_CAP // 2}, got {value}"
+                )
+            if key == "euclid_degree_max" and value > MAX_SYMBOL_DEGREE:
+                raise ConfigError(
+                    f"config field 'euclid_degree_max': must be <= {MAX_SYMBOL_DEGREE}, got {value}"
                 )
             if key == "master_seed" and value < 0:
                 raise ConfigError(f"config field 'master_seed': must be >= 0, got {value}")
@@ -289,13 +292,8 @@ def gate_complex_moments(runs, n_paths: int, n_steps: int, spins, workers: int):
 def gate_pathwise(steps, seed: int) -> list[dict]:
     """The pathwise identity: median-residual slope over ``steps`` and the
     halving ratios of a deterministic pair of paths."""
-    meds = pathwise_medians(steps, seed)
+    meds, det = pathwise_residuals(steps, seed)
     slope = float(-np.polyfit(np.log(steps), np.log(meds), 1)[0])
-    det = []
-    for n in steps:
-        a = BrownianPath(np.tile(np.array([0.3, -0.2, 0.5]) / n, (n, 1)), 1.0)
-        b = BrownianPath(np.tile(np.array([-0.1, 0.4, 0.2]) / n, (n, 1)), 1.0)
-        det.append(pathwise_identity_residual(a, b))
     ratios = [det[i] / det[i + 1] for i in range(len(det) - 1)]
     return [
         _check("pathwise identity log-log slope", slope, ">= 0.4", slope >= 0.4, medians=meds),
@@ -540,6 +538,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("a subcommand is required unless --print-defaults is given")
 
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
         cfg = load_config(args.config, args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

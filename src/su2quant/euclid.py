@@ -27,6 +27,8 @@ from numpy.polynomial import polynomial as P
 from .sde import block_estimate, block_rng
 
 MAX_DEGREE = 24
+# highest symbol degree euclid_toeplitz_check takes
+MAX_SYMBOL_DEGREE = 6
 
 
 @dataclass
@@ -280,8 +282,8 @@ def euclid_toeplitz_check(
     of the endpoints serves every symbol.
     """
     symbols = [np.asarray(sym, dtype=complex) for sym in symbols]
-    if any(len(sym) - 1 > 6 for sym in symbols):
-        raise ValueError("symbol degree capped at 6")
+    if any(len(sym) - 1 > MAX_SYMBOL_DEGREE for sym in symbols):
+        raise ValueError(f"symbol degree capped at {MAX_SYMBOL_DEGREE}")
     g1 = f1.to_gauss_poly()
     g2 = f2.to_gauss_poly()
     F1 = euclid_transform(t, f1)

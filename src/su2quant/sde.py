@@ -28,10 +28,20 @@ and only walks with both parts take its complex-mu route.
 Paths enter the kernel a chunk of steps at a time (``chunks``): a
 ``BrownianPath`` holds its increments, and a ``SampledPath`` draws them from
 one generator per draw, SPAN_STEPS steps per call, into a buffer that the
-next span overwrites.  ``pathwise_medians`` runs the 200 pairs of the
-pathwise gate as one such streamed batch, one call of
-``pathwise_identity_residual`` per step count: the NumPy calls of a chunk
-serve all 200 draws, and the batch's increments are never held whole.
+next span overwrites, so a batch's increments are never held whole.
+
+A ``SampledPath`` may walk nested grids: several step counts n, each a row
+of the batch per draw, every row scaling the same normals by its own
+sqrt(sigma_sq / n).  The rows are ordered by descending n, so the rows still
+walking are a prefix of the batch, and a row whose grid has ended keeps its
+endpoint.  A chunk holds a fixed number of pair-steps: CHUNK_STEPS // g
+steps on each of the g grids still walking (``_chunk_plan``), so the
+buffers and temporaries of a chunk are as large on four grids as on one.
+``pathwise_residuals`` walks the pathwise gate this way: 200 pairs of
+sampled paths and one deterministic pair at every step count, one call of
+``pathwise_identity_residual`` in all, and each of the 400 generators built
+once.  Every step is elementwise per row, so each residual is that of its
+pair walked alone.
 
 Reductions are deterministic and independent of the worker count: paths are
 organized in a fixed number of blocks, each block owns a generator derived
@@ -52,7 +62,7 @@ complex-mu route two steps per call, which bounds its complex temporaries.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,17 +79,32 @@ SLAB_PATHS = 2048
 # run at once instead of queueing on the interpreter lock.
 CHUNK_STEPS = 8
 # Steps a streamed SampledPath draws per generator call: a multiple of
-# CHUNK_STEPS, so the chunks of a span line up with those of given paths.
-# At 32 the pathwise gate's 200 pairs trace a peak of 1.84 MB at 800 steps
-# (held batches of 40 pairs: 1.80 MB); 64 steps traced 2.15 MB.
+# CHUNK_STEPS, so a walk on one grid takes whole chunks.  At 32 the pathwise
+# gate traces a peak of 1.81 MB at 100, 200, 400 and 800 steps, and 1.69 MB
+# at 800 steps alone; 64 steps traced 2.12 and 2.00 MB.
 SPAN_STEPS = 32
 
 
-def _chunks(spans):
-    """Split (..., m, 3) increments into chunks of CHUNK_STEPS steps, each (c, ..., 3)."""
-    for inc in spans:
-        for i in range(0, inc.shape[-2], CHUNK_STEPS):
-            yield np.moveaxis(inc[..., i:i + CHUNK_STEPS, :], -2, 0)
+def _chunk_plan(grids):
+    """(k0, c, g) for each chunk of a walk over nested step grids: c steps from step k0 on the first g grids.
+
+    ``grids`` holds step counts in descending order; the g grids still
+    walking are those longer than k0.  A chunk holds CHUNK_STEPS // g steps
+    of each, so its pair-steps stay at CHUNK_STEPS per draw whatever g is,
+    and it ends where a grid or a span of SPAN_STEPS steps ends.
+    """
+    k0, g = 0, len(grids)
+    while k0 < grids[0]:
+        while grids[g - 1] <= k0:
+            g -= 1
+        c = min(max(1, CHUNK_STEPS // g), grids[g - 1] - k0, SPAN_STEPS - k0 % SPAN_STEPS)
+        yield k0, c, g
+        k0 += c
+
+
+def _chunk_capacity(grids, rows: int) -> int:
+    """Most step-rows (steps x rows walking) in a chunk of _chunk_plan(grids) over ``rows`` rows in all."""
+    return max(CHUNK_STEPS, len(grids)) * (rows // len(grids))
 
 
 @dataclass
@@ -94,6 +119,10 @@ class BrownianPath:
         return self.increments.shape[-2]
 
     @property
+    def grids(self) -> tuple:
+        return (self.n_steps,)
+
+    @property
     def batch_shape(self) -> tuple:
         return self.increments.shape[:-2]
 
@@ -102,29 +131,51 @@ class BrownianPath:
         return 1.0 / self.n_steps
 
     def chunks(self):
-        return _chunks([self.increments])
+        """The increments of each chunk of _chunk_plan, as (c, draws, 3) views."""
+        rows = self.increments.reshape((-1,) + self.increments.shape[-2:])
+        for k0, c, _ in _chunk_plan(self.grids):
+            yield rows[:, k0:k0 + c].swapaxes(0, 1)
 
 
 @dataclass
 class SampledPath:
     """Brownian paths on [0, 1] with variance sigma_sq, one per seed, drawn as they are read.
 
-    Draw k takes its (n_steps, 3) normals from default_rng(seed k) and scales
-    them by sqrt(sigma_sq / n_steps).  ``seeds`` is one int (a single path)
-    or a sequence (a batch; its leading axis indexes the draws).  ``chunks``
-    draws SPAN_STEPS steps per generator call into one reused buffer, so a
-    batch is never held whole; a Generator gives the same normals whether
-    drawn in one call or in consecutive pieces, so the increments are the
-    same bit for bit.  ``increments`` draws every step in one call.
+    Draw k takes its (n, 3) normals from default_rng(seed k) and scales them
+    by sqrt(sigma_sq / n).  ``seeds`` is one int (a single path) or a
+    sequence (a batch; its leading axis indexes the draws).  ``steps`` is
+    one step count n, or a descending sequence of them: nested grids, one
+    more leading axis of the batch.  Draw k on every grid takes the normals
+    of one generator, the n-step normals a prefix of the longest grid's.
+    ``given`` holds, per grid, the increments (draws, n, 3) of further
+    draws walked after the drawn ones (``pathwise_residuals``' deterministic
+    pair).  ``chunks`` draws SPAN_STEPS steps per generator call into one
+    reused buffer, so a batch is never held whole; a Generator gives the
+    same normals whether drawn in one call or in consecutive pieces, so the
+    increments are the same bit for bit.  ``increments`` draws every step
+    of a path on one grid in one call.
     """
 
     sigma_sq: float
-    n_steps: int
+    steps: int | Sequence[int]
     seeds: int | Sequence[int]
+    given: Sequence[np.ndarray] = ()
+
+    @property
+    def grids(self) -> tuple:
+        return tuple(np.ravel(self.steps).tolist())
+
+    @property
+    def n_steps(self) -> int:
+        """The longest grid's step count."""
+        return self.grids[0]
 
     @property
     def batch_shape(self) -> tuple:
-        return np.shape(self.seeds)
+        draws = np.shape(self.seeds)
+        if len(self.given):
+            draws = (len(self.seeds) + len(self.given[0]),)
+        return np.shape(self.steps) + draws
 
     @property
     def dt(self) -> float:
@@ -132,32 +183,49 @@ class SampledPath:
 
     @property
     def increments(self) -> np.ndarray:
-        """All increments as one array (..., n_steps, 3)."""
-        return next(self._spans(self.n_steps))
+        """All increments as one array (..., n_steps, 3), for paths on one grid without given draws."""
+        normals = np.stack([np.random.default_rng(s).standard_normal((self.n_steps, 3))
+                            for s in np.ravel(self.seeds).tolist()])
+        normals *= np.sqrt(self.sigma_sq / self.n_steps)
+        return normals.reshape(np.shape(self.seeds) + (self.n_steps, 3))
 
     def chunks(self):
-        return _chunks(self._spans(SPAN_STEPS))
+        """The increments of each chunk of _chunk_plan, (c, rows walking, 3), in one reused buffer.
 
-    def _spans(self, span: int):
-        """The increments, ``span`` steps at a time, as (..., m, 3) views of one buffer that each span overwrites."""
+        Rows run grid by grid, drawn draws before given ones.  The normals
+        are drawn for the longest grid, SPAN_STEPS steps per call, and each
+        grid scales them by its own sqrt(sigma_sq / n).
+        """
+        grids = self.grids
         rngs = [np.random.default_rng(s) for s in np.ravel(self.seeds).tolist()]
-        buf = np.empty(self.batch_shape + (min(span, self.n_steps), 3))
-        rows = buf.reshape(len(rngs), -1, 3)
-        scale = np.sqrt(self.sigma_sq / self.n_steps)
-        for k0 in range(0, self.n_steps, span):
-            m = min(span, self.n_steps - k0)
-            for rng, row in zip(rngs, rows):
-                rng.standard_normal(out=row[:m])
-            inc = buf[..., :m, :]
-            inc *= scale
-            yield inc
+        drawn = len(rngs)
+        per_grid = drawn + (len(self.given[0]) if len(self.given) else 0)
+        scales = [np.sqrt(self.sigma_sq / n) for n in grids]
+        normals = np.empty((drawn, min(SPAN_STEPS, grids[0]), 3))
+        buf = np.empty(_chunk_capacity(grids, len(grids) * per_grid) * 3)
+        for k0, c, g in _chunk_plan(grids):
+            j = k0 % SPAN_STEPS
+            if j == 0:
+                m = min(SPAN_STEPS, grids[0] - k0)
+                for rng, row in zip(rngs, normals):
+                    rng.standard_normal(out=row[:m])
+            inc = buf[:c * g * per_grid * 3].reshape(c, g, per_grid, 3)
+            z = normals[:, j:j + c].swapaxes(0, 1)
+            for i in range(g):
+                np.multiply(z, scales[i], out=inc[:, i, :drawn])
+                if drawn < per_grid:
+                    inc[:, i, drawn:] = self.given[i][:, k0:k0 + c].swapaxes(0, 1)
+            yield inc.reshape(c, g * per_grid, 3)
 
 
-def sample_path(sigma_sq: float, n_steps: int, seed: int | Sequence[int]) -> SampledPath:
-    """The Brownian path of variance sigma_sq drawn from ``seed``, or one path per seed of a sequence."""
+def sample_path(sigma_sq: float, n_steps: int | Sequence[int], seed: int | Sequence[int]) -> SampledPath:
+    """The Brownian path of variance sigma_sq drawn from ``seed``, or one path per seed of a sequence.
+
+    ``n_steps`` is one step count, or a descending sequence of them (nested grids; see SampledPath).
+    """
     if sigma_sq < 0:
         raise ValueError("variance must be nonnegative")
-    if n_steps < 1:
+    if np.min(n_steps) < 1:
         raise ValueError("need at least one step")
     return SampledPath(sigma_sq, n_steps, seed)
 
@@ -216,67 +284,81 @@ def _advance(g, e, k0: int, project, states=None) -> None:
 
 
 def _check_grid(a, b) -> None:
-    if (a.batch_shape, a.n_steps) != (b.batch_shape, b.n_steps):
+    if (a.batch_shape, a.grids) != (b.batch_shape, b.grids):
         raise ValueError("paths must share the step grid")
+    if list(a.grids) != sorted(a.grids, reverse=True):
+        raise ValueError("nested grids must be in descending step count")
 
 
 def _rotated_chunks(b, a, x):
-    """Advance x through theta(A) in place; yield (k0, dA_k, dB_k, dB'_k) for each chunk, each (c, ..., 3).
+    """Advance x (2, 2, rows) through theta(A) in place; yield (k0, dA_k, dB_k, dB'_k) for each chunk.
 
-    dB'_k = Ad_{x_k} dB_k with x_k the state entering step k (left-point rule).
+    Each is (c, rows walking, 3), and dB'_k = Ad_{x_k} dB_k with x_k the
+    state entering step k (left-point rule).
     """
-    xs = np.empty((2, 2, CHUNK_STEPS) + x.shape[2:], dtype=complex)
+    xs = np.empty(4 * _chunk_capacity(a.grids, x.shape[-1]), dtype=complex)
     k0 = 0
     for za, zb in zip(a.chunks(), b.chunks()):
-        e = exp_entries(za, None)
-        _advance(x, e.reshape((2, 2) + e.shape[1:]), k0, _project_su2, states=xs)
-        yield k0, za, zb, ad_action(np.moveaxis(xs[:, :, :len(za)], (0, 1), (-2, -1)), zb)
-        k0 += len(za)
+        c, r = za.shape[:2]
+        states = xs[:4 * c * r].reshape(2, 2, c, r)
+        _advance(x[..., :r], exp_entries(za, None).reshape(2, 2, c, r), k0, _project_su2, states=states)
+        yield k0, za, zb, ad_action(states, zb)
+        k0 += c
 
 
 def pathwise_identity_residual(a, b):
     """Frobenius distance between theta_C(A+iB)_1 and theta_C(iB^{theta(A)})_1 theta(A)_1.
 
-    ``a`` and ``b`` are paths on one step grid, given (``BrownianPath``) or
-    drawn as they are read (``SampledPath``).  Both sides are computed from
-    the same increments at the same discretization; the residual measures
-    only the discretization error of the factorization identity.  A pair of
-    single paths gives a float, a batch an array with one residual per draw.
-    theta(A) leads by one chunk of steps; theta_C(A+iB) and theta_C(iB')
-    then take that chunk side by side as one batch, so only a chunk of
-    rotated increments is held at once.  The step exponentials of
-    theta_C(iB') take the Hermitian branch of ``exp_entries``.
+    ``a`` and ``b`` are paths on the same step grids, given
+    (``BrownianPath``) or drawn as they are read (``SampledPath``).  Both
+    sides are computed from the same increments at the same discretization;
+    the residual measures only the discretization error of the factorization
+    identity.  A pair of single paths gives a float, a batch an array with
+    one residual per draw.  theta(A) leads by one chunk of steps;
+    theta_C(A+iB) and theta_C(iB') then take that chunk side by side as one
+    batch, so only a chunk of rotated increments is held at once.  The step
+    exponentials of theta_C(iB') take the Hermitian branch of
+    ``exp_entries``.  On nested grids the rows still walking are a prefix
+    (see SampledPath), and a row whose grid has ended keeps its endpoint.
     """
     _check_grid(a, b)
     shape = a.batch_shape
-    x, g = _identity(shape), _identity((2,) + shape)
-    e = np.empty((2, 2, CHUNK_STEPS, 2) + shape, dtype=complex)
-    e_rows = e.reshape((4, CHUNK_STEPS, 2) + shape)
+    rows = int(np.prod(shape))
+    x, g = _identity((rows,)), _identity((2, rows))
+    buf = np.empty(8 * _chunk_capacity(a.grids, rows), dtype=complex)
     for k0, da, db, db_rot in _rotated_chunks(b, a, x):
-        c = len(da)
-        exp_entries(da, db, out=e_rows[:, :c, 0])
-        exp_entries(None, db_rot, out=e_rows[:, :c, 1])
-        _advance(g, e[:, :, :c], k0, _project_sl2c)
+        c, r = da.shape[:2]
+        e = buf[:8 * c * r].reshape(2, 2, c, 2, r)
+        e_rows = e.reshape(4, c, 2, r)
+        exp_entries(da, db, out=e_rows[:, :, 0])
+        exp_entries(None, db_rot, out=e_rows[:, :, 1])
+        _advance(g[..., :r], e, k0, _project_sl2c)
     lhs, rhs = _matrices(g[:, :, 0]), _matrices(g[:, :, 1]) @ _matrices(x)
-    res = np.linalg.norm(lhs - rhs, axis=(-2, -1))
+    res = np.linalg.norm(lhs - rhs, axis=(-2, -1)).reshape(shape)
     return float(res) if res.ndim == 0 else res
 
 
-def pathwise_medians(steps, seed: int) -> list[float]:
-    """Median pathwise_identity_residual over 200 pairs of paths at each step count n.
+def pathwise_residuals(steps, seed: int) -> tuple[list[float], list[float]]:
+    """The pathwise gate's residuals at each step count n of ``steps``: a median and a deterministic one.
 
-    Pair k is A = sample_path(0.75, n, seed + 10000 + k) with
-    B = sample_path(0.25, n, seed + 20000 + k).  The 200 pairs are one batch
-    in one call, streamed SPAN_STEPS steps at a time from their 400
-    generators, so the batch's increments are never held whole; the
-    residuals are those of the single pairs.
+    The median is over 200 pairs of paths, pair k being
+    A = sample_path(0.75, n, seed + 10000 + k) with
+    B = sample_path(0.25, n, seed + 20000 + k).  The deterministic pair has
+    the increments (0.3, -0.2, 0.5) / n and (-0.1, 0.4, 0.2) / n.  Every
+    pair at every n is one row of one batch in one call of
+    pathwise_identity_residual, on nested grids: the 400 generators are
+    built once and drawn once, for the longest grid, and the residuals are
+    those of the single pairs.
     """
-    meds = []
-    for n in steps:
-        a = sample_path(0.75, n, range(seed + 10000, seed + 10200))
-        b = sample_path(0.25, n, range(seed + 20000, seed + 20200))
-        meds.append(float(np.median(pathwise_identity_residual(a, b))))
-    return meds
+    grids = sorted(set(steps), reverse=True)
+    a, b = (
+        replace(sample_path(var, grids, range(seed + first, seed + first + 200)),
+                given=[np.broadcast_to(v / n, (1, n, 3)) for n in grids])
+        for var, first, v in ((0.75, 10000, np.array([0.3, -0.2, 0.5])),
+                              (0.25, 20000, np.array([-0.1, 0.4, 0.2])))
+    )
+    res = dict(zip(grids, pathwise_identity_residual(a, b)))
+    return [float(np.median(res[n][:200])) for n in steps], [float(res[n][200]) for n in steps]
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ Nothing in ``src/`` imports this module; none of it is on the run path.
 * The nested-block stderr check of a Toeplitz estimate.
 * The projection of Haar-rule samples onto matrix entries, the oracle for
   ``BandLimited.multiply``.
+* Entry arrays stacked into matrices, for checks of ``exp_entries``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from su2quant.algebra import VOL_K, exp_entries, matrix_from_entries
+from su2quant.algebra import VOL_K, exp_entries
 from su2quant.diffop import LeftInvariantOperator, Word
 from su2quant.heat import nu_radial
 from su2quant.sde import BrownianPath, _check_grid, _identity, _rotated_chunks, block_estimate
@@ -36,6 +37,13 @@ class StatisticalFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 # the group SL(2,C) and the kernel nu_t
 # ---------------------------------------------------------------------------
+
+def matrix_from_entries(e00, e01, e10, e11) -> np.ndarray:
+    """Stack four same-shaped entry arrays into matrices (..., 2, 2)."""
+    out = np.empty(np.shape(e00) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = e00, e01, e10, e11
+    return out
+
 
 def exp_complex(z) -> np.ndarray:
     """exp(sum_k z_k X_k) in SL(2,C) for complex coordinates z (..., 3)."""
@@ -166,9 +174,10 @@ def rotated_path(b, a) -> BrownianPath:
     factorization identity work.
     """
     _check_grid(a, b)
-    x = _identity(a.batch_shape)
+    x = _identity((int(np.prod(a.batch_shape)),))
     inc = np.concatenate([db for *_, db in _rotated_chunks(b, a, x)])
-    return BrownianPath(increments=np.moveaxis(inc, 0, -2), sigma_sq=b.sigma_sq)
+    inc = np.moveaxis(inc, 0, -2).reshape(a.batch_shape + (a.n_steps, 3))
+    return BrownianPath(increments=inc, sigma_sq=b.sigma_sq)
 
 
 def check_convergence(est, factor: float = 1.5) -> None:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import exp_complex, polar_radius
+from reference import exp_complex, matrix_from_entries, polar_radius
 
 from su2quant.algebra import (
     BASIS,
@@ -12,7 +12,6 @@ from su2quant.algebra import (
     exp_entries,
     haar_rule,
     kc_quadrature,
-    matrix_from_entries,
     radial_jacobian,
     random_su2,
 )
@@ -148,7 +147,7 @@ def test_ad_action_is_isometry():
     rng = np.random.default_rng(3)
     x = random_su2(rng, 20)
     y = rng.standard_normal((20, 3))
-    y2 = ad_action(x, y)
+    y2 = ad_action(np.moveaxis(x, (-2, -1), (0, 1)), y)
     np.testing.assert_allclose(
         np.linalg.norm(y2, axis=-1), np.linalg.norm(y, axis=-1), rtol=1e-12
     )
@@ -163,7 +162,8 @@ def test_ad_action_matches_matrix_conjugation():
     y = rng.standard_normal((4, 3))  # broadcasts against x's leading axes
     xm = x @ np.einsum("...k,kab->...ab", y, BASIS) @ np.conj(np.swapaxes(x, -1, -2))
     ref = np.stack([np.real(1j * np.einsum("...ab,ba->...", xm, s)) for s in PAULI], axis=-1)
-    np.testing.assert_allclose(ad_action(x, y), ref, rtol=0, atol=1e-14)
+    entries = np.moveaxis(x, (-2, -1), (0, 1))  # the (2, 2, ...) layout ad_action takes
+    np.testing.assert_allclose(ad_action(entries, y), ref, rtol=0, atol=1e-14)
 
 
 def test_haar_rule_total_mass():

@@ -76,6 +76,7 @@ def test_load_config_diagnostics(tmp_path):
         ({"radial_cutoff": -5}, "radial_cutoff"),
         ({"radial_cutoff": 0}, "radial_cutoff"),
         ({"quadrature": {"n_theta": 20}}, "quadrature.n_theta"),
+        ({"euclid_degree_max": 7}, "euclid_degree_max"),
     ],
 )
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
@@ -92,6 +93,14 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert code == 2
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_workers_below_one_exits_2(tmp_path, capsys):
+    for workers in ("0", "-3"):
+        code = main(["heat-check", "--workers", workers, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_spins_up_to_the_cap_load(tmp_path):
@@ -132,6 +141,24 @@ def test_inner_products_read_no_fiber_node(tmp_path, monkeypatch):
     monkeypatch.setattr("su2quant.hl2.fiber_nodes", refuse)
     assert all(c["passed"] for c in gate_calibration(DEFAULTS["t_values"], {}))
     assert main(["transform-check", "--out", str(tmp_path)]) == 0
+
+
+def test_pathwise_gate_is_one_call_on_the_longest_grid(monkeypatch):
+    # the benchmark's span of sde.pathwise wraps this function and counts a
+    # call's work as args[0].n_steps; its tests call these two names on cli
+    from su2quant import cli, sde
+
+    calls = []
+    original = sde.pathwise_identity_residual
+
+    def counted(a, b):
+        calls.append(a.n_steps)
+        return original(a, b)
+
+    monkeypatch.setattr(sde, "pathwise_identity_residual", counted)
+    cli.gate_pathwise([100, 200, 400, 800], 2026)
+    assert calls == [800]
+    assert callable(cli.sample_path) and callable(cli.pathwise_identity_residual)
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

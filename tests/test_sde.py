@@ -18,7 +18,7 @@ from su2quant.sde import (
     expected_character_K,
     expected_character_KC,
     pathwise_identity_residual,
-    pathwise_medians,
+    pathwise_residuals,
     sample_path,
 )
 
@@ -112,18 +112,58 @@ def _held_batch_residuals(steps, seed, batch=40):
 def test_pathwise_medians_equal_held_batches():
     steps = [45, 100]
     held = _held_batch_residuals(steps, SEED)
-    assert pathwise_medians(steps, SEED) == [float(np.median(r)) for r in held]
+    assert pathwise_residuals(steps, SEED)[0] == [float(np.median(r)) for r in held]
     for n, res in zip(steps, held):
         a = sample_path(0.75, n, range(SEED + 10_000, SEED + 10_200))
         b = sample_path(0.25, n, range(SEED + 20_000, SEED + 20_200))
         np.testing.assert_array_equal(pathwise_identity_residual(a, b), res)
 
 
+def _halving_pair(n):
+    """Reference: the gate's deterministic pair on n steps, as single given paths."""
+    return (BrownianPath(np.tile(np.array(v) / n, (n, 1)), 1.0)
+            for v in ((0.3, -0.2, 0.5), (-0.1, 0.4, 0.2)))
+
+
+@pytest.mark.parametrize("steps", [[100, 200, 400, 800], [45, 100], [200, 100, 200], [100]])
+def test_nested_grid_batch_moves_no_bit(steps):
+    # one batch over nested grids against one held batch per step count and
+    # one call per deterministic pair; [45, 100] ends a grid mid-chunk
+    meds, det = pathwise_residuals(steps, SEED)
+    assert meds == [float(np.median(r)) for r in _held_batch_residuals(steps, SEED)]
+    assert det == [pathwise_identity_residual(*_halving_pair(n)) for n in steps]
+
+
+def test_nested_grids_must_descend():
+    a = sample_path(0.75, [100, 200], range(3))
+    with pytest.raises(ValueError, match="descending"):
+        pathwise_identity_residual(a, sample_path(0.25, [100, 200], range(3)))
+
+
 def test_pathwise_gate_streams_its_increments():
-    # measured 1.84 MB (held batches of 40 pairs: 1.80 MB), bound with a 25%
-    # margin; holding the 200 pairs whole at 800 steps takes 7.7 MB for the
-    # increments alone
-    assert traced_peak_mb(lambda: pathwise_medians([800], SEED)) < 2.3
+    # measured 1.69 MB, bound with a 25% margin; holding the 200 pairs whole
+    # at 800 steps takes 7.7 MB for the increments alone
+    assert traced_peak_mb(lambda: pathwise_residuals([800], SEED)) < 2.3
+
+
+def test_pathwise_gate_memory():
+    # the gate's four step counts as one batch: measured 1.81 MB, bound with
+    # a 15% margin; chunks of CHUNK_STEPS steps on every grid still walking
+    # measured 4.0 MB
+    from su2quant.cli import gate_pathwise
+
+    assert traced_peak_mb(lambda: gate_pathwise([100, 200, 400, 800], SEED)) < 2.1
+
+
+def test_pathwise_gate_builds_each_generator_once(monkeypatch):
+    # 200 pairs draw from 400 seeds; one generator per seed serves every step count
+    from su2quant.cli import gate_pathwise
+
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+    gate_pathwise([100, 200, 400, 800], SEED)
+    assert len(built) == 400
 
 
 def test_offslice_ensemble_memory():
