@@ -22,6 +22,9 @@ VOL_K = 16.0 * np.pi**2  # Riemannian volume of SU(2) as the radius-2 sphere
 # trace matrices (``ClassRuleK.traces_against``, the heat recurrence): 256 kB,
 # so the recurrence's four live buffers stay within a 2 MB L2 cache
 BLOCK_ELEMENTS = 1 << 15
+# radial Gauss-Legendre nodes of kc_quadrature: the config's quadrature.n_r
+# default, and the calibration's rule when no config sets it
+DEFAULT_N_R = 64
 
 PAULI = np.array(
     [
@@ -34,8 +37,6 @@ PAULI = np.array(
 
 # X_k = -(i/2) sigma_k, orthonormal for <X,Y> = -2 tr(XY)
 BASIS = -0.5j * PAULI
-
-IDENTITY2 = np.eye(2, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ class QuadratureRuleKC:
         return float(VOL_K * np.dot(self.fiber_weights, vals))
 
 
-def kc_quadrature(R: float, n_r: int = 48) -> QuadratureRuleKC:
+def kc_quadrature(R: float, n_r: int = DEFAULT_N_R) -> QuadratureRuleKC:
     """Polar-coordinate rule on SL(2,C) with radial cutoff R.
 
     Against radial weights (``hl2.hl2_inner``, the adjoint oracle and the

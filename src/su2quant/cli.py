@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import kc_quadrature, random_su2, default_cutoff
+from .algebra import DEFAULT_N_R, kc_quadrature, random_su2, default_cutoff
 from .diffop import LeftInvariantOperator, radial_symbol_table
 from .euclid import MAX_SYMBOL_DEGREE, HermiteExpansion, euclid_toeplitz_check
 from .heat import calibrate_nu, nu_radial, semigroup_sup_error
@@ -53,57 +53,85 @@ from .wigner import TWO_J_CAP, BandLimited, inner_product_K
 
 SCHEMA = "su2quant-report/1"
 
-DEFAULTS = {
-    "t_values": [0.2, 0.5, 1.0],
-    "t": 0.5,
-    "n_paths": 200000,
-    "n_steps": 200,
-    "n_grid": 1000,
-    "master_seed": 2026,
-    "quadrature": {"n_r": 64},
-    "radial_cutoff": None,
-    "spins": [0.5, 1.0],
-    "euclid_degree_max": 6,
-}
-
-_SCHEMA_TYPES = {
-    "t_values": list,
-    "t": (int, float),
-    "n_paths": int,
-    "n_steps": int,
-    "n_grid": int,
-    "master_seed": int,
-    "quadrature": dict,
-    "radial_cutoff": (int, float, type(None)),
-    "spins": list,
-    "euclid_degree_max": int,
-}
-
-_POSITIVE_COUNTS = ("n_paths", "n_steps", "n_grid", "euclid_degree_max")
-
 
 class ConfigError(Exception):
     pass
 
 
-def _positive_time(value) -> bool:
+def _number(value) -> bool:
+    """A finite int or float; no field is boolean, and bool subclasses int."""
     return (
         not isinstance(value, bool)
         and isinstance(value, (int, float))
-        and math.isfinite(value)
-        and value > 0
+        and abs(value) <= sys.float_info.max  # math.isfinite raises on ints past the float range
     )
+
+
+def _positive(value) -> bool:
+    return _number(value) and value > 0
 
 
 def _spin(value) -> bool:
     """A half-integer j with 0 <= j <= TWO_J_CAP / 2."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and math.isfinite(value)
-        and 2 * value == int(2 * value)
-        and 0 <= 2 * value <= TWO_J_CAP
-    )
+    return _number(value) and 2 * value == int(2 * value) and 0 <= 2 * value <= TWO_J_CAP
+
+
+def _ints(lo: int, hi: float = math.inf):
+    return lambda value: type(value) is int and lo <= value <= hi
+
+
+def _nonempty_list(rule):
+    return lambda value: isinstance(value, list) and bool(value) and all(map(rule, value))
+
+
+# Every config field: name -> (default, the rule its value must pass, what the
+# error says was expected).  A nested table is a field of fields, merged over
+# its defaults; its errors name the dotted field.
+FIELDS = {
+    "t_values": ([0.2, 0.5, 1.0], _nonempty_list(_positive),
+                 "a non-empty list of finite numbers > 0"),
+    "t": (0.5, _positive, "a finite number > 0"),
+    "n_paths": (200000, _ints(DEFAULT_N_BLOCKS),
+                f"an int >= {DEFAULT_N_BLOCKS}, one path per Monte Carlo block"),
+    "n_steps": (200, _ints(1), "an int >= 1"),
+    "n_grid": (1000, _ints(1), "an int >= 1"),
+    "master_seed": (2026, _ints(0), "an int >= 0"),
+    "quadrature": {"n_r": (DEFAULT_N_R, _ints(1), "an int >= 1")},
+    "radial_cutoff": (None, lambda value: value is None or _positive(value),
+                      "null or a finite number > 0"),
+    "spins": ([0.5, 1.0], _nonempty_list(_spin),
+              f"a non-empty list of half-integers j with 0 <= j <= {TWO_J_CAP // 2}"),
+    "euclid_degree_max": (MAX_SYMBOL_DEGREE, _ints(1, MAX_SYMBOL_DEGREE),
+                          f"an int from 1 to {MAX_SYMBOL_DEGREE}"),
+}
+
+
+def _defaults(table: dict) -> dict:
+    return {k: _defaults(v) if isinstance(v, dict) else v[0] for k, v in table.items()}
+
+
+DEFAULTS = _defaults(FIELDS)
+
+
+def _checked(where: str, value, field: tuple):
+    _, rule, expected = field
+    if not rule(value):
+        raise ConfigError(f"{where}: expected {expected}, got {json.dumps(value)}")
+    return value
+
+
+def _merge(cfg: dict, user, table: dict, where: str, prefix: str = "") -> None:
+    """Check ``user`` against ``table`` and write it over ``cfg``, one field at a time."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"{where}: expected an object, got {json.dumps(user)}")
+    for key, value in user.items():
+        name = f"config field '{prefix}{key}'"
+        if key not in table:
+            raise ConfigError(f"{name}: unknown field")
+        if isinstance(table[key], dict):
+            _merge(cfg[key], value, table[key], name, f"{prefix}{key}.")
+        else:
+            cfg[key] = _checked(name, value, table[key])
 
 
 def load_config(path: str | None, seed_override: int | None) -> dict:
@@ -113,61 +141,9 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
             user = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config {path}: {exc}")
-        if not isinstance(user, dict):
-            raise ConfigError(f"config {path}: top level must be an object")
-        for key, value in user.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"config field '{key}': unknown field")
-            want = _SCHEMA_TYPES[key]
-            # no field is boolean, and bool subclasses int
-            if isinstance(value, bool) or not isinstance(value, want):
-                raise ConfigError(
-                    f"config field '{key}': expected {want}, got {type(value).__name__}"
-                )
-            if key in _POSITIVE_COUNTS and value < 1:
-                raise ConfigError(f"config field '{key}': must be >= 1, got {value}")
-            if key == "n_paths" and value < DEFAULT_N_BLOCKS:
-                raise ConfigError(
-                    f"config field 'n_paths': must be >= {DEFAULT_N_BLOCKS}, "
-                    f"one path per Monte Carlo block, got {value}"
-                )
-            if key == "t" and not _positive_time(value):
-                raise ConfigError(f"config field 't': expected a finite number > 0, got {value}")
-            if key == "t_values" and not (value and all(map(_positive_time, value))):
-                raise ConfigError(
-                    f"config field 't_values': expected a non-empty list of finite numbers > 0, "
-                    f"got {value}"
-                )
-            if key == "spins" and not (value and all(map(_spin, value))):
-                raise ConfigError(
-                    f"config field 'spins': expected a non-empty list of half-integers j "
-                    f"with 0 <= j <= {TWO_J_CAP // 2}, got {value}"
-                )
-            if key == "euclid_degree_max" and value > MAX_SYMBOL_DEGREE:
-                raise ConfigError(
-                    f"config field 'euclid_degree_max': must be <= {MAX_SYMBOL_DEGREE}, got {value}"
-                )
-            if key == "master_seed" and value < 0:
-                raise ConfigError(f"config field 'master_seed': must be >= 0, got {value}")
-            if key == "radial_cutoff" and not (value is None or _positive_time(value)):
-                raise ConfigError(
-                    f"config field 'radial_cutoff': expected null or a finite number > 0, "
-                    f"got {value}"
-                )
-            if key == "quadrature":
-                for q_key, q_value in value.items():
-                    if q_key not in DEFAULTS["quadrature"]:
-                        raise ConfigError(f"config field 'quadrature.{q_key}': unknown field")
-                    if type(q_value) is not int or q_value < 1:
-                        raise ConfigError(
-                            f"config field 'quadrature.{q_key}': expected an int >= 1"
-                        )
-                value = {**cfg["quadrature"], **value}
-            cfg[key] = value
+        _merge(cfg, user, FIELDS, f"config {path}")
     if seed_override is not None:
-        if seed_override < 0:
-            raise ConfigError(f"--seed: must be >= 0, got {seed_override}")
-        cfg["master_seed"] = seed_override
+        cfg["master_seed"] = _checked("--seed", seed_override, FIELDS["master_seed"])
     return cfg
 
 
@@ -283,9 +259,9 @@ def gate_complex_moments(runs, n_paths: int, n_steps: int, spins, workers: int):
             )
             for j in spins
         ]
-        traces = np.trace(ens.values, axis1=-2, axis2=-1).real
-        for i, b in enumerate(np.array_split(traces, ens.n_blocks)):
-            blocks.append((f"trace blocks s={s} t={t}", i, float(np.mean(b)), 0.0))
+        for i, b in enumerate(ens.block_views()):
+            trace = np.trace(b, axis1=-2, axis2=-1).real
+            blocks.append((f"trace blocks s={s} t={t}", i, float(np.mean(trace)), 0.0))
     return checks, blocks
 
 

@@ -24,11 +24,13 @@ import numpy as np
 from numpy.polynomial import hermite as H
 from numpy.polynomial import polynomial as P
 
-from .sde import block_estimate, block_rng
+from .sde import DEFAULT_N_BLOCKS, block_estimate, block_rng
 
 MAX_DEGREE = 24
 # highest symbol degree euclid_toeplitz_check takes
 MAX_SYMBOL_DEGREE = 6
+# Gauss-Hermite nodes of every x-rule here: exact on polynomial parts up to degree 119
+GH_NODES = 60
 
 
 @dataclass
@@ -144,21 +146,19 @@ def euclid_transform(t: float, f: HermiteExpansion) -> GaussPoly:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _gh(n: int):
-    """Gauss-Hermite nodes and weights for n points, built once per n and read-only."""
-    rule = np.polynomial.hermite.hermgauss(n)
+def _gh():
+    """Gauss-Hermite nodes and weights for GH_NODES points, built once and read-only."""
+    rule = np.polynomial.hermite.hermgauss(GH_NODES)
     for a in rule:
         a.setflags(write=False)
     return rule
 
 
-def l2_inner(
-    f1: GaussPoly, f2: GaussPoly, sym_coeffs: np.ndarray | None = None, n: int = 60
-) -> complex:
+def l2_inner(f1: GaussPoly, f2: GaussPoly, sym_coeffs: np.ndarray | None = None) -> complex:
     """int conj(f1) f2 [sym] dx on the real line, exact on the polynomial part."""
     b = 2.0 * f1.width * f2.width / (f1.width + f2.width)  # e^{-x^2/b} combined
     sx = np.sqrt(b)
-    u, w = _gh(n)
+    u, w = _gh()
     x = sx * u
     vals = np.conj(P.polyval(x, f1.coeffs)) * P.polyval(x, f2.coeffs)
     if sym_coeffs is not None:
@@ -171,7 +171,6 @@ def hl2_flat_inner(
     F2: GaussPoly,
     t: float,
     sym_coeffs: np.ndarray | None = None,
-    n: int = 60,
 ) -> complex:
     """int conj(F1) F2 [sym(Re z)] nu_t(z) dx dy over C.
 
@@ -186,7 +185,7 @@ def hl2_flat_inner(
         raise ValueError("width must exceed t for nu_t-integrability")
     sx = np.sqrt(a)
     sy = np.sqrt(t * a / (a - t))
-    u, wu = _gh(n)
+    u, wu = _gh()
     x = sx * u
     y = sy * u
     z = x[:, None] + 1j * y[None, :]
@@ -214,8 +213,6 @@ def flat_weak_mc(
     F2: GaussPoly,
     n_samples: int,
     master_seed: int,
-    n_blocks: int = 40,
-    n_x: int = 60,
 ) -> list[tuple[complex, float]]:
     """The group estimator's flat counterpart: (value, stderr) per symbol.
 
@@ -233,7 +230,7 @@ def flat_weak_mc(
     a = F1.width
     if abs(F2.width - a) > 1e-12:
         raise ValueError("factors must share the Gaussian width")
-    u, wu = _gh(n_x)
+    u, wu = _gh()
     sx = np.sqrt(a)
     x = sx * u
     A1 = _taylor_table(np.conj(F1.coeffs), x, -1j)
@@ -245,9 +242,9 @@ def flat_weak_mc(
     # moments[k, b] = block-b mean of eta^k e^{eta^2/a} (conj(F1) F2 has Gaussian part
     # e^{-(x^2 - eta^2)/a}, and the Gauss-Hermite weights hold e^{-x^2/a}); a running
     # product keeps each moment independent of how many the symbols need
-    moments = np.empty((max(len(q) for q in qs), n_blocks))
-    sizes = [len(ix) for ix in np.array_split(np.arange(n_samples), n_blocks)]
-    for b in range(n_blocks):
+    moments = np.empty((max(len(q) for q in qs), DEFAULT_N_BLOCKS))
+    sizes = [len(ix) for ix in np.array_split(np.arange(n_samples), DEFAULT_N_BLOCKS)]
+    for b in range(DEFAULT_N_BLOCKS):
         eta = block_rng(master_seed, b).normal(0.0, np.sqrt(t / 2.0), size=sizes[b])
         term = np.exp(eta**2 / a)
         for k in range(len(moments)):
@@ -271,8 +268,8 @@ def euclid_toeplitz_check(
     symbols,
     f1: HermiteExpansion,
     f2: HermiteExpansion,
-    n_samples: int = 200000,
-    master_seed: int = 2024,
+    n_samples: int,
+    master_seed: int,
 ) -> list[EuclidReport]:
     """Verify <f1, V f2> = <F1, T_{V~} F2> with V = e^{t Delta/4} V~, per symbol.
 

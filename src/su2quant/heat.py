@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BLOCK_ELEMENTS, VOL_K, kc_quadrature, default_cutoff, radial_jacobian, weyl_rule
+from .algebra import BLOCK_ELEMENTS, DEFAULT_N_R, VOL_K, kc_quadrature, default_cutoff, radial_jacobian, weyl_rule
 from .errors import TruncationError
 from .hl2 import hl2_inner
 from .wigner import BandLimited, characters
@@ -301,23 +301,19 @@ def bracketed_root(f, a: float, b: float, *, xtol: float, rtol: float, maxiter: 
     raise RuntimeError(f"no root to tolerance after {maxiter} steps; bracket [{a}, {b}]")
 
 
-def calibrate_nu(
-    t: float,
-    beta_bracket: tuple[float, float] = (0.6, 1.6),
-    n_r: int = 64,
-) -> CalibrationRecord:
+def calibrate_nu(t: float, n_r: int = DEFAULT_N_R) -> CalibrationRecord:
     """Pin (beta, N(t)) from the mass and unitarity identities.
 
     For each candidate beta the normalization is solved from the mass
-    identity; beta itself is then the root of the spin-1/2 unitarity
-    residual.  The spin-1 residual at the solution is reported as the
-    overdetermined cross-check.  One polar rule serves every beta: the
+    identity; beta itself is then the root in [0.6, 1.6] of the spin-1/2
+    unitarity residual.  The spin-1 residual at the solution is reported as
+    the overdetermined cross-check.  One polar rule serves every beta: the
     integrands are radial, so only its n_r radii and fiber weights are
     read, and beta enters through the Jacobian ratio in the weight.
     """
     rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=n_r)
     beta_star = bracketed_root(
-        lambda beta: _unitarity_residual(t, beta, rule, 0.5), *beta_bracket, xtol=1e-10, rtol=1e-12
+        lambda beta: _unitarity_residual(t, beta, rule, 0.5), 0.6, 1.6, xtol=1e-10, rtol=1e-12
     )
     n_star = _mass_normalization(t, beta_star, rule)
     mass = rule.integrate_radial(_beta_weight(t, beta_star, n_star))

@@ -120,7 +120,6 @@ def hl2_inner_pointwise(
     symbol,
     k_rule: QuadratureRuleK,
     sphere,
-    chunk: int = K_CHUNK,
 ) -> complex:
     """Same integral with a general pointwise symbol(g), chunked over K-nodes.
 
@@ -136,7 +135,7 @@ def hl2_inner_pointwise(
     kn, kw = k_rule.nodes, k_rule.weights
     fnodes = fiber_nodes(rule.radii, directions)
     total = 0.0 + 0.0j
-    for part, dx, ey in _chunked_tables(kn, fnodes, set(F1.blocks) | set(F2.blocks), chunk):
+    for part, dx, ey in _chunked_tables(kn, fnodes, set(F1.blocks) | set(F2.blocks), K_CHUNK):
         v1, v2 = _factored_values(F1, dx, ey), _factored_values(F2, dx, ey)
         g = np.einsum("xab,ybc->xyac", kn[part], fnodes)
         sym = np.asarray(symbol(g), dtype=complex)

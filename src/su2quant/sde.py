@@ -517,12 +517,9 @@ def endpoint_ensemble_K(
     n_steps: int,
     master_seed: int,
     workers: int = 1,
-    n_blocks: int = DEFAULT_N_BLOCKS,
 ) -> EndpointEnsemble:
     """Sample rho_s endpoints on SU(2)."""
-    ens = endpoint_ensemble_KC(
-        s + 0.0, 0.0, n_paths, n_steps, master_seed, workers=workers, n_blocks=n_blocks
-    )
+    ens = endpoint_ensemble_KC(s + 0.0, 0.0, n_paths, n_steps, master_seed, workers=workers)
     # var_b = 0 so the endpoints are already in SU(2) up to drift
     ens.values = _matrices(_project_su2(np.moveaxis(ens.values, (-2, -1), (0, 1))))
     return ens

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffop import LeftInvariantOperator
-from .sde import DEFAULT_N_BLOCKS, EndpointEnsemble, block_estimate, endpoint_ensemble_KC, endpoint_ensembles_KC
+from .sde import EndpointEnsemble, block_estimate, endpoint_ensemble_KC, endpoint_ensembles_KC
 from .transform import transform_C
 from .wigner import BandLimited, inner_product_K, triple_integral_K, wigner_matrix
 
@@ -87,16 +87,11 @@ class ToeplitzSampler:
         n_steps: int,
         master_seed: int,
         workers: int = 1,
-        n_blocks: int = DEFAULT_N_BLOCKS,
         ensemble: EndpointEnsemble | None = None,
     ):
         self.t = t
-        self.n_blocks = n_blocks
         if ensemble is None:
-            ensemble = endpoint_ensemble_KC(
-                t / 2.0, t, n_paths, n_steps, master_seed,
-                workers=workers, n_blocks=n_blocks,
-            )
+            ensemble = endpoint_ensemble_KC(t / 2.0, t, n_paths, n_steps, master_seed, workers=workers)
         self.ensemble: EndpointEnsemble = ensemble
         self._tensors: dict[tuple[int, int], np.ndarray] = {}
 
@@ -108,16 +103,13 @@ class ToeplitzSampler:
         n_steps: int,
         master_seed: int,
         workers: int = 1,
-        n_blocks: int = DEFAULT_N_BLOCKS,
     ) -> list[ToeplitzSampler]:
         """One sampler per t in ``ts``, each equal to ``ToeplitzSampler(t, ...)``, from one draw of the normals."""
         ensembles = endpoint_ensembles_KC(
-            [(t / 2.0, t) for t in ts], n_paths, n_steps, master_seed,
-            workers=workers, n_blocks=n_blocks,
+            [(t / 2.0, t) for t in ts], n_paths, n_steps, master_seed, workers=workers
         )
         return [
-            cls(t, n_paths, n_steps, master_seed, n_blocks=n_blocks, ensemble=ens)
-            for t, ens in zip(ts, ensembles)
+            cls(t, n_paths, n_steps, master_seed, ensemble=ens) for t, ens in zip(ts, ensembles)
         ]
 
     def moment_tensors(self, tj1: int, tj2: int) -> np.ndarray:
@@ -148,7 +140,7 @@ class ToeplitzSampler:
         F2 = transform_C(self.t, f2)
         if a is not None:
             F2 = a.apply(F2)
-        block_vals = np.zeros(self.n_blocks, dtype=complex)
+        block_vals = np.zeros(self.ensemble.n_blocks, dtype=complex)
         for tj1, c1 in F1.blocks.items():
             for tj2, c2 in F2.blocks.items():
                 # W[a, e, c, f] = sum_{b, d} conj(c1)[a, b] c2[c, d] I[e, b, f, d]

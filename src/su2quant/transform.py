@@ -51,7 +51,6 @@ def adjoint_inversion_oracle(
     F: BandLimited,
     rule: QuadratureRuleKC,
     two_jmax: int,
-    rho_tol: float = 1e-9,
 ) -> BandLimited:
     """Recover f from F by the adjoint integral, as an independent oracle.
 
@@ -73,7 +72,7 @@ def adjoint_inversion_oracle(
     On the range of C_t this reproduces f itself (C_t^* = C_t^{-1} there),
     so agreement with inverse_C is a radial-quadrature check, not exact.
     """
-    top = min(two_jmax, HeatKernelK.build(t, rmax=rule.cutoff, tol=rho_tol).two_jmax)
+    top = min(two_jmax, HeatKernelK.build(t, rmax=rule.cutoff, tol=1e-9).two_jmax)
     wy = rule.fiber_weights * nu_radial(t, rule.radii)
     m = {two_j: fiber_scalar(two_j, rule, wy) * c for two_j, c in F.blocks.items() if two_j <= top}
     return BandLimited(m).heat(t, sign=-1.0).prune(1e-12)

@@ -287,8 +287,8 @@ class BandLimited:
         return cls({0: np.array([[value]], dtype=complex)})
 
     @classmethod
-    def entry(cls, j, m, mp, coeff: complex = 1.0) -> "BandLimited":
-        """coeff * D^j_{m,m'}; IndexError unless |m|, |m'| <= j with j - m, j - m' integers."""
+    def entry(cls, j, m, mp) -> "BandLimited":
+        """D^j_{m,m'}; IndexError unless |m|, |m'| <= j with j - m, j - m' integers."""
         two_j = two_j_of(j)
         c = np.zeros((two_j + 1, two_j + 1), dtype=complex)
         index = []
@@ -296,13 +296,13 @@ class BandLimited:
             if abs(two_m) > two_j or (two_j - two_m) % 2 != 0:
                 raise IndexError(f"index {two_m / 2} invalid for spin {two_j / 2}")
             index.append((two_j - two_m) // 2)
-        c[tuple(index)] = coeff
+        c[tuple(index)] = 1.0
         return cls({two_j: c})
 
     @classmethod
-    def character_fn(cls, j, coeff: complex = 1.0) -> "BandLimited":
+    def character_fn(cls, j) -> "BandLimited":
         two_j = two_j_of(j)
-        return cls({two_j: coeff * np.eye(two_j + 1, dtype=complex)})
+        return cls({two_j: np.eye(two_j + 1, dtype=complex)})
 
     # -- basic structure ----------------------------------------------------
     @property

@@ -7,6 +7,7 @@ import pytest
 from su2quant.algebra import default_cutoff
 from su2quant.cli import (
     DEFAULTS,
+    FIELDS,
     SCHEMA,
     ConfigError,
     _spin_half_entries,
@@ -52,33 +53,37 @@ def test_load_config_diagnostics(tmp_path):
         load_config(str(p), None)
 
 
-@pytest.mark.parametrize(
-    "user, field",
-    [
-        ({"n_steps": 0}, "n_steps"),
-        ({"n_paths": -5}, "n_paths"),
-        ({"n_paths": True}, "n_paths"),
-        ({"euclid_degree_max": False}, "euclid_degree_max"),
-        ({"quadrature": {"n_r": 8, "n_rho": 4}}, "quadrature.n_rho"),
-        ({"n_paths": 10, "n_steps": 20}, "n_paths"),
-        ({"t": -1.0}, "'t'"),
-        ({"t": 0}, "'t'"),
-        ({"t_values": [-0.5]}, "t_values"),
-        ({"t_values": []}, "t_values"),
-        ({"t_values": [0.5, True]}, "t_values"),
-        ({"t_values": [0.5, "1"]}, "t_values"),
-        ({"spins": [0.3]}, "spins"),
-        ({"spins": [13]}, "spins"),
-        ({"spins": [-0.5]}, "spins"),
-        ({"spins": []}, "spins"),
-        ({"spins": [0.5, True]}, "spins"),
-        ({"master_seed": -1}, "master_seed"),
-        ({"radial_cutoff": -5}, "radial_cutoff"),
-        ({"radial_cutoff": 0}, "radial_cutoff"),
-        ({"quadrature": {"n_theta": 20}}, "quadrature.n_theta"),
-        ({"euclid_degree_max": 7}, "euclid_degree_max"),
-    ],
-)
+# one config per row, each refused naming the field in the row
+BAD_VALUES = [
+    ({"n_steps": 0}, "n_steps"),
+    ({"n_paths": -5}, "n_paths"),
+    ({"n_paths": True}, "n_paths"),
+    ({"euclid_degree_max": False}, "euclid_degree_max"),
+    ({"quadrature": {"n_r": 8, "n_rho": 4}}, "quadrature.n_rho"),
+    ({"n_paths": 10, "n_steps": 20}, "n_paths"),
+    ({"t": -1.0}, "'t'"),
+    ({"t": 0}, "'t'"),
+    ({"t_values": [-0.5]}, "t_values"),
+    ({"t_values": []}, "t_values"),
+    ({"t_values": [0.5, True]}, "t_values"),
+    ({"t_values": [0.5, "1"]}, "t_values"),
+    ({"spins": [0.3]}, "spins"),
+    ({"spins": [13]}, "spins"),
+    ({"spins": [-0.5]}, "spins"),
+    ({"spins": []}, "spins"),
+    ({"spins": [0.5, True]}, "spins"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"radial_cutoff": -5}, "radial_cutoff"),
+    ({"radial_cutoff": 0}, "radial_cutoff"),
+    ({"quadrature": {"n_theta": 20}}, "quadrature.n_theta"),
+    ({"euclid_degree_max": 7}, "euclid_degree_max"),
+    ({"n_grid": 0}, "n_grid"),
+    ({"quadrature": {"n_r": 0}}, "quadrature.n_r"),
+    ({"t": 10**400}, "'t'"),  # an int past the float range, not an OverflowError
+]
+
+
+@pytest.mark.parametrize("user, field", BAD_VALUES)
 def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(user))
@@ -86,6 +91,22 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def _fields(table: dict, prefix: str = ""):
+    """(dotted name, (default, rule, expected)) for every field of ``table``."""
+    for name, field in table.items():
+        if isinstance(field, dict):
+            yield from _fields(field, f"{prefix}{name}.")
+        else:
+            yield f"{prefix}{name}", field
+
+
+def test_every_field_default_passes_and_a_bad_value_is_refused():
+    rejected = {field.strip("'") for _, field in BAD_VALUES}
+    for name, (default, rule, _) in _fields(FIELDS):
+        assert rule(default), name
+        assert name in rejected, name
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):

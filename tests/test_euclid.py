@@ -190,5 +190,6 @@ def test_toeplitz_identity_by_degree(deg):
 def test_symbol_degree_cap():
     with pytest.raises(ValueError):
         euclid_toeplitz_check(
-            0.4, [np.ones(2), np.ones(8)], HermiteExpansion([1.0]), HermiteExpansion([1.0])
+            0.4, [np.ones(2), np.ones(8)], HermiteExpansion([1.0]), HermiteExpansion([1.0]),
+            n_samples=4000, master_seed=99,
         )

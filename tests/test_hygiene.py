@@ -1,7 +1,7 @@
 """Source hygiene that no installed linter checks: imports that nothing uses,
-functions that only the tests call, the names the benchmark binds to, and
-SciPy and the tests' reference module kept off the run path and the thread
-pool off the CLI's import."""
+functions that only the tests call, defaults that no caller sets, the names
+the benchmark binds to, and SciPy and the tests' reference module kept off
+the run path and the thread pool off the CLI's import."""
 
 import ast
 import importlib
@@ -152,6 +152,68 @@ WRITE_ONLY = {}
 
 def test_write_only_fields_are_allowlisted():
     assert sorted(_unloaded_fields()) == sorted(WRITE_ONLY)
+
+
+def _defaulted_params(fn, skip: int) -> list[tuple[str, int | None]]:
+    """(name, index among the call's positional arguments, or None) of each parameter of ``fn`` with a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first] + [
+        (a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+    ]
+
+
+def _passes(call: ast.Call, name: str, index: int | None) -> bool:
+    if any(k.arg in (None, name) for k in call.keywords):  # k.arg is None for **
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def _unset_defaults() -> set[str]:
+    """Parameters with a default in src/ functions that no call in src/ or tests/ passes.
+
+    A call passes a parameter by keyword or by position (``self`` and ``cls``
+    not counted), and a call with ``**`` or ``*`` passes every parameter it
+    could.  Calls match by the function's name, or for ``__init__`` by the
+    class's name or by ``cls`` inside the class, so a call of another
+    function of the same name counts too.
+    """
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(n): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(owner.get(id(node)) if name == "cls" else name, []).append(node)
+    unset = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            defs = [(node.name, node.name, node, 0)] if isinstance(node, funcs) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [
+                    (f"{node.name}.{item.name}", node.name if item.name == "__init__" else item.name,
+                     item, 0 if any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list) else 1)
+                    for item in node.body if isinstance(item, funcs)
+                ]
+            for qual, callee, fn, skip in defs:
+                unset |= {
+                    f"{path.stem}.{qual}({name})" for name, index in _defaulted_params(fn, skip)
+                    if not any(_passes(c, name, index) for c in calls.get(callee, []))
+                }
+    return unset
+
+
+# Parameters with a default that no caller sets, with the reason each stays.
+# A new one fails below: make it a constant, or pass it from a caller.
+UNSET_DEFAULTS = {}
+
+
+def test_unset_defaults_are_allowlisted():
+    assert sorted(_unset_defaults()) == sorted(UNSET_DEFAULTS)
 
 
 def test_benchmark_bindings_resolve():

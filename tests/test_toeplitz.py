@@ -6,6 +6,7 @@ from su2quant.algebra import default_cutoff, haar_rule, kc_quadrature
 from su2quant.diffop import LeftInvariantOperator
 from su2quant.heat import nu_radial
 from su2quant.hl2 import hl2_inner
+from su2quant.sde import endpoint_ensemble_KC
 from su2quant.toeplitz import ToeplitzEstimate, ToeplitzSampler, schrodinger_entry
 from su2quant.transform import transform_C
 from su2quant.wigner import BandLimited, inner_product_K, wigner_matrix
@@ -50,7 +51,7 @@ def _node_tensors(smp, rule, tj1, tj2):
     """
     dx1, dx2 = (wigner_matrix(tj / 2.0, rule.nodes) for tj in (tj1, tj2))
     d1, d2 = tj1 + 1, tj2 + 1
-    p = smp.moment_tensors(tj1, tj2).reshape(smp.n_blocks, d1, d1, d2, d2)
+    p = smp.moment_tensors(tj1, tj2).reshape(smp.ensemble.n_blocks, d1, d1, d2, d2)
     return np.einsum("naecf,qeb,qfd->nqabcd", p, np.conj(dx1), dx2, optimize=True)
 
 
@@ -72,7 +73,7 @@ def test_moment_tensors_match_per_node_average():
     rule = haar_rule(4)
     for tj1, tj2 in ((1, 1), (1, 2), (2, 1), (0, 2)):
         d1, d2 = tj1 + 1, tj2 + 1
-        assert small.moment_tensors(tj1, tj2).shape == (small.n_blocks, d1 * d1 * d2 * d2)
+        assert small.moment_tensors(tj1, tj2).shape == (small.ensemble.n_blocks, d1 * d1 * d2 * d2)
         got = _node_tensors(small, rule, tj1, tj2)
         for n, wb in enumerate(small.ensemble.block_views()):
             wx = wb[:, None] @ rule.nodes[None]
@@ -139,6 +140,14 @@ def test_samplers_for_times_equal_separate_samplers():
         np.testing.assert_array_equal(
             smp.entry(vt, f1, f2).block_values, alone.entry(vt, f1, f2).block_values
         )
+
+
+def test_sampler_takes_the_block_count_of_its_ensemble():
+    # the sampler keeps no block count of its own, so any ensemble's blocks serve
+    ens = endpoint_ensemble_KC(T / 2.0, T, 400, 10, 1, n_blocks=20)
+    smp = ToeplitzSampler(T, 400, 10, 1, ensemble=ens)
+    est = smp.entry(BandLimited.character_fn(1.0), _f(0.5, 0.5), _f(0.5, -0.5))
+    assert est.block_values.shape == (20,)
 
 
 def test_constant_symbol_gives_inner_product(sampler):
