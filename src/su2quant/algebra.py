@@ -287,7 +287,10 @@ class ClassRuleK:
     """Rule over h in K for integrands F(g h^{-1}) G(h) with F, G class functions.
 
     A node is a class angle b of h and the cosine c between the rotation
-    axes of a fixed g and of h.  ``weights`` sum to Vol(K).
+    axes of a fixed g and of h.  ``weights`` sum to Vol(K).  The nodes are
+    mirror-exact: node N-1-q has ``cos_b`` and ``sin_b_c`` of node q negated
+    and its weight, so tr(g h_{N-1-q}^{-1}) = -tr(g h_q^{-1}) bit for bit,
+    and the nodes q < ceil(N/2) represent the rule.
     """
 
     cos_b: np.ndarray  # (N,)
@@ -300,22 +303,38 @@ class ClassRuleK:
         return 2.0 * self.cos_b
 
     def traces_against(self, traces_g: np.ndarray) -> np.ndarray:
-        """tr(g h^{-1}) = 2(cos a cos b + sin a sin b c), shape (p, N), from tr(g) = 2 cos a."""
+        """tr(g h_q^{-1}) = 2(cos a cos b + sin a sin b c) at the representative nodes q.
+
+        Shape (p, ceil(N/2)), from tr(g) = 2 cos a; node N-1-q has the negated trace.
+        """
+        n = (self.cos_b.size + 1) // 2
         cos_a = 0.5 * np.asarray(traces_g, dtype=float).reshape(-1)
         sin_a = np.sqrt(np.clip(1.0 - cos_a**2, 0.0, None))
-        out = np.empty((cos_a.size, self.cos_b.size))
-        rows = max(1, BLOCK_ELEMENTS // self.cos_b.size)
-        scratch = np.empty((min(rows, cos_a.size), self.cos_b.size))
+        out = np.empty((cos_a.size, n))
+        rows = max(1, BLOCK_ELEMENTS // n)
+        scratch = np.empty((min(rows, cos_a.size), n))
         # row blocks of 2 (outer(cos_a, cos_b) + outer(sin_a, sin_b_c)), the
         # same operations in the same order, with no full-size temporary
         for start in range(0, cos_a.size, rows):
             block = out[start:start + rows]
             part = scratch[: len(block)]
-            np.multiply(cos_a[start:start + rows, None], self.cos_b, out=block)
-            np.multiply(sin_a[start:start + rows, None], self.sin_b_c, out=part)
+            np.multiply(cos_a[start:start + rows, None], self.cos_b[:n], out=block)
+            np.multiply(sin_a[start:start + rows, None], self.sin_b_c[:n], out=part)
             block += part
             block *= 2.0
         return out
+
+    def fold(self, weights: np.ndarray) -> np.ndarray:
+        """Node weights folded onto the representative nodes: rows w_q + w_{N-1-q} and w_q - w_{N-1-q}.
+
+        chi_j(-tau) = (-1)^{2j} chi_j(tau), so sum_q w_q chi_j(tau_q) is the
+        representative sum against row 2j % 2.  A centre node keeps its own weight.
+        """
+        n = (weights.size + 1) // 2
+        mirror = weights[::-1][:n].copy()
+        if weights.size % 2:
+            mirror[-1] = 0.0  # a centre node counts once
+        return np.stack([weights[:n] + mirror, weights[:n] - mirror])
 
 
 def weyl_rule(total_two_j: int, axis_two_j: int) -> ClassRuleK:
@@ -332,16 +351,25 @@ def weyl_rule(total_two_j: int, axis_two_j: int) -> ClassRuleK:
     Gauss-Legendre.  Exact when 2 j + 2 j' <= total_two_j and
     2 j <= axis_two_j: the integrand is then a polynomial of degree
     <= total_two_j in cos b and <= axis_two_j in c.
+
+    Node q = k n_c + l pairs with node N-1-q, at pi - b_k and -c_l.  The
+    b-nodes past the middle copy the first half (cos b negated, sin b as
+    is, and cos b = 0 at a centre), and NumPy's c-nodes are antisymmetric,
+    so the pairs are mirror-exact (``ClassRuleK``).
     """
     n_b = total_two_j // 2 + 1  # exact to degree 2 n_b - 1 >= total_two_j
     n_c = axis_two_j // 2 + 1
     b = np.pi * np.arange(1, n_b + 1) / (n_b + 1)
+    cos_b, sin_b, half = np.cos(b), np.sin(b), n_b // 2
+    cos_b[n_b - half:] = -cos_b[:half][::-1]
+    sin_b[n_b - half:] = sin_b[:half][::-1]
+    cos_b[half:n_b - half] = 0.0  # the centre b = pi/2, if n_b is odd
     c, wc = _gauss_legendre(n_c)
     # Vol(K) (2/pi) * pi/(n_b+1) sin^2 b * wc/2
-    wb = VOL_K * np.sin(b) ** 2 / (n_b + 1)
+    wb = VOL_K * sin_b**2 / (n_b + 1)
     return ClassRuleK(
-        cos_b=np.repeat(np.cos(b), n_c),
-        sin_b_c=np.outer(np.sin(b), c).reshape(-1),
+        cos_b=np.repeat(cos_b, n_c),
+        sin_b_c=np.outer(sin_b, c).reshape(-1),
         weights=np.outer(wb, wc).reshape(-1),
     )
 

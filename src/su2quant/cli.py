@@ -474,7 +474,7 @@ def cmd_toeplitz_mult(cfg: dict, workers: int):
 
 def cmd_toeplitz_diff(cfg: dict, workers: int):
     t = cfg["t"]
-    smp = ToeplitzSampler(t, cfg["n_paths"], cfg["n_steps"], cfg["master_seed"], workers=workers)
+    smp = ToeplitzSampler.for_times([t], cfg["n_paths"], cfg["n_steps"], cfg["master_seed"], workers=workers)[0]
     (_, f1), (_, f2) = _spin_half_entries()[:2]
     checks, blocks = gate_differential(t, smp, [("11", f1, f1), ("12", f1, f2)])
     R = _cutoff(cfg, t) + 1.5

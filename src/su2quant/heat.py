@@ -132,9 +132,12 @@ def convolve_on_traces(traces: np.ndarray, kernel_weight_pairs):
     """Weighted kernel sums sum_q w_q rho_t(tau_pq) for several kernels.
 
     ``traces`` is the (p, q) matrix of traces tr(g_p h_q^{-1}) and each
-    (kernel, weights) pair supplies quadrature weights over the q nodes.
-    One character recurrence is shared by all kernels, and the weights are
-    contracted per spin so the full kernel matrix is never materialized.
+    (kernel, weights) pair supplies two rows of quadrature weights over the
+    q nodes: spin j is contracted against row 2j % 2.  ``ClassRuleK.fold``
+    gives the rows on a rule's representative nodes; two equal rows give
+    the plain sum.  One character recurrence is shared by all kernels, and
+    the weights are contracted per spin so the full kernel matrix is never
+    materialized.
     """
     kernels, weights = zip(*kernel_weight_pairs)
     return _recurrence(traces, kernels, weights)
@@ -144,26 +147,25 @@ def _recurrence(traces, kernels, weights=None) -> list[np.ndarray]:
     """sum_j (2j+1) e^{-t j(j+1)/2} chi_j(tau) / Vol(K) for each kernel, in one pass.
 
     chi_j comes from ``wigner.characters``, shared by all kernels.  With
-    ``weights`` (one vector per kernel over the last axis of ``traces``)
-    each sum is contracted against its weights spin by spin.
+    ``weights`` (one pair of rows per kernel over the last axis of
+    ``traces``) each sum is contracted spin by spin against row 2j % 2.
 
     The pass walks the input in blocks of about ``BLOCK_ELEMENTS`` elements:
     row blocks of the (points x nodes) matrix when weighted (the contraction
     runs along the nodes, so rows are independent), flat slices otherwise.
     Every element goes through the same operations in the same order as in
     one whole-array pass (row blocks start at multiples of ``GEMV_ROWS``), so
-    the blocks change no bit.  They keep the working set in L2: on
-    heat-check's 1000 x 345 trace matrix each whole-array buffer is 2.76 MB,
-    and the four live ones spill a 2 MB L2 on every spin step (2.9 ns per
-    element-spin); blocks of 88 rows, 243 kB per buffer, run the same loop at
-    1.3-1.5 ns.
+    the blocks change no bit.  They keep the working set in L2: heat-check's
+    folded 1000 x 173 trace matrix is 1.38 MB per whole-array buffer, and
+    the four live ones would spill a 2 MB L2 on every spin step; blocks of
+    184 rows, 255 kB per buffer, stay within it.
     """
     tau = np.ascontiguousarray(traces, dtype=np.float64)
     if weights is None:
         accs = [np.ones_like(tau) for _ in kernels]
         tau, outs, step = tau.reshape(-1), [acc.reshape(-1) for acc in accs], BLOCK_ELEMENTS
     else:
-        accs = outs = [np.full(tau.shape[0], np.sum(w)) for w in weights]
+        accs = outs = [np.full(tau.shape[0], np.sum(w[0])) for w in weights]
         step = max(GEMV_ROWS, BLOCK_ELEMENTS // tau.shape[1] // GEMV_ROWS * GEMV_ROWS)
     # (2j+1) e^{-t j(j+1)/2} for two_j = 1, ..., two_jmax of each kernel
     coeffs = [[(two_j + 1) * np.exp(-k.t * (two_j / 2.0) * (two_j / 2.0 + 1) / 2.0)
@@ -190,7 +192,7 @@ def _recurrence_block(tau, coeffs, weights, accs) -> None:
                 np.multiply(chi, coeff[two_j - 1], out=scaled)
                 acc += scaled
             else:
-                acc += coeff[two_j - 1] * (chi @ weights[i])
+                acc += coeff[two_j - 1] * (chi @ weights[i][two_j % 2])
     for acc in accs:
         acc /= VOL_K
 
@@ -208,6 +210,12 @@ def semigroup_sup_error(t: float, s: float, traces: np.ndarray) -> float:
     with tr(g) = 2 cos a, tr(h) = 2 cos b and c the cosine between the axes
     of g and h.  rho_t and rho_s are cut at a 2e-9 tail and rho_{t+s} at
     1e-12, so the rule is exact on the truncated series.
+
+    The rule's node N-1-q has the negated trace of node q against every g,
+    and chi_j(-tau) = (-1)^{2j} chi_j(tau) exactly, so each sum runs over
+    the representative half of the nodes (``ClassRuleK.fold``): the same
+    quadrature over half the trace matrix.  The node kernel values are
+    formed at all N nodes and then folded.
     """
     jt = choose_two_jmax(t, 0.0, 2e-9)
     js = choose_two_jmax(s, 0.0, 2e-9)
@@ -216,9 +224,9 @@ def semigroup_sup_error(t: float, s: float, traces: np.ndarray) -> float:
     kts = HeatKernelK.build(t + s, tol=1e-12)
     rule = weyl_rule(jt + js, max(jt, js))
     rho_s_nodes, rho_t_nodes = ks.pair_on_traces(kt, rule.traces)
-    pairs = [(kt, rule.weights * rho_s_nodes)]
+    pairs = [(kt, rule.fold(rule.weights * rho_s_nodes))]
     if s != t:
-        pairs.append((ks, rule.weights * rho_t_nodes))
+        pairs.append((ks, rule.fold(rule.weights * rho_t_nodes)))
     traces = np.ascontiguousarray(traces, dtype=np.float64)
     direct = kts.on_traces(traces)
     convs = convolve_on_traces(rule.traces_against(traces), pairs)

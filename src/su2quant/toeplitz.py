@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffop import LeftInvariantOperator
-from .sde import EndpointEnsemble, block_estimate, endpoint_ensemble_KC, endpoint_ensembles_KC
+from .sde import EndpointEnsemble, block_estimate, endpoint_ensembles_KC
 from .transform import transform_C
 from .wigner import BandLimited, inner_product_K, triple_integral_K, wigner_matrix
 
@@ -80,19 +80,9 @@ class ToeplitzSampler:
     spins of V~, f1 and f2, so the only statistical error is the w-average.
     """
 
-    def __init__(
-        self,
-        t: float,
-        n_paths: int,
-        n_steps: int,
-        master_seed: int,
-        workers: int = 1,
-        ensemble: EndpointEnsemble | None = None,
-    ):
+    def __init__(self, t: float, ensemble: EndpointEnsemble):
         self.t = t
-        if ensemble is None:
-            ensemble = endpoint_ensemble_KC(t / 2.0, t, n_paths, n_steps, master_seed, workers=workers)
-        self.ensemble: EndpointEnsemble = ensemble
+        self.ensemble = ensemble  # endpoints of the slice (t/2, t)
         self._tensors: dict[tuple[int, int], np.ndarray] = {}
 
     @classmethod
@@ -104,13 +94,11 @@ class ToeplitzSampler:
         master_seed: int,
         workers: int = 1,
     ) -> list[ToeplitzSampler]:
-        """One sampler per t in ``ts``, each equal to ``ToeplitzSampler(t, ...)``, from one draw of the normals."""
+        """One sampler per t in ``ts``, on the slice (t/2, t), from one draw of the normals."""
         ensembles = endpoint_ensembles_KC(
             [(t / 2.0, t) for t in ts], n_paths, n_steps, master_seed, workers=workers
         )
-        return [
-            cls(t, n_paths, n_steps, master_seed, ensemble=ens) for t, ens in zip(ts, ensembles)
-        ]
+        return [cls(t, ens) for t, ens in zip(ts, ensembles)]
 
     def moment_tensors(self, tj1: int, tj2: int) -> np.ndarray:
         """Per-block moment matrices P, shape (n_blocks, d1^2 d2^2).

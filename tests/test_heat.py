@@ -107,9 +107,33 @@ def test_shared_pass_class_evaluations():
     np.testing.assert_allclose(a, ka.on_traces(tr), atol=1e-14)
     np.testing.assert_allclose(b, kb.on_traces(tr), atol=1e-14)
     w = rng.standard_normal(40)
-    ca, cb = convolve_on_traces(tr, [(ka, w), (kb, w)])
+    # two equal parity rows: the plain node sum
+    ca, cb = convolve_on_traces(tr, [(ka, np.stack([w, w])), (kb, np.stack([w, w]))])
     np.testing.assert_allclose(ca, ka.on_traces(tr) @ w, atol=1e-12)
     np.testing.assert_allclose(cb, kb.on_traces(tr) @ w, atol=1e-12)
+
+
+def _whole_traces(rule, tr_g):
+    """tr(g h^{-1}) at all N nodes of ``rule``, by outer products."""
+    cos_a = 0.5 * tr_g
+    sin_a = np.sqrt(np.clip(1.0 - cos_a**2, 0.0, None))
+    return 2.0 * (np.outer(cos_a, rule.cos_b) + np.outer(sin_a, rule.sin_b_c))
+
+
+# heat-check's (0.2, 0.5) rule, one with a centre node and one without
+@pytest.mark.parametrize("total, axis", [(45, 28), (12, 4), (10, 6)])
+def test_weyl_rule_nodes_are_mirror_exact(total, axis):
+    rule = weyl_rule(total, axis)
+    assert np.array_equal(rule.cos_b[::-1], -rule.cos_b)
+    assert np.array_equal(rule.sin_b_c[::-1], -rule.sin_b_c)
+    assert np.array_equal(rule.weights[::-1], rule.weights)
+    tr_g = np.einsum("paa->p", random_su2(np.random.default_rng(29), 50)).real
+    whole = _whole_traces(rule, tr_g)
+    assert np.array_equal(whole[:, ::-1], -whole)
+    n = (whole.shape[1] + 1) // 2
+    assert np.array_equal(rule.traces_against(tr_g), whole[:, :n])
+    if whole.shape[1] % 2:
+        assert not np.any(whole[:, n - 1])  # the centre trace is exactly 0
 
 
 def test_weyl_rule_mass_and_character_orthogonality():
@@ -133,7 +157,7 @@ def test_weyl_rule_convolves_characters():
     g = random_su2(rng, 7)
     tr_g = np.einsum("paa->p", g).real
     rule = weyl_rule(10, 6)
-    cross = 0.5 * rule.traces_against(tr_g)
+    cross = 0.5 * _whole_traces(rule, tr_g)
     for two_j in range(7):
         for two_jp in range(10 - two_j + 1):
             got = eval_chebyu(two_j, cross) @ (rule.weights * eval_chebyu(two_jp, rule.cos_b))
@@ -158,11 +182,14 @@ def test_weyl_convolution_matches_haar_rule(t, s):
     conv3 = kt.on_traces(tr3) @ w3
 
     weyl = weyl_rule(jt + js, jt)
-    tr2 = weyl.traces_against(np.einsum("paa->p", g).real)
-    conv2 = kt.on_traces(tr2) @ (weyl.weights * ks.on_traces(weyl.traces))
+    tr_g = np.einsum("paa->p", g).real
+    w2 = weyl.weights * ks.on_traces(weyl.traces)
+    conv2 = kt.on_traces(_whole_traces(weyl, tr_g)) @ w2
+    [folded] = convolve_on_traces(weyl.traces_against(tr_g), [(kt, weyl.fold(w2))])
 
     np.testing.assert_allclose(conv2, conv3, rtol=0, atol=1e-12)
-    assert semigroup_sup_error(t, s, np.einsum("paa->p", g).real) <= 1e-12
+    np.testing.assert_allclose(folded, conv3, rtol=0, atol=1e-12)
+    assert semigroup_sup_error(t, s, tr_g) <= 1e-12
 
 
 def _whole_array_recurrence(traces, kernels, weights=None):
@@ -172,7 +199,7 @@ def _whole_array_recurrence(traces, kernels, weights=None):
         scaled = np.empty_like(tau)
         accs = [np.ones_like(tau) for _ in kernels]
     else:
-        accs = [np.full(tau.shape[0], np.sum(w)) for w in weights]
+        accs = [np.full(tau.shape[0], np.sum(w[0])) for w in weights]
     chis = characters(tau, max(k.two_jmax for k in kernels))
     next(chis)
     for two_j, chi in enumerate(chis, start=1):
@@ -185,7 +212,7 @@ def _whole_array_recurrence(traces, kernels, weights=None):
                 np.multiply(chi, coeff, out=scaled)
                 acc += scaled
             else:
-                acc += coeff * (chi @ weights[i])
+                acc += coeff * (chi @ weights[i][two_j % 2])
     for acc in accs:
         acc /= VOL_K
     return accs
@@ -198,20 +225,20 @@ def _semigroup_kernels_and_rule(t=0.2, s=0.5):
     return kt, ks, weyl_rule(kt.two_jmax + ks.two_jmax, max(kt.two_jmax, ks.two_jmax))
 
 
-# heat-check's 1000 x 345 matrix (blocks of 88 rows, the last one ragged),
-# one with a ragged gemv group, one row, and a matrix inside one block
+# heat-check's folded 1000 x 173 matrix (blocks of 184 rows, the last one
+# ragged), one with a ragged gemv group, one row, and a matrix inside one block
 @pytest.mark.parametrize("n_points", [1000, 1003, 1, 21])
 def test_blocks_change_no_bit_on_trace_matrices(n_points):
     kt, ks, rule = _semigroup_kernels_and_rule()
     tr_g = np.einsum("paa->p", random_su2(np.random.default_rng(17), n_points)).real
-    cos_a = 0.5 * tr_g
-    sin_a = np.sqrt(np.clip(1.0 - cos_a**2, 0.0, None))
-    whole = 2.0 * (np.outer(cos_a, rule.cos_b) + np.outer(sin_a, rule.sin_b_c))
+    n = (rule.cos_b.size + 1) // 2
+    whole = _whole_traces(rule, tr_g)[:, :n]
     tr = rule.traces_against(tr_g)
+    assert tr.shape == (n_points, 173)
     assert np.array_equal(tr, whole)
 
-    w_s = rule.weights * ks.on_traces(rule.traces)
-    w_t = rule.weights * kt.on_traces(rule.traces)
+    w_s = rule.fold(rule.weights * ks.on_traces(rule.traces))
+    w_t = rule.fold(rule.weights * kt.on_traces(rule.traces))
     got = convolve_on_traces(tr, [(kt, w_s), (ks, w_t)])
     want = _whole_array_recurrence(whole, [kt, ks], [w_s, w_t])
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
@@ -220,6 +247,20 @@ def test_blocks_change_no_bit_on_trace_matrices(n_points):
     got = ks.pair_on_traces(kt, tr)
     want = _whole_array_recurrence(whole, [ks, kt])
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+# heat-check's rule has a centre node (N = 345); at (0.5, 0.5) N = 162 has none
+@pytest.mark.parametrize("t, s", [(0.2, 0.5), (0.5, 0.5)])
+def test_folded_contraction_matches_whole_node_sum(t, s):
+    kt, ks, rule = _semigroup_kernels_and_rule(t, s)
+    tr_g = np.einsum("paa->p", random_su2(np.random.default_rng(31), 1000)).real
+    w_s = rule.weights * ks.on_traces(rule.traces)
+    w_t = rule.weights * kt.on_traces(rule.traces)
+    got = convolve_on_traces(rule.traces_against(tr_g), [(kt, rule.fold(w_s)), (ks, rule.fold(w_t))])
+    whole = _whole_array_recurrence(_whole_traces(rule, tr_g), [kt, ks],
+                                    [np.stack([w_s, w_s]), np.stack([w_t, w_t])])
+    for a, b in zip(got, whole, strict=True):
+        assert np.max(np.abs(a - b)) <= 4 * np.spacing(np.max(np.abs(b)))
 
 
 def test_blocks_change_no_bit_on_flat_traces():
@@ -233,11 +274,11 @@ def test_blocks_change_no_bit_on_flat_traces():
 
 
 def test_semigroup_check_memory():
-    # heat-check's (0.2, 0.5) check on 1000 points: measured 3.6 MB, of which
-    # the 1000 x 345 trace matrix is 2.76 MB; bound with a 15% margin.
-    # Whole-array passes measured 11.1 MB
+    # heat-check's (0.2, 0.5) check on 1000 points: measured 2.21 MB, of which
+    # the folded 1000 x 173 trace matrix is 1.38 MB; bound with a 15% margin.
+    # The unfolded 1000 x 345 matrix measured 3.55 MB
     traces = np.einsum("paa->p", random_su2(np.random.default_rng(23), 1000)).real
-    assert traced_peak_mb(lambda: semigroup_sup_error(0.2, 0.5, traces)) < 4.1
+    assert traced_peak_mb(lambda: semigroup_sup_error(0.2, 0.5, traces)) < 2.54
 
 
 @pytest.mark.parametrize("f, a, b, root", [

@@ -216,9 +216,41 @@ def test_unset_defaults_are_allowlisted():
     assert sorted(_unset_defaults()) == sorted(UNSET_DEFAULTS)
 
 
+def _span_objects() -> dict[str, list]:
+    """Each attribute ``bench/spans.py`` reads on a call's arguments or result, with objects that must carry it."""
+    import numpy as np
+
+    from su2quant.heat import HeatKernelK
+    from su2quant.sde import endpoint_ensemble_KC, sample_path
+    from su2quant.toeplitz import ToeplitzSampler
+
+    ensemble = endpoint_ensemble_KC(0.25, 0.5, 4, 2, 0, n_blocks=2)
+    return {
+        "n_paths": [ensemble],  # sde.ensemble work
+        "n_steps": [ensemble, sample_path(1.0, 2, 0)],  # sde.ensemble and sde.pathwise work
+        "_tensors": [ToeplitzSampler(0.5, ensemble)],  # toeplitz.moment builds
+        "two_jmax": [HeatKernelK.build(0.5)],  # heat.recurrence work
+        "size": [np.empty(2)],  # trace matrices and Wigner matrices
+    }
+
+
+def _span_attribute_reads(tree) -> set[str]:
+    """Attributes that ``bench/spans.py``'s wrapper and ``_work`` read on ``args[i]``, ``result``, ``k`` or ``traces``."""
+    def spans_argument(node):
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in {"args", "result", "k", "traces"}
+
+    bodies = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in {"traced", "_work"}]
+    assert len(bodies) == 2
+    return {node.attr for f in bodies for node in ast.walk(f)
+            if isinstance(node, ast.Attribute) and spans_argument(node.value)}
+
+
 def test_benchmark_bindings_resolve():
-    # bench/spans.py wraps its LAYERS by name and bench/tests calls names
-    # imported into su2quant.cli, so a rename would break the traced benchmark
+    # bench/spans.py wraps its LAYERS by name, reads attributes of their
+    # arguments and results, and bench/tests calls names imported into
+    # su2quant.cli, so a rename would break the traced benchmark
     tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
     [layers] = [
         ast.literal_eval(node.value) for node in tree.body
@@ -239,6 +271,10 @@ def test_benchmark_bindings_resolve():
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(f"{modname}.{qual}")
+    objects = _span_objects()
+    assert _span_attribute_reads(tree) == set(objects)
+    missing += [f"{type(obj).__name__}.{attr}" for attr, objs in objects.items()
+                for obj in objs if not hasattr(obj, attr)]
     assert missing == []
 
 

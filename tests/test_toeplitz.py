@@ -18,7 +18,7 @@ SEED = 321
 @pytest.fixture(scope="module")
 def sampler():
     # shared endpoint ensemble for every MC test in the module
-    return ToeplitzSampler(T, 20000, 100, SEED)
+    return ToeplitzSampler.for_times([T], 20000, 100, SEED)[0]
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ def _node_block_values(smp, rule, vt, f1, f2):
 def test_moment_tensors_match_per_node_average():
     # the per-block moment matrix contracted with D(x_q) against the direct
     # mean over w of conj(D^{j1}(w x_q)) (x) D^{j2}(w x_q), node by node
-    small = ToeplitzSampler(T, 400, 20, SEED)
+    small = ToeplitzSampler.for_times([T], 400, 20, SEED)[0]
     rule = haar_rule(4)
     for tj1, tj2 in ((1, 1), (1, 2), (2, 1), (0, 2)):
         d1, d2 = tj1 + 1, tj2 + 1
@@ -89,7 +89,7 @@ def test_entry_contraction_matches_node_tensor_einsum():
     # block values from P @ W against the blocks x nodes einsum over the
     # node tensors, for random coefficients mixing spins 0, 1/2 and 1; the
     # values reach some hundreds, so the bound is relative to the largest
-    smp = ToeplitzSampler(T, 400, 20, SEED)
+    smp = ToeplitzSampler.for_times([T], 400, 20, SEED)[0]
     rule = haar_rule(4)
     rng = np.random.default_rng(11)
 
@@ -134,7 +134,7 @@ def test_samplers_for_times_equal_separate_samplers():
     f1, f2 = _f(0.5, 0.5), _f(0.5, -0.5)
     vt = BandLimited.character_fn(1.0)
     for t, smp in zip(ts, shared):
-        alone = ToeplitzSampler(t, 2000, 30, SEED)
+        alone = ToeplitzSampler(t, endpoint_ensemble_KC(t / 2.0, t, 2000, 30, SEED))
         assert smp.t == t
         np.testing.assert_array_equal(smp.ensemble.values, alone.ensemble.values)
         np.testing.assert_array_equal(
@@ -145,7 +145,7 @@ def test_samplers_for_times_equal_separate_samplers():
 def test_sampler_takes_the_block_count_of_its_ensemble():
     # the sampler keeps no block count of its own, so any ensemble's blocks serve
     ens = endpoint_ensemble_KC(T / 2.0, T, 400, 10, 1, n_blocks=20)
-    smp = ToeplitzSampler(T, 400, 10, 1, ensemble=ens)
+    smp = ToeplitzSampler(T, ens)
     est = smp.entry(BandLimited.character_fn(1.0), _f(0.5, 0.5), _f(0.5, -0.5))
     assert est.block_values.shape == (20,)
 
@@ -219,13 +219,13 @@ def test_diff_entry_matches_schrodinger(sampler):
 def test_seed_and_worker_invariance():
     f1, f2 = _f(0.5, 0.5), _f(0.5, -0.5)
     vt = BandLimited.character_fn(1.0)
-    s1 = ToeplitzSampler(T, 4000, 50, SEED, workers=1)
-    s2 = ToeplitzSampler(T, 4000, 50, SEED, workers=3)
+    [s1] = ToeplitzSampler.for_times([T], 4000, 50, SEED, workers=1)
+    [s2] = ToeplitzSampler.for_times([T], 4000, 50, SEED, workers=3)
     e1 = s1.entry(vt, f1, f2)
     e2 = s2.entry(vt, f1, f2)
     assert e1.value == e2.value
     np.testing.assert_array_equal(e1.block_values, e2.block_values)
-    e3 = ToeplitzSampler(T, 4000, 50, SEED + 1).entry(vt, f1, f2)
+    e3 = ToeplitzSampler.for_times([T], 4000, 50, SEED + 1)[0].entry(vt, f1, f2)
     assert e3.value != e1.value
 
 
