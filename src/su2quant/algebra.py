@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -401,6 +401,19 @@ class QuadratureRuleKC:
     radii: np.ndarray  # (n_r,)
     fiber_weights: np.ndarray  # (n_r,) includes J(r), dr and the sphere's mass
     cutoff: float
+    _chi_ratios: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def chi_ratio(self, two_j: int) -> np.ndarray:
+        """sinh(d r) / (d sinh r) at the radii, d = 2j + 1, computed once per spin and kept with the rule.
+
+        It is chi_j(e^{2irX}) / d_j, the fiber Gram scalar's integrand
+        (``hl2.fiber_scalar``).  The memo lives as long as the rule.
+        """
+        ratio = self._chi_ratios.get(two_j)
+        if ratio is None:
+            d = two_j + 1
+            ratio = self._chi_ratios[two_j] = np.sinh(d * self.radii) / (d * np.sinh(self.radii))
+        return ratio
 
     def integrate_radial(self, f_of_r) -> float:
         """Integrate a function of the polar radius alone over K_C."""

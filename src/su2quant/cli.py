@@ -80,23 +80,38 @@ def _ints(lo: int, hi: float = math.inf):
     return lambda value: type(value) is int and lo <= value <= hi
 
 
+def _between(lo: float, hi: float):
+    return lambda value: _number(value) and lo <= value <= hi
+
+
 def _nonempty_list(rule):
     return lambda value: isinstance(value, list) and bool(value) and all(map(rule, value))
+
+
+# The times of calibrate and transform-check, bisected at the other fields'
+# defaults: calibrate finds its bracket for beta on [8.69e-4, 26.21] and
+# transform-check runs on [4.51e-3, 36.84] (below, no certified truncation of
+# rho_t; above, inverse_C's guard trips).  The common range, rounded inward.
+T_VALUES_RANGE = (0.005, 26.0)
+# The least quadrature.n_r from which calibrate finds its bracket at every
+# larger n_r, at the default t_values (9 does, 10 does not); transform-check
+# and toeplitz-diff end in a verdict at every n_r >= 1
+MIN_N_R = 11
 
 
 # Every config field: name -> (default, the rule its value must pass, what the
 # error says was expected).  A nested table is a field of fields, merged over
 # its defaults; its errors name the dotted field.
 FIELDS = {
-    "t_values": ([0.2, 0.5, 1.0], _nonempty_list(_positive),
-                 "a non-empty list of finite numbers > 0"),
+    "t_values": ([0.2, 0.5, 1.0], _nonempty_list(_between(*T_VALUES_RANGE)),
+                 "a non-empty list of numbers from {} to {}".format(*T_VALUES_RANGE)),
     "t": (0.5, _positive, "a finite number > 0"),
     "n_paths": (200000, _ints(DEFAULT_N_BLOCKS),
                 f"an int >= {DEFAULT_N_BLOCKS}, one path per Monte Carlo block"),
     "n_steps": (200, _ints(1), "an int >= 1"),
     "n_grid": (1000, _ints(1), "an int >= 1"),
     "master_seed": (2026, _ints(0), "an int >= 0"),
-    "quadrature": {"n_r": (DEFAULT_N_R, _ints(1), "an int >= 1")},
+    "quadrature": {"n_r": (DEFAULT_N_R, _ints(MIN_N_R), f"an int >= {MIN_N_R}")},
     "radial_cutoff": (None, lambda value: value is None or _positive(value),
                       "null or a finite number > 0"),
     "spins": ([0.5, 1.0], _nonempty_list(_spin),
@@ -124,10 +139,12 @@ def _merge(cfg: dict, user, table: dict, where: str, prefix: str = "") -> None:
     """Check ``user`` against ``table`` and write it over ``cfg``, one field at a time."""
     if not isinstance(user, dict):
         raise ConfigError(f"{where}: expected an object, got {json.dumps(user)}")
+    # an unknown field (a misspelt name) is named before any value is checked
+    for key in user:
+        if key not in table:
+            raise ConfigError(f"config field '{prefix}{key}': unknown field")
     for key, value in user.items():
         name = f"config field '{prefix}{key}'"
-        if key not in table:
-            raise ConfigError(f"{name}: unknown field")
         if isinstance(table[key], dict):
             _merge(cfg[key], value, table[key], name, f"{prefix}{key}.")
         else:

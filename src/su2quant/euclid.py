@@ -21,7 +21,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
-from numpy.polynomial import hermite as H
 from numpy.polynomial import polynomial as P
 
 from .sde import DEFAULT_N_BLOCKS, block_estimate, block_rng
@@ -93,16 +92,25 @@ def heat_evolve(f: GaussPoly, t: float) -> GaussPoly:
 
 
 def heat_polynomial(coeffs: np.ndarray, a: float) -> np.ndarray:
-    """e^{a Delta} applied to a pure polynomial: sum_k a^k p^(2k) / k!."""
+    """e^{a Delta} applied to a pure polynomial: sum_k a^k p^(2k) / k!.
+
+    ``coeffs`` holds the ascending coefficients on its last axis, one
+    polynomial or a stack of them; the result has the same shape.
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
     out = coeffs.copy()
-    term = coeffs.copy()
+    term = coeffs
     k = 0
-    while len(term) > 2:
-        term = P.polyder(term, 2) * a / (k + 1)
+    while term.shape[-1] > 2:
+        term = _derivative(_derivative(term)) * a / (k + 1)
         k += 1
-        out = P.polyadd(out, term)
+        out[..., : term.shape[-1]] += term
     return out
+
+
+def _derivative(coeffs: np.ndarray) -> np.ndarray:
+    """p' for ascending coefficients on the last axis, j c_j as ``P.polyder`` forms it."""
+    return np.arange(1, coeffs.shape[-1]) * coeffs[..., 1:]
 
 
 @dataclass
@@ -120,14 +128,19 @@ class HermiteExpansion:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
     def to_gauss_poly(self) -> GaussPoly:
-        """h_n(x) = (2^n n! sqrt(pi))^{-1/2} H_n(x) e^{-x^2/2}, summed."""
-        poly = np.zeros(1, dtype=complex)
+        """h_n(x) = (2^n n! sqrt(pi))^{-1/2} H_n(x) e^{-x^2/2}, summed.
+
+        H_n comes from H_{n+1} = 2x H_n - 2n H_{n-1} in integers; up to
+        MAX_DEGREE every coefficient is exact in float64, and equal to
+        ``numpy.polynomial.hermite.herm2poly``'s.
+        """
+        poly = np.zeros(max(len(self.coefficients), 1), dtype=complex)
+        h_prev, h = [], [1]
         for n, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            hn = H.herm2poly([0.0] * n + [1.0])
-            norm = 1.0 / np.sqrt(2.0**n * factorial(n) * np.sqrt(np.pi))
-            poly = P.polyadd(poly, c * norm * np.asarray(hn, dtype=complex))
+            if c != 0:
+                norm = 1.0 / np.sqrt(2.0**n * factorial(n) * np.sqrt(np.pi))
+                poly[: n + 1] += c * norm * np.array(h, dtype=complex)
+            h_prev, h = h, [2 * a - 2 * n * b for a, b in zip([0] + h, h_prev + [0, 0])]
         return GaussPoly(poly, 1.0)
 
     def __call__(self, x):
@@ -154,16 +167,42 @@ def _gh():
     return rule
 
 
-def l2_inner(f1: GaussPoly, f2: GaussPoly, sym_coeffs: np.ndarray | None = None) -> complex:
-    """int conj(f1) f2 [sym] dx on the real line, exact on the polynomial part."""
+def _symbol_stack(symbols) -> np.ndarray:
+    """Coefficient arrays as the rows of one complex array, zero-padded to the longest.
+
+    Zero top coefficients leave every Horner value as it is, so a symbol
+    reads the same in any stack.
+    """
+    symbols = [np.asarray(sym, dtype=complex) for sym in symbols]
+    stack = np.zeros((len(symbols), max(len(sym) for sym in symbols)), dtype=complex)
+    for row, sym in zip(stack, symbols):
+        row[: len(sym)] = sym
+    return stack
+
+
+def _symbol_values(sym_coeffs, x: np.ndarray) -> np.ndarray:
+    """Values at the nodes x of a symbol (coefficients on the last axis) or a stack of them.
+
+    Shape sym_coeffs.shape[:-1] + x.shape; no symbol (None) reads 1.
+    """
+    if sym_coeffs is None:
+        return np.ones_like(x)
+    return P.polyval(x, np.asarray(sym_coeffs, dtype=complex).T)
+
+
+def l2_inner(f1: GaussPoly, f2: GaussPoly, sym_coeffs: np.ndarray | None = None):
+    """int conj(f1) f2 [sym] dx on the real line, exact on the polynomial part.
+
+    ``sym_coeffs`` is one symbol's coefficients or a stack of them (rows);
+    the product conj(f1) f2 on the rule's nodes is formed once, and a stack
+    gives one integral per row.
+    """
     b = 2.0 * f1.width * f2.width / (f1.width + f2.width)  # e^{-x^2/b} combined
     sx = np.sqrt(b)
     u, w = _gh()
     x = sx * u
-    vals = np.conj(P.polyval(x, f1.coeffs)) * P.polyval(x, f2.coeffs)
-    if sym_coeffs is not None:
-        vals = vals * P.polyval(x, np.asarray(sym_coeffs, dtype=complex))
-    return complex(sx * np.dot(w, vals))
+    base = w * np.conj(P.polyval(x, f1.coeffs)) * P.polyval(x, f2.coeffs)
+    return (sx * np.sum(_symbol_values(sym_coeffs, x) * base, axis=-1))[()]
 
 
 def hl2_flat_inner(
@@ -171,12 +210,15 @@ def hl2_flat_inner(
     F2: GaussPoly,
     t: float,
     sym_coeffs: np.ndarray | None = None,
-) -> complex:
+):
     """int conj(F1) F2 [sym(Re z)] nu_t(z) dx dy over C.
 
     Both factors must share the width a > t (the image width of C_t is
     a = 1 + t).  The Gaussian parts combine to e^{-x^2/a} e^{-y^2 (a-t)/(ta)},
     so scaled Gauss-Hermite in x and y is exact on the polynomial part.
+    ``sym_coeffs`` is one symbol or a stack of them, as in ``l2_inner``: the
+    grid of conj(F1) F2 is evaluated and summed over y once, and each symbol
+    only weights its x-nodes.
     """
     if abs(F1.width - F2.width) > 1e-12:
         raise ValueError("factors must share the Gaussian width")
@@ -191,10 +233,9 @@ def hl2_flat_inner(
     z = x[:, None] + 1j * y[None, :]
     # conj(p1(z)) = polynomial with conjugated coefficients at conj(z)
     vals = P.polyval(np.conj(z), np.conj(F1.coeffs)) * P.polyval(z, F2.coeffs)
-    if sym_coeffs is not None:
-        vals = vals * P.polyval(x, np.asarray(sym_coeffs, dtype=complex))[:, None]
-    total = np.einsum("i,j,ij->", wu, wu, vals)
-    return complex(sx * sy * total / np.sqrt(np.pi * t))
+    rows = wu * (vals @ wu)  # the y-rule at each x-node
+    total = np.sum(_symbol_values(sym_coeffs, x) * rows, axis=-1)
+    return (sx * sy * total / np.sqrt(np.pi * t))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +244,32 @@ def hl2_flat_inner(
 
 def _taylor_table(coeffs: np.ndarray, x: np.ndarray, step: complex) -> np.ndarray:
     """Rows step^m p^(m)(x) / m!, m = 0..deg p: the eta-coefficients of p(x + step eta)."""
-    return np.array([P.polyval(x, P.polyder(coeffs, m)) * step**m / factorial(m) for m in range(len(coeffs))])
+    rows, der = [], np.asarray(coeffs, dtype=complex)
+    for m in range(len(coeffs)):
+        rows.append(P.polyval(x, der) * step**m / factorial(m))
+        der = _derivative(der)
+    return np.array(rows)
+
+
+def _block_moments(t: float, a: float, n_powers: int, n_samples: int, master_seed: int) -> np.ndarray:
+    """moments[k, b]: the mean over block b's draws eta ~ N(0, t/2) of eta^k e^{eta^2/a}, k < n_powers.
+
+    Each block fills one power table whose rows are a running product, and
+    sums its rows at once; a row sum is the 1-D sum of that row, and one
+    division by the block sizes ends as ``np.mean`` does, so each moment is
+    the block's 1-D mean and does not depend on how many powers are taken.
+    The blocks split the samples as ``np.array_split`` does.
+    """
+    sums = np.empty((n_powers, DEFAULT_N_BLOCKS))
+    sizes = [n_samples // DEFAULT_N_BLOCKS + (b < n_samples % DEFAULT_N_BLOCKS) for b in range(DEFAULT_N_BLOCKS)]
+    for b, size in enumerate(sizes):
+        eta = block_rng(master_seed, b).normal(0.0, np.sqrt(t / 2.0), size=size)
+        powers = np.empty((n_powers, size))
+        np.exp(eta**2 / a, out=powers[0])
+        for k in range(1, n_powers):
+            np.multiply(powers[k - 1], eta, out=powers[k])
+        np.add.reduce(powers, axis=1, out=sums[:, b])
+    return sums / sizes
 
 
 def flat_weak_mc(
@@ -220,12 +286,16 @@ def flat_weak_mc(
     x-integral int V~(x) conj(F1(x + i eta)) F2(x + i eta) dx is exact, so
     all Monte Carlo error is in the eta-average.  The polynomial part,
     sum_{m,n} A_m(x) B_n(x) eta^{m+n} with A_m = (-i)^m conj(p1)^(m)(x)/m!
-    and B_n = i^n p2^(n)(x)/n!, is a polynomial in eta: the Gauss-Hermite
-    x-rule is applied once per symbol, to its coefficients q, and each
-    block's value is q . m with m the block's means of eta^k e^{eta^2/a}.
-    Every symbol in ``symbols`` (coefficient arrays) is averaged over one
-    draw of the endpoints, through the same m.  Matching hl2_flat_inner
-    validates the Fubini reduction used by the group-side sampler.
+    and B_n = i^n p2^(n)(x)/n!, is a polynomial in eta whose coefficients
+    at each x-node are formed once.  The Gauss-Hermite x-rule then turns
+    them into one row q of eta-coefficients per symbol, all symbols in one
+    contraction, and each block's value is q . m with m the block's means
+    of eta^k e^{eta^2/a}, one power table per block.  Every symbol in
+    ``symbols`` (coefficient arrays) is averaged over one draw of the
+    endpoints, through the same m, and each row is reduced on its own, so
+    a symbol's result does not depend on the others.  Matching
+    hl2_flat_inner validates the Fubini reduction used by the group-side
+    sampler.
     """
     a = F1.width
     if abs(F2.width - a) > 1e-12:
@@ -233,25 +303,18 @@ def flat_weak_mc(
     u, wu = _gh()
     sx = np.sqrt(a)
     x = sx * u
-    A1 = _taylor_table(np.conj(F1.coeffs), x, -1j)
+    A = _taylor_table(np.conj(F1.coeffs), x, -1j)
     B = _taylor_table(F2.coeffs, x, 1j)
-    qs = []
-    for sym in symbols:
-        A = A1 * (sx * wu * P.polyval(x, np.asarray(sym, dtype=complex)))
-        qs.append(sum(np.convolve(a, b) for a, b in zip(A.T, B.T)))  # q_k: x-rule on sum_{m+n=k} A_m B_n
-    # moments[k, b] = block-b mean of eta^k e^{eta^2/a} (conj(F1) F2 has Gaussian part
-    # e^{-(x^2 - eta^2)/a}, and the Gauss-Hermite weights hold e^{-x^2/a}); a running
-    # product keeps each moment independent of how many the symbols need
-    moments = np.empty((max(len(q) for q in qs), DEFAULT_N_BLOCKS))
-    sizes = [len(ix) for ix in np.array_split(np.arange(n_samples), DEFAULT_N_BLOCKS)]
-    for b in range(DEFAULT_N_BLOCKS):
-        eta = block_rng(master_seed, b).normal(0.0, np.sqrt(t / 2.0), size=sizes[b])
-        term = np.exp(eta**2 / a)
-        for k in range(len(moments)):
-            moments[k, b] = np.mean(term)
-            term *= eta
-    # one contiguous row per symbol, reduced as in a call of its own
-    block_vals = np.array([q @ moments[: len(q)] for q in qs])
+    # eta_poly[k, i] = sum_{m+n=k} A_m(x_i) B_n(x_i)
+    eta_poly = np.zeros((len(A) + len(B) - 1, len(x)), dtype=complex)
+    for m, row in enumerate(A):
+        eta_poly[m : m + len(B)] += row * B
+    node_weights = sx * wu * _symbol_values(_symbol_stack(symbols), x)
+    qs = np.sum(node_weights[:, None, :] * eta_poly, axis=-1)  # (symbols, powers of eta)
+    # conj(F1) F2 has Gaussian part e^{-(x^2 - eta^2)/a}, and the Gauss-Hermite weights hold e^{-x^2/a}
+    moments = _block_moments(t, a, len(eta_poly), n_samples, master_seed)
+    # summed over the powers one at a time, so each row is independent of the stack
+    block_vals = np.sum(qs[:, :, None] * moments, axis=1)
     mean, stderr = block_estimate(block_vals)
     return [(complex(m), float(e)) for m, e in zip(mean, stderr)]
 
@@ -273,24 +336,23 @@ def euclid_toeplitz_check(
 ) -> list[EuclidReport]:
     """Verify <f1, V f2> = <F1, T_{V~} F2> with V = e^{t Delta/4} V~, per symbol.
 
-    ``symbols`` holds the coefficient arrays of the V~.  For each, the left
-    side is an exact line integral; the right side is computed both by the
-    2-D Gauss rule and by the weak Monte Carlo architecture, whose one draw
-    of the endpoints serves every symbol.
+    ``symbols`` holds the coefficient arrays of the V~.  The left side is an
+    exact line integral; the right side is computed both by the 2-D Gauss
+    rule and by the weak Monte Carlo architecture.  Each side takes one
+    pass over all the symbols: the symbols form one stack, the heat flow
+    acts on it at once, the products of the test functions on each rule are
+    formed once, and one draw of the endpoints serves every symbol.
     """
-    symbols = [np.asarray(sym, dtype=complex) for sym in symbols]
-    if any(len(sym) - 1 > MAX_SYMBOL_DEGREE for sym in symbols):
+    stack = _symbol_stack(symbols)
+    if stack.shape[1] - 1 > MAX_SYMBOL_DEGREE:
         raise ValueError(f"symbol degree capped at {MAX_SYMBOL_DEGREE}")
-    g1 = f1.to_gauss_poly()
-    g2 = f2.to_gauss_poly()
     F1 = euclid_transform(t, f1)
     F2 = euclid_transform(t, f2)
-    mcs = flat_weak_mc(t, symbols, F1, F2, n_samples, master_seed)
+    mcs = flat_weak_mc(t, stack, F1, F2, n_samples, master_seed)
+    lhs = l2_inner(f1.to_gauss_poly(), f2.to_gauss_poly(), heat_polynomial(stack, t / 4.0))
+    rhs = hl2_flat_inner(F1, F2, t, stack)
     reports = []
-    for sym, (mc, err) in zip(symbols, mcs):
-        lhs = l2_inner(g1, g2, heat_polynomial(sym, t / 4.0))
-        rhs = hl2_flat_inner(F1, F2, t, sym)
-        gap = abs(lhs - rhs)
-        z = abs(mc - lhs) / err if err > 0 else 0.0
-        reports.append(EuclidReport(mc_stderr=err, deterministic_gap=gap, mc_z_score=z))
+    for left, gap, (mc, err) in zip(lhs, np.abs(lhs - rhs), mcs):
+        z = float(abs(mc - left)) / err if err > 0 else 0.0
+        reports.append(EuclidReport(mc_stderr=err, deterministic_gap=float(gap), mc_z_score=z))
     return reports

@@ -52,14 +52,17 @@ def nu_normalization(t: float, beta: float = NU_BETA) -> float:
     return 1.0 / (4.0 * np.pi * integral / b)
 
 
+def _beta_profile(br: np.ndarray) -> np.ndarray:
+    """beta r / sinh(beta r), the factor of nu_radial that beta enters besides N."""
+    small = br < 1e-8
+    return np.where(small, 1.0 - br**2 / 6.0, br / np.sinh(np.where(small, 1.0, br)))
+
+
 def nu_radial(t: float, r, beta: float = NU_BETA, normalization: float | None = None):
     """Radial profile of the fiber-invariant kernel at polar radius r."""
     r = np.asarray(r, dtype=float)
     n0 = nu_normalization(t, beta) if normalization is None else normalization
-    br = beta * r
-    small = br < 1e-8
-    ratio = np.where(small, 1.0 - br**2 / 6.0, br / np.sinh(np.where(small, 1.0, br)))
-    return n0 * ratio * np.exp(-(r**2) / t)
+    return n0 * _beta_profile(beta * r) * np.exp(-(r**2) / t)
 
 
 # ---------------------------------------------------------------------------
@@ -247,32 +250,6 @@ class CalibrationRecord:
     analytic_normalization: float
 
 
-def _beta_weight(t: float, beta: float, normalization: float):
-    """nu_radial at (beta, N) as a density against the rule's beta = 1 Jacobian.
-
-    The rule's fiber weights carry J_1(r) = sinh(r)^2, so the ratio
-    J_beta / J_1 = (sinh(beta r) / (beta sinh r))^2 is the only place beta
-    enters besides the profile itself.
-    """
-    return lambda r: radial_jacobian(r, beta) / radial_jacobian(r) * nu_radial(
-        t, r, beta, normalization
-    )
-
-
-def _mass_normalization(t: float, beta: float, rule) -> float:
-    """N with unit such that the mass identity holds exactly on the rule."""
-    # rule.integrate_radial already sums K and fiber weights (mass Vol*4pi*I)
-    return VOL_K / rule.integrate_radial(_beta_weight(t, beta, 1.0))
-
-
-def _unitarity_residual(t: float, beta: float, rule, j) -> float:
-    weight = _beta_weight(t, beta, _mass_normalization(t, beta, rule))
-    f = BandLimited.entry(j, j, j)
-    F = f.heat(t, sign=-1.0)
-    lhs = hl2_inner(F, F, rule, weight).real
-    return lhs / f.norm_sq() - 1.0
-
-
 def bracketed_root(f, a: float, b: float, *, xtol: float, rtol: float, maxiter: int = 100) -> float:
     """Root of f in [a, b] by regula falsi with the Illinois modification.
 
@@ -317,21 +294,49 @@ def calibrate_nu(t: float, n_r: int = DEFAULT_N_R) -> CalibrationRecord:
     unitarity residual.  The spin-1 residual at the solution is reported as
     the overdetermined cross-check.  One polar rule serves every beta: the
     integrands are radial, so only its n_r radii and fiber weights are
-    read, and beta enters through the Jacobian ratio in the weight.
+    read.  The rule's fiber weights carry J_1(r) = sinh(r)^2, so beta enters
+    through the Jacobian ratio J_beta / J_1 = (sinh(beta r) / (beta sinh r))^2
+    in the weight, besides the profile itself.
+
+    What does not depend on beta is computed once per call: J_1 at the
+    radii, the Gaussian e^{-r^2/t}, and the spin-1/2 and spin-1 test
+    functions with their transforms and norms (the rule's fiber ratios,
+    read by ``hl2_inner``, are kept with the rule).  The weight
+    (J_beta / J_1) nu_t at beta is computed once per beta and serves the
+    mass identity and the unitarity inner product alike.
     """
     rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=n_r)
+    r = rule.radii
+    j_one = radial_jacobian(r)
+    gauss = np.exp(-(r**2) / t)
+    tests = {}
+    for j in (0.5, 1.0):
+        f = BandLimited.entry(j, j, j)
+        tests[j] = (f.heat(t, sign=-1.0), f.norm_sq())
+
+    def weight(beta: float):
+        """(J_beta / J_1) nu_t at (beta, N) on the radii, with N from the mass identity, and N."""
+        jacobian_ratio = radial_jacobian(r, beta) / j_one
+        profile = _beta_profile(beta * r)
+        # the mass identity at unit N; rule.integrate_radial sums K and fiber weights
+        unit_mass = rule.integrate_radial(lambda _: jacobian_ratio * (profile * gauss))
+        normalization = VOL_K / unit_mass
+        return jacobian_ratio * (normalization * profile * gauss), normalization
+
+    def residual(w: np.ndarray, j: float) -> float:
+        F, norm_sq = tests[j]
+        return hl2_inner(F, F, rule, lambda _: w).real / norm_sq - 1.0
+
     beta_star = bracketed_root(
-        lambda beta: _unitarity_residual(t, beta, rule, 0.5), 0.6, 1.6, xtol=1e-10, rtol=1e-12
+        lambda beta: residual(weight(beta)[0], 0.5), 0.6, 1.6, xtol=1e-10, rtol=1e-12
     )
-    n_star = _mass_normalization(t, beta_star, rule)
-    mass = rule.integrate_radial(_beta_weight(t, beta_star, n_star))
-    res_half = _unitarity_residual(t, beta_star, rule, 0.5)
-    res_one = _unitarity_residual(t, beta_star, rule, 1.0)
+    w_star, n_star = weight(beta_star)
+    mass = rule.integrate_radial(lambda _: w_star)
     return CalibrationRecord(
         t=t,
         beta=beta_star,
         normalization=n_star,
         mass_residual=mass / VOL_K - 1.0,
-        unitarity_residuals={"spin_half": res_half, "spin_one": res_one},
+        unitarity_residuals={"spin_half": residual(w_star, 0.5), "spin_one": residual(w_star, 1.0)},
         analytic_normalization=(np.pi * t) ** -1.5 * np.exp(-t / 4.0),
     )

@@ -78,11 +78,10 @@ def fiber_scalar(two_j: int, rule: QuadratureRuleKC, wy: np.ndarray):
     """lambda_j = sum_y w_y chi_j(e_y^2) / d_j, the fiber Gram matrix G_j = lambda_j I.
 
     e_y^2 = exp(2i r_y u.X) has eigenvalues e^{+-r_y}, so
-    chi_j(e_y^2) = sinh(d_j r_y) / sinh(r_y) with d_j = 2j + 1.
+    chi_j(e_y^2) = sinh(d_j r_y) / sinh(r_y) with d_j = 2j + 1; the rule
+    keeps that ratio per spin (``QuadratureRuleKC.chi_ratio``).
     """
-    d = two_j + 1
-    r = rule.radii
-    return np.dot(wy, np.sinh(d * r) / (d * np.sinh(r)))
+    return np.dot(wy, rule.chi_ratio(two_j))
 
 
 def hl2_inner(

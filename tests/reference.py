@@ -13,16 +13,25 @@ Nothing in ``src/`` imports this module; none of it is on the run path.
 * The projection of Haar-rule samples onto matrix entries, the oracle for
   ``BandLimited.multiply``.
 * Entry arrays stacked into matrices, for checks of ``exp_entries``.
+* The calibration of nu_t with every root-finder step built from scratch,
+  and the Euclidean check taken one symbol at a time: the forms that
+  ``heat.calibrate_nu`` and ``euclid.euclid_toeplitz_check`` reorganize
+  so that each loop-invariant quantity is computed once per call.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from math import factorial
 
-from su2quant.algebra import VOL_K, exp_entries
+import numpy as np
+from numpy.polynomial import polynomial as P
+
+from su2quant.algebra import DEFAULT_N_R, VOL_K, default_cutoff, exp_entries, kc_quadrature, radial_jacobian
 from su2quant.diffop import LeftInvariantOperator, Word
-from su2quant.heat import nu_radial
-from su2quant.sde import BrownianPath, _check_grid, _identity, _rotated_chunks, block_estimate
+from su2quant.euclid import EuclidReport, _gh, euclid_transform
+from su2quant.heat import CalibrationRecord, bracketed_root, nu_radial
+from su2quant.hl2 import hl2_inner
+from su2quant.sde import DEFAULT_N_BLOCKS, BrownianPath, _check_grid, _identity, _rotated_chunks, block_estimate, block_rng
 from su2quant.wigner import BandLimited, wigner_matrix
 
 
@@ -214,3 +223,147 @@ def project_onto_entries(values: np.ndarray, rule, two_jmax: int) -> BandLimited
         proj = np.einsum("q,qmn,q->mn", rule.weights, np.conj(mats), values)
         blocks[two_j] = (two_j + 1) / VOL_K * proj
     return BandLimited(blocks).prune(1e-12)
+
+
+# ---------------------------------------------------------------------------
+# calibration of nu_t, one residual evaluation at a time
+# ---------------------------------------------------------------------------
+
+def beta_weight(t: float, beta: float, normalization: float):
+    """nu_radial at (beta, N) as a density against the rule's beta = 1 Jacobian J_1(r) = sinh(r)^2."""
+    return lambda r: radial_jacobian(r, beta) / radial_jacobian(r) * nu_radial(
+        t, r, beta, normalization
+    )
+
+
+def mass_normalization(t: float, beta: float, rule) -> float:
+    """N such that the mass identity holds exactly on the rule."""
+    return VOL_K / rule.integrate_radial(beta_weight(t, beta, 1.0))
+
+
+def unitarity_residual(t: float, beta: float, rule, j) -> float:
+    """||C_t f||^2 / ||f||^2 - 1 for f = D^j_{jj} under nu_t at beta, every piece rebuilt."""
+    weight = beta_weight(t, beta, mass_normalization(t, beta, rule))
+    f = BandLimited.entry(j, j, j)
+    F = f.heat(t, sign=-1.0)
+    lhs = hl2_inner(F, F, rule, weight).real
+    return lhs / f.norm_sq() - 1.0
+
+
+def calibrate_nu_per_step(t: float, n_r: int = DEFAULT_N_R) -> CalibrationRecord:
+    """``heat.calibrate_nu`` with J_1, the Gaussian, the test functions and
+    the weight rebuilt at every residual evaluation."""
+    rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=n_r)
+    beta_star = bracketed_root(
+        lambda beta: unitarity_residual(t, beta, rule, 0.5), 0.6, 1.6, xtol=1e-10, rtol=1e-12
+    )
+    n_star = mass_normalization(t, beta_star, rule)
+    mass = rule.integrate_radial(beta_weight(t, beta_star, n_star))
+    return CalibrationRecord(
+        t=t,
+        beta=beta_star,
+        normalization=n_star,
+        mass_residual=mass / VOL_K - 1.0,
+        unitarity_residuals={
+            "spin_half": unitarity_residual(t, beta_star, rule, 0.5),
+            "spin_one": unitarity_residual(t, beta_star, rule, 1.0),
+        },
+        analytic_normalization=(np.pi * t) ** -1.5 * np.exp(-t / 4.0),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the Euclidean check, one symbol at a time
+# ---------------------------------------------------------------------------
+
+def heat_polynomial_per_term(coeffs, a: float) -> np.ndarray:
+    """e^{a Delta} on one polynomial, sum_k a^k p^(2k) / k! added term by term."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    out = coeffs.copy()
+    term = coeffs.copy()
+    k = 0
+    while len(term) > 2:
+        term = P.polyder(term, 2) * a / (k + 1)
+        k += 1
+        out = P.polyadd(out, term)
+    return out
+
+
+def l2_inner_per_symbol(f1, f2, sym_coeffs=None) -> complex:
+    """int conj(f1) f2 [sym] dx, with the product formed again for each symbol."""
+    b = 2.0 * f1.width * f2.width / (f1.width + f2.width)
+    sx = np.sqrt(b)
+    u, w = _gh()
+    x = sx * u
+    vals = np.conj(P.polyval(x, f1.coeffs)) * P.polyval(x, f2.coeffs)
+    if sym_coeffs is not None:
+        vals = vals * P.polyval(x, np.asarray(sym_coeffs, dtype=complex))
+    return complex(sx * np.dot(w, vals))
+
+
+def hl2_flat_inner_per_symbol(F1, F2, t: float, sym_coeffs=None) -> complex:
+    """int conj(F1) F2 [sym(Re z)] nu_t(z) dx dy, with the 60 x 60 grid evaluated for each symbol."""
+    a = F1.width
+    sx = np.sqrt(a)
+    sy = np.sqrt(t * a / (a - t))
+    u, wu = _gh()
+    x = sx * u
+    y = sy * u
+    z = x[:, None] + 1j * y[None, :]
+    vals = P.polyval(np.conj(z), np.conj(F1.coeffs)) * P.polyval(z, F2.coeffs)
+    if sym_coeffs is not None:
+        vals = vals * P.polyval(x, np.asarray(sym_coeffs, dtype=complex))[:, None]
+    total = np.einsum("i,j,ij->", wu, wu, vals)
+    return complex(sx * sy * total / np.sqrt(np.pi * t))
+
+
+def block_moments_per_power(t: float, a: float, n_powers: int, n_samples: int, master_seed: int) -> np.ndarray:
+    """moments[k, b] = block-b mean of eta^k e^{eta^2/a}, one np.mean per power and block."""
+    moments = np.empty((n_powers, DEFAULT_N_BLOCKS))
+    sizes = [len(ix) for ix in np.array_split(np.arange(n_samples), DEFAULT_N_BLOCKS)]
+    for b in range(DEFAULT_N_BLOCKS):
+        eta = block_rng(master_seed, b).normal(0.0, np.sqrt(t / 2.0), size=sizes[b])
+        term = np.exp(eta**2 / a)
+        for k in range(n_powers):
+            moments[k, b] = np.mean(term)
+            term *= eta
+    return moments
+
+
+def flat_weak_mc_per_symbol(t: float, symbols, F1, F2, n_samples: int, master_seed: int):
+    """``euclid.flat_weak_mc`` with each symbol's q built by its own 60 convolutions."""
+    a = F1.width
+    u, wu = _gh()
+    sx = np.sqrt(a)
+    x = sx * u
+
+    def taylor(coeffs, step):
+        return np.array([P.polyval(x, P.polyder(coeffs, m)) * step**m / factorial(m) for m in range(len(coeffs))])
+
+    A1 = taylor(np.conj(F1.coeffs), -1j)
+    B = taylor(F2.coeffs, 1j)
+    qs = []
+    for sym in symbols:
+        A = A1 * (sx * wu * P.polyval(x, np.asarray(sym, dtype=complex)))
+        qs.append(sum(np.convolve(a, b) for a, b in zip(A.T, B.T)))
+    moments = block_moments_per_power(t, a, max(len(q) for q in qs), n_samples, master_seed)
+    block_vals = np.array([q @ moments[: len(q)] for q in qs])
+    mean, stderr = block_estimate(block_vals)
+    return [(complex(m), float(e)) for m, e in zip(mean, stderr)]
+
+
+def euclid_toeplitz_check_per_symbol(t: float, symbols, f1, f2, n_samples: int, master_seed: int):
+    """``euclid.euclid_toeplitz_check`` with each symbol's integrals taken in a pass of its own."""
+    symbols = [np.asarray(sym, dtype=complex) for sym in symbols]
+    g1 = f1.to_gauss_poly()
+    g2 = f2.to_gauss_poly()
+    F1 = euclid_transform(t, f1)
+    F2 = euclid_transform(t, f2)
+    mcs = flat_weak_mc_per_symbol(t, symbols, F1, F2, n_samples, master_seed)
+    reports = []
+    for sym, (mc, err) in zip(symbols, mcs):
+        lhs = l2_inner_per_symbol(g1, g2, heat_polynomial_per_term(sym, t / 4.0))
+        rhs = hl2_flat_inner_per_symbol(F1, F2, t, sym)
+        z = abs(mc - lhs) / err if err > 0 else 0.0
+        reports.append(EuclidReport(mc_stderr=err, deterministic_gap=abs(lhs - rhs), mc_z_score=z))
+    return reports

@@ -8,7 +8,9 @@ from su2quant.algebra import default_cutoff
 from su2quant.cli import (
     DEFAULTS,
     FIELDS,
+    MIN_N_R,
     SCHEMA,
+    T_VALUES_RANGE,
     ConfigError,
     _spin_half_entries,
     gate_calibration,
@@ -80,6 +82,10 @@ BAD_VALUES = [
     ({"n_grid": 0}, "n_grid"),
     ({"quadrature": {"n_r": 0}}, "quadrature.n_r"),
     ({"t": 10**400}, "'t'"),  # an int past the float range, not an OverflowError
+    # the measured ranges (cli.T_VALUES_RANGE, cli.MIN_N_R)
+    ({"t_values": [0.5, 0.0049]}, "t_values"),
+    ({"t_values": [26.5]}, "t_values"),
+    ({"quadrature": {"n_r": 10}}, "quadrature.n_r"),
 ]
 
 
@@ -91,6 +97,36 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_range_errors_name_the_range(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    for user, expected in [({"t_values": [30]}, "from 0.005 to 26.0"), ({"quadrature": {"n_r": 9}}, "an int >= 11")]:
+        p.write_text(json.dumps(user))
+        assert main(["calibrate", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert expected in capsys.readouterr().err
+
+
+# both ends of each measured range, at small sizes, end in a verdict (exit 0
+# or 1) with every reported value finite
+RANGE_ENDS = [
+    (cmd, {"t_values": [t]}) for cmd in ("calibrate", "transform-check") for t in T_VALUES_RANGE
+] + [
+    ("calibrate", {"quadrature": {"n_r": MIN_N_R}}),
+    ("transform-check", {"quadrature": {"n_r": MIN_N_R}}),
+    ("toeplitz-diff", {"quadrature": {"n_r": MIN_N_R}, "n_paths": 400, "n_steps": 10}),
+]
+
+
+@pytest.mark.parametrize("cmd, user", RANGE_ENDS)
+def test_range_ends_end_in_a_verdict(tmp_path, cmd, user):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(user))
+    code = main([cmd, "--config", str(p), "--out", str(tmp_path)])
+    text = (tmp_path / "report.json").read_text()
+    report = json.loads(text)
+    assert code == (0 if report["passed"] else 1)
+    assert report["checks"] and "NaN" not in text and "Infinity" not in text
 
 
 def _fields(table: dict, prefix: str = ""):
@@ -145,8 +181,8 @@ def test_field_s_is_unknown(tmp_path, capsys):
 
 def test_quadrature_merged_over_defaults(tmp_path):
     p = tmp_path / "c.json"
-    p.write_text(json.dumps({"quadrature": {"n_r": 8}, "t_values": [0.5]}))
-    assert load_config(str(p), None)["quadrature"] == {**DEFAULTS["quadrature"], "n_r": 8}
+    p.write_text(json.dumps({"quadrature": {"n_r": 12}, "t_values": [0.5]}))
+    assert load_config(str(p), None)["quadrature"] == {**DEFAULTS["quadrature"], "n_r": 12}
     code = main(["transform-check", "--config", str(p), "--out", str(tmp_path)])
     report = json.loads((tmp_path / "report.json").read_text())
     assert code == (0 if report["passed"] else 1)
@@ -191,10 +227,11 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_error_inside_a_command_exits_3(tmp_path, capsys):
-    # t = 200 passes config validation, but the calibration's bracket for
-    # beta then holds no sign change and the root-finder raises
+    # t = 0.005 and n_r = 11 each lie in their measured range, which holds
+    # at the other field's default; together the calibration's bracket for
+    # beta holds no sign change and the root-finder raises
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"t_values": [200.0]}))
+    cfg.write_text(json.dumps({"t_values": [0.005], "quadrature": {"n_r": 11}}))
     code = main(["calibrate", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 3
     report = json.loads((tmp_path / "report.json").read_text())

@@ -7,8 +7,10 @@ passes records a defect below the gate's reach at that size.
 
 import pytest
 
-from su2quant.cli import DEFAULTS, gate_semigroup
+from su2quant import euclid
+from su2quant.cli import DEFAULTS, gate_calibration, gate_euclid, gate_semigroup
 from su2quant.heat import HeatKernelK
+from su2quant.wigner import BandLimited
 
 
 def _scaled_time_build(factor: float):
@@ -28,3 +30,26 @@ def test_heat_check_catches_rho_time_defect(monkeypatch, factor, caught):
     [check] = gate_semigroup([(0.2, 0.5)], DEFAULTS["n_grid"], DEFAULTS["master_seed"])
     assert (check["value"] > 1e-8) == caught
     assert check["passed"] is not caught
+
+
+# the heat time of BandLimited.heat x (1 + 1e-3) fails calibrate at t = 0.5 and
+# 1 (worst residuals 1.5e-5 and 8.9e-5 against 1e-5); x (1 + 1e-4) reads 8.9e-6
+# and passes.  beta absorbs the spin-1/2 residual, so the spin-1 cross-check sees it
+@pytest.mark.parametrize("factor, caught", [(1.0 + 1e-3, True), (1.0 + 1e-4, False)])
+def test_calibrate_catches_transform_time_defect(monkeypatch, factor, caught):
+    heat = BandLimited.heat
+    monkeypatch.setattr(BandLimited, "heat", lambda self, tau, sign=-1.0: heat(self, tau * factor, sign))
+    checks = gate_calibration(DEFAULTS["t_values"], DEFAULTS["quadrature"])
+    assert any(not c["passed"] for c in checks) == caught
+
+
+# the time t/4 of heat_polynomial x (1 + 1e-8) fails euclid-baseline's
+# deterministic gap at x^5 and x^6 (4.2e-8 and 4.9e-8 against 1e-8);
+# x (1 + 1e-9) reads 4.9e-9 at most and passes
+@pytest.mark.parametrize("factor, caught", [(1.0 + 1e-8, True), (1.0 + 1e-9, False)])
+def test_euclid_baseline_catches_symbol_heat_time_defect(monkeypatch, factor, caught):
+    heat_polynomial = euclid.heat_polynomial
+    monkeypatch.setattr(euclid, "heat_polynomial", lambda coeffs, a: heat_polynomial(coeffs, a * factor))
+    checks = gate_euclid(DEFAULTS["euclid_degree_max"], min(DEFAULTS["n_paths"], 100000), DEFAULTS["master_seed"])
+    assert any(c["value"] > 1e-8 for c in checks) == caught
+    assert any(not c["passed"] for c in checks) == caught

@@ -1,10 +1,23 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
+from reference import (
+    block_moments_per_power,
+    euclid_toeplitz_check_per_symbol,
+    flat_weak_mc_per_symbol,
+    heat_polynomial_per_term,
+    hl2_flat_inner_per_symbol,
+    l2_inner_per_symbol,
+)
 
 from su2quant.euclid import (
+    MAX_DEGREE,
     GaussPoly,
     HermiteExpansion,
+    _block_moments,
+    _symbol_stack,
     euclid_toeplitz_check,
     euclid_transform,
     flat_weak_mc,
@@ -22,6 +35,14 @@ def test_gauss_poly_validation():
         GaussPoly(np.ones(30), 1.0)
     g = GaussPoly([1.0, 0.0, 0.0], 1.0)
     assert g.degree == 0  # trailing zeros trimmed
+
+
+def test_hermite_functions_match_herm2poly():
+    # the integer recurrence of to_gauss_poly gives herm2poly's coefficients bit for bit
+    for n in range(MAX_DEGREE + 1):
+        got = HermiteExpansion(np.eye(n + 1)[n]).to_gauss_poly().coeffs
+        norm = 1.0 / np.sqrt(2.0**n * factorial(n) * np.sqrt(np.pi))
+        assert np.array_equal(got, norm * np.polynomial.hermite.herm2poly(np.eye(n + 1)[n]))
 
 
 def test_heat_evolve_pure_gaussian():
@@ -135,6 +156,60 @@ def test_flat_weak_mc_shared_draw_equals_separate_draws():
     symbols = [np.eye(deg + 1)[deg] for deg in range(7)]
     shared = flat_weak_mc(t, symbols, F1, F2, 2000, 92)
     assert shared == [flat_weak_mc(t, [sym], F1, F2, 2000, 92)[0] for sym in symbols]
+
+
+@pytest.mark.parametrize("n_samples", [100000, 99999, 12345])
+def test_block_moments_equal_per_power_means(n_samples):
+    # one power table and one row mean per block, bitwise as one np.mean per power
+    t = 0.4
+    got = _block_moments(t, 1.0 + t, 6, n_samples, 2026)
+    assert np.array_equal(got, block_moments_per_power(t, 1.0 + t, 6, n_samples, 2026))
+
+
+# the stacked forms sum in another order than the per-symbol ones; measured at
+# most 17 ulps of each value (the 60 x 60 grid of hl2_flat_inner), bound at 32
+ULPS = 32 * np.finfo(float).eps
+EUCLID_SYMBOLS = [np.eye(deg + 1)[deg] for deg in range(7)]
+EUCLID_F1 = HermiteExpansion([1.0, 0.5, 0.0, 0.2])
+EUCLID_F2 = HermiteExpansion([0.3, -0.2, 0.7])
+
+
+def test_stacked_integrals_match_per_symbol_reference():
+    t = 0.4
+    F1, F2 = euclid_transform(t, EUCLID_F1), euclid_transform(t, EUCLID_F2)
+    g1, g2 = EUCLID_F1.to_gauss_poly(), EUCLID_F2.to_gauss_poly()
+    stack = _symbol_stack(EUCLID_SYMBOLS)
+    heated = heat_polynomial(stack, t / 4.0)
+    lhs = l2_inner(g1, g2, heated)
+    rhs = hl2_flat_inner(F1, F2, t, stack)
+    mcs = flat_weak_mc(t, EUCLID_SYMBOLS, F1, F2, 20000, 99)
+    ref_mcs = flat_weak_mc_per_symbol(t, EUCLID_SYMBOLS, F1, F2, 20000, 99)
+    for deg, sym in enumerate(EUCLID_SYMBOLS):
+        assert np.array_equal(heated[deg, : deg + 1], heat_polynomial_per_term(sym, t / 4.0))
+        ref_lhs = l2_inner_per_symbol(g1, g2, heat_polynomial_per_term(sym, t / 4.0))
+        ref_rhs = hl2_flat_inner_per_symbol(F1, F2, t, sym)
+        assert abs(lhs[deg] - ref_lhs) <= ULPS * abs(ref_lhs)
+        assert abs(rhs[deg] - ref_rhs) <= ULPS * abs(ref_rhs)
+        (value, err), (ref_value, ref_err) = mcs[deg], ref_mcs[deg]
+        assert abs(value - ref_value) <= ULPS * abs(ref_value)
+        assert abs(err - ref_err) <= ULPS * abs(ref_value)
+
+
+def test_euclid_check_matches_per_symbol_reference():
+    # each report field within 32 ulps of the scale it is computed at: the
+    # gap at |lhs|, the stderr at the block means, z at (|mc| + |lhs|) / stderr
+    t = 0.4
+    got = euclid_toeplitz_check(t, EUCLID_SYMBOLS, EUCLID_F1, EUCLID_F2, 40000, 99)
+    ref = euclid_toeplitz_check_per_symbol(t, EUCLID_SYMBOLS, EUCLID_F1, EUCLID_F2, 40000, 99)
+    g1, g2 = EUCLID_F1.to_gauss_poly(), EUCLID_F2.to_gauss_poly()
+    F1, F2 = euclid_transform(t, EUCLID_F1), euclid_transform(t, EUCLID_F2)
+    mcs = flat_weak_mc_per_symbol(t, EUCLID_SYMBOLS, F1, F2, 40000, 99)
+    assert len(got) == len(ref) == 7
+    for sym, rep, want, (mc, _) in zip(EUCLID_SYMBOLS, got, ref, mcs):
+        scale = abs(l2_inner_per_symbol(g1, g2, heat_polynomial_per_term(sym, t / 4.0)))
+        assert abs(rep.deterministic_gap - want.deterministic_gap) <= 2 * ULPS * scale
+        assert abs(rep.mc_stderr - want.mc_stderr) <= ULPS * abs(mc)
+        assert abs(rep.mc_z_score - want.mc_z_score) <= 2 * ULPS * (abs(mc) + scale) / want.mc_stderr
 
 
 def _flat_weak_mc_per_node(t, sym_coeffs, F1, F2, n_samples, master_seed, n_blocks=40, n_x=60):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import traced_peak_mb
-from reference import exp_complex, nu, polar_radius
+from reference import calibrate_nu_per_step, exp_complex, nu, polar_radius, unitarity_residual
 
 from su2quant.algebra import (
     BLOCK_ELEMENTS,
@@ -302,14 +302,30 @@ def test_bracketed_root_failures():
 @pytest.mark.parametrize("t", [0.05, 0.2, 0.5, 1.0, 2.0, 3.0])
 def test_calibration_root_matches_brentq(t):
     # the same residual, bracket and tolerances as calibrate_nu, solved by SciPy
-    from su2quant.heat import _unitarity_residual
-
     optimize = pytest.importorskip("scipy.optimize")
     rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=64)
     ref = optimize.brentq(
-        lambda beta: _unitarity_residual(t, beta, rule, 0.5), 0.6, 1.6, xtol=1e-10, rtol=1e-12
+        lambda beta: unitarity_residual(t, beta, rule, 0.5), 0.6, 1.6, xtol=1e-10, rtol=1e-12
     )
     assert abs(calibrate_nu(t).beta - ref) < 1e-10
+
+
+@pytest.mark.parametrize("n_r", [64, 24])
+@pytest.mark.parametrize("t", [0.2, 0.5, 1.0])
+def test_calibration_equals_per_step_reference(t, n_r):
+    # the invariants computed once per call keep the order of the arithmetic,
+    # so every field is the per-step form's, bit for bit
+    assert calibrate_nu(t, n_r) == calibrate_nu_per_step(t, n_r)
+
+
+def test_calibration_transforms_each_test_function_once(monkeypatch):
+    # the bracket takes about ten residual evaluations; the spin-1/2 and spin-1
+    # test functions are transformed once for all of them
+    built = []
+    heat = BandLimited.heat
+    monkeypatch.setattr(BandLimited, "heat", lambda self, *a, **k: built.append(self) or heat(self, *a, **k))
+    calibrate_nu(0.5)
+    assert sorted(f.two_jmax for f in built) == [1, 2]
 
 
 @pytest.mark.parametrize("t", [0.2, 1.0])

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: imports that nothing uses,
-functions that only the tests call, defaults that no caller sets, the names
-the benchmark binds to, and SciPy and the tests' reference module kept off
-the run path and the thread pool off the CLI's import."""
+functions that only the tests call, defaults that no caller sets, caches
+keyed by anything but integers, the names the benchmark binds to, and SciPy
+and the tests' reference module kept off the run path and the thread pool
+off the CLI's import."""
 
 import ast
 import importlib
@@ -214,6 +215,70 @@ UNSET_DEFAULTS = {}
 
 def test_unset_defaults_are_allowlisted():
     assert sorted(_unset_defaults()) == sorted(UNSET_DEFAULTS)
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _cache_keys(source: str, module: str) -> dict[str, list[str]]:
+    """Each function in ``source`` memoized by functools.lru_cache or cache, with its parameters not annotated int.
+
+    A cache lives as long as the process, so one keyed by a float or by data
+    would serve a result computed for another call; sizes and spins are the
+    keys that repeat.  A cache applied other than as a decorator is listed
+    under its line, with the key unknown.
+    """
+    tree = ast.parse(source)
+    found, decorators = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            cached = [d for d in node.decorator_list if _reads(d) & CACHE_DECORATORS]
+            if cached:
+                decorators |= {id(n) for d in cached for n in ast.walk(d)}
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                params += [a for a in (node.args.vararg, node.args.kwarg) if a is not None]
+                found[f"{module}.{node.name}"] = [
+                    a.arg for a in params
+                    if a.arg not in ("self", "cls") and not (isinstance(a.annotation, ast.Name) and a.annotation.id == "int")
+                ]
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in CACHE_DECORATORS and id(node) not in decorators and isinstance(getattr(node, "ctx", None), ast.Load):
+            found[f"{module}:{node.lineno}"] = ["<not a decorator>"]
+    return found
+
+
+def _src_caches() -> dict[str, list[str]]:
+    return {name: keys for path in sorted((ROOT / "src").rglob("*.py"))
+            for name, keys in _cache_keys(path.read_text(), path.stem).items()}
+
+
+# Caches keyed by anything but integers, with the reason each stays.  A new
+# one fails below: key it by sizes or spins, or keep the memo on an object
+# that the call builds.
+CACHED = {}
+
+
+def test_caches_are_keyed_by_integers():
+    caches = _src_caches()
+    assert set(caches) >= {
+        "wigner._entry_tables", "wigner.generator_matrix", "wigner._cg_two", "wigner.cg_table",
+        "euclid._gh", "algebra._gauss_legendre",
+    }
+    assert sorted(name for name, keys in caches.items() if keys) == sorted(CACHED)
+
+
+def test_cache_scan_flags_a_float_key_and_a_wrapped_function():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef sizes(n: int, two_j: int): ...\n"
+        "@functools.cache\ndef by_time(t: float, n: int): ...\n"
+        "@lru_cache\ndef untyped(n): ...\n"
+        "wrapped = lru_cache(maxsize=8)(sizes)\n"
+    )
+    assert _cache_keys(source, "m") == {
+        "m.sizes": [], "m.by_time": ["t"], "m.untyped": ["n"], "m:9": ["<not a decorator>"],
+    }
 
 
 def _span_objects() -> dict[str, list]:
