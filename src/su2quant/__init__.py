@@ -2,7 +2,6 @@
 
 from .algebra import (
     VOL_K,
-    QuadratureRuleK,
     QuadratureRuleKC,
     kc_quadrature,
     random_su2,
@@ -11,7 +10,6 @@ from .diffop import LeftInvariantOperator
 from .euclid import GaussPoly, HermiteExpansion, euclid_toeplitz_check, euclid_transform
 from .heat import HeatKernelK, calibrate_nu, nu_radial
 from .sde import (
-    BrownianPath,
     EndpointEnsemble,
     SampledPath,
     endpoint_ensemble_K,

@@ -23,6 +23,8 @@ under this metric normalization.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +74,23 @@ def nu_radial(t: float, r, beta: float = NU_BETA, normalization: float | None = 
 def rho_tail_bound(t: float, r: float, two_jmax: int) -> float:
     """Bound on the dropped part of the character series past two_jmax.
 
-    Uses |chi_j(g)| <= (2j+1) e^{j r} at polar radius r.
+    Uses |chi_j(g)| <= (2j+1) e^{j r} at polar radius r.  The bound is inf
+    as soon as a term or the sum would overflow: it exceeds any tolerance.
     """
+    big = sys.float_info.max
+    # an exponent up to ``safe`` keeps (two_j + 1)^2 e^exponent <= big at every
+    # two_j the loop reaches, so only a larger one needs the exact test
+    safe = math.log(big / (two_jmax + 4002) ** 2)
     total = 0.0
     two_j = two_jmax + 1
     while True:
         j = two_j / 2.0
-        term = (two_j + 1) ** 2 * np.exp(-t * j * (j + 1) / 2.0 + two_j * r / 2.0)
+        exponent = -t * j * (j + 1) / 2.0 + two_j * r / 2.0
+        if exponent > safe and exponent > math.log(big / (two_j + 1) ** 2):
+            return np.inf
+        term = (two_j + 1) ** 2 * np.exp(exponent)
+        if term > big - total:
+            return np.inf
         total += term
         if term < 1e-24 * max(total, 1.0) or two_j > two_jmax + 4000:
             break

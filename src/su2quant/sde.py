@@ -25,10 +25,14 @@ walks on SU(2) and on the slice then take the one-part branches of
 ``exp_entries`` (real cos and sin, or cosh and sinh, of |increment| / 2),
 and only walks with both parts take its complex-mu route.
 
+The walk does not reproject: every step multiplies by the closed-form
+exponential of its increment, so the drift off the group is roundoff (after
+1,600 steps |det g - 1| and, on SU(2), |g g^dag - I| stay below 1e-12).
+
 Paths enter the kernel a chunk of steps at a time (``chunks``): a
-``BrownianPath`` holds its increments, and a ``SampledPath`` draws them from
-one generator per draw, SPAN_STEPS steps per call, into a buffer that the
-next span overwrites, so a batch's increments are never held whole.
+``SampledPath`` draws them from one generator per draw, SPAN_STEPS steps per
+call, into a buffer that the next span overwrites, so a batch's increments
+are never held whole.
 
 A ``SampledPath`` may walk nested grids: several step counts n, each a row
 of the batch per draw, every row scaling the same normals by its own
@@ -70,7 +74,6 @@ from .algebra import ad_action, exp_entries
 from .wigner import character
 
 DEFAULT_N_BLOCKS = 40
-REPROJECT_EVERY = 64
 # Paths per time in a slab: a slab of two times has twice the rows, and its
 # longer NumPy calls are what lets two threads overlap (README).
 SLAB_PATHS = 2048
@@ -108,36 +111,6 @@ def _chunk_capacity(grids, rows: int) -> int:
 
 
 @dataclass
-class BrownianPath:
-    """Algebra-valued paths on [0, 1] with given increments; leading axes of (..., n_steps, 3) index draws."""
-
-    increments: np.ndarray
-    sigma_sq: float
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[-2]
-
-    @property
-    def grids(self) -> tuple:
-        return (self.n_steps,)
-
-    @property
-    def batch_shape(self) -> tuple:
-        return self.increments.shape[:-2]
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.n_steps
-
-    def chunks(self):
-        """The increments of each chunk of _chunk_plan, as (c, draws, 3) views."""
-        rows = self.increments.reshape((-1,) + self.increments.shape[-2:])
-        for k0, c, _ in _chunk_plan(self.grids):
-            yield rows[:, k0:k0 + c].swapaxes(0, 1)
-
-
-@dataclass
 class SampledPath:
     """Brownian paths on [0, 1] with variance sigma_sq, one per seed, drawn as they are read.
 
@@ -152,8 +125,7 @@ class SampledPath:
     pair).  ``chunks`` draws SPAN_STEPS steps per generator call into one
     reused buffer, so a batch is never held whole; a Generator gives the
     same normals whether drawn in one call or in consecutive pieces, so the
-    increments are the same bit for bit.  ``increments`` draws every step
-    of a path on one grid in one call.
+    increments are those of one call per draw, bit for bit.
     """
 
     sigma_sq: float
@@ -176,18 +148,6 @@ class SampledPath:
         if len(self.given):
             draws = (len(self.seeds) + len(self.given[0]),)
         return np.shape(self.steps) + draws
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.n_steps
-
-    @property
-    def increments(self) -> np.ndarray:
-        """All increments as one array (..., n_steps, 3), for paths on one grid without given draws."""
-        normals = np.stack([np.random.default_rng(s).standard_normal((self.n_steps, 3))
-                            for s in np.ravel(self.seeds).tolist()])
-        normals *= np.sqrt(self.sigma_sq / self.n_steps)
-        return normals.reshape(np.shape(self.seeds) + (self.n_steps, 3))
 
     def chunks(self):
         """The increments of each chunk of _chunk_plan, (c, rows walking, 3), in one reused buffer.
@@ -245,31 +205,13 @@ def _matrices(g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(g, (0, 1), (-2, -1)))
 
 
-def _project_sl2c(g):
-    return g / np.sqrt(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-
-
-def _project_su2(g):
-    """Pull near-unitary elements back onto SU(2).
-
-    One Newton step toward the unitary polar factor, g <- (g + g^{-dag}) / 2,
-    then unit determinant; the drift is O(eps) per step, so one suffices.
-    """
-    cofactor = np.conj(g[::-1, ::-1])
-    cofactor[0, 1] *= -1.0
-    cofactor[1, 0] *= -1.0  # now conj(det g) g^{-dag}
-    cdet = np.conj(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-    return _project_sl2c(0.5 * (g + cofactor / cdet))
-
-
-def _advance(g, e, k0: int, project, states=None) -> None:
-    """Take the steps k0, k0 + 1, ... of one chunk in place: g <- g exp(M_k).
+def _advance(g, e, states=None) -> None:
+    """Take the steps of one chunk in place: g <- g exp(M_i) for i = 0, 1, ...
 
     ``g`` is (2, 2, ...) and ``e`` (2, 2, c, ...) holds the chunk's step
-    exponentials, exp(M_{k0+i}) at ``e[:, :, i]``; the product is three
-    elementwise calls per step.  Every REPROJECT_EVERY steps the state is
-    pulled back onto the group.  When ``states`` is given, the state entering
-    step k0 + i is copied into ``states[:, :, i]``.
+    exponentials, exp(M_i) at ``e[:, :, i]``; the product is three
+    elementwise calls per step.  When ``states`` is given, the state
+    entering step i is copied into ``states[:, :, i]``.
     """
     t, u = np.empty_like(g), np.empty_like(g)
     g0, g1, e0, e1 = g[:, :1], g[:, 1:], e[0], e[1]  # g[a, b] e[b, c] for b = 0, 1
@@ -279,8 +221,6 @@ def _advance(g, e, k0: int, project, states=None) -> None:
         np.multiply(g0, e0[:, i], out=t)
         np.multiply(g1, e1[:, i], out=u)
         np.add(t, u, out=g)
-        if (k0 + i + 1) % REPROJECT_EVERY == 0:
-            g[...] = project(g)
 
 
 def _check_grid(a, b) -> None:
@@ -291,29 +231,27 @@ def _check_grid(a, b) -> None:
 
 
 def _rotated_chunks(b, a, x):
-    """Advance x (2, 2, rows) through theta(A) in place; yield (k0, dA_k, dB_k, dB'_k) for each chunk.
+    """Advance x (2, 2, rows) through theta(A) in place; yield (dA_k, dB_k, dB'_k) for each chunk.
 
     Each is (c, rows walking, 3), and dB'_k = Ad_{x_k} dB_k with x_k the
     state entering step k (left-point rule).
     """
     xs = np.empty(4 * _chunk_capacity(a.grids, x.shape[-1]), dtype=complex)
-    k0 = 0
     for za, zb in zip(a.chunks(), b.chunks()):
         c, r = za.shape[:2]
         states = xs[:4 * c * r].reshape(2, 2, c, r)
-        _advance(x[..., :r], exp_entries(za, None).reshape(2, 2, c, r), k0, _project_su2, states=states)
-        yield k0, za, zb, ad_action(states, zb)
-        k0 += c
+        _advance(x[..., :r], exp_entries(za, None).reshape(2, 2, c, r), states=states)
+        yield za, zb, ad_action(states, zb)
 
 
 def pathwise_identity_residual(a, b):
     """Frobenius distance between theta_C(A+iB)_1 and theta_C(iB^{theta(A)})_1 theta(A)_1.
 
-    ``a`` and ``b`` are paths on the same step grids, given
-    (``BrownianPath``) or drawn as they are read (``SampledPath``).  Both
-    sides are computed from the same increments at the same discretization;
-    the residual measures only the discretization error of the factorization
-    identity.  A pair of single paths gives a float, a batch an array with
+    ``a`` and ``b`` are paths on the same step grids: ``SampledPath``s,
+    drawn as they are read, or anything else with their ``grids``,
+    ``batch_shape`` and ``chunks``.  Both sides are computed from the same
+    increments at the same discretization; the residual measures only the
+    discretization error of the factorization identity.  A pair of single paths gives a float, a batch an array with
     one residual per draw.  theta(A) leads by one chunk of steps;
     theta_C(A+iB) and theta_C(iB') then take that chunk side by side as one
     batch, so only a chunk of rotated increments is held at once.  The step
@@ -326,13 +264,13 @@ def pathwise_identity_residual(a, b):
     rows = int(np.prod(shape))
     x, g = _identity((rows,)), _identity((2, rows))
     buf = np.empty(8 * _chunk_capacity(a.grids, rows), dtype=complex)
-    for k0, da, db, db_rot in _rotated_chunks(b, a, x):
+    for da, db, db_rot in _rotated_chunks(b, a, x):
         c, r = da.shape[:2]
         e = buf[:8 * c * r].reshape(2, 2, c, 2, r)
         e_rows = e.reshape(4, c, 2, r)
         exp_entries(da, db, out=e_rows[:, :, 0])
         exp_entries(None, db_rot, out=e_rows[:, :, 1])
-        _advance(g[..., :r], e, k0, _project_sl2c)
+        _advance(g[..., :r], e)
     lhs, rhs = _matrices(g[:, :, 0]), _matrices(g[:, :, 1]) @ _matrices(x)
     res = np.linalg.norm(lhs - rhs, axis=(-2, -1)).reshape(shape)
     return float(res) if res.ndim == 0 else res
@@ -482,7 +420,7 @@ def endpoint_ensembles_KC(
                 # ensemble from 2.9 to 4.6 MB)
                 for i in range(0, c, 2):
                     exp_entries(a[i:i + 2], b[i:i + 2], out=e_rows[:, i:i + 2])
-            _advance(g, e[:, :, :c], k0, _project_sl2c)
+            _advance(g, e[:, :, :c])
         first = offsets[blocks.start]
         for i, out in enumerate(values):
             out[first:first + rows] = np.moveaxis(g[:, :, i], (0, 1), (-2, -1))
@@ -518,11 +456,8 @@ def endpoint_ensemble_K(
     master_seed: int,
     workers: int = 1,
 ) -> EndpointEnsemble:
-    """Sample rho_s endpoints on SU(2)."""
-    ens = endpoint_ensemble_KC(s + 0.0, 0.0, n_paths, n_steps, master_seed, workers=workers)
-    # var_b = 0 so the endpoints are already in SU(2) up to drift
-    ens.values = _matrices(_project_su2(np.moveaxis(ens.values, (-2, -1), (0, 1))))
-    return ens
+    """Sample rho_s endpoints on SU(2): the walk at t = 0, in SU(2) up to roundoff."""
+    return endpoint_ensemble_KC(s, 0.0, n_paths, n_steps, master_seed, workers=workers)
 
 
 def character_moment(ens: EndpointEnsemble, j):

@@ -7,7 +7,9 @@ Nothing in ``src/`` imports this module; none of it is on the run path.
   extrapolation, give the symbol phi_{1,A} = (A_C^tr nu_t) / nu_t of any
   left-invariant operator A.  They are the oracle for the closed form of
   ``diffop.radial_symbol_table``.
-* The rotated path B' of the pathwise factorization identity, the reference
+* Paths with given increments (``BrownianPath``), which drive
+  ``sde.pathwise_identity_residual`` as ``sde.SampledPath`` does, and the
+  rotated path B' of the pathwise factorization identity, the reference
   for ``sde._rotated_chunks``.
 * The nested-block stderr check of a Toeplitz estimate.
 * The projection of Haar-rule samples onto matrix entries, the oracle for
@@ -21,6 +23,7 @@ Nothing in ``src/`` imports this module; none of it is on the run path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -31,7 +34,15 @@ from su2quant.diffop import LeftInvariantOperator, Word
 from su2quant.euclid import EuclidReport, _gh, euclid_transform
 from su2quant.heat import CalibrationRecord, bracketed_root, nu_radial
 from su2quant.hl2 import hl2_inner
-from su2quant.sde import DEFAULT_N_BLOCKS, BrownianPath, _check_grid, _identity, _rotated_chunks, block_estimate, block_rng
+from su2quant.sde import (
+    DEFAULT_N_BLOCKS,
+    _check_grid,
+    _chunk_plan,
+    _identity,
+    _rotated_chunks,
+    block_estimate,
+    block_rng,
+)
 from su2quant.wigner import BandLimited, wigner_matrix
 
 
@@ -174,6 +185,32 @@ def fd_radial_symbol_table(a: LeftInvariantOperator, t: float, radii) -> np.ndar
 # ---------------------------------------------------------------------------
 # paths, block statistics and projections
 # ---------------------------------------------------------------------------
+
+@dataclass
+class BrownianPath:
+    """Algebra-valued paths on [0, 1] with given increments; leading axes of (..., n_steps, 3) index draws."""
+
+    increments: np.ndarray
+    sigma_sq: float
+
+    @property
+    def n_steps(self) -> int:
+        return self.increments.shape[-2]
+
+    @property
+    def grids(self) -> tuple:
+        return (self.n_steps,)
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.increments.shape[:-2]
+
+    def chunks(self):
+        """The increments of each chunk of sde._chunk_plan, as (c, draws, 3) views."""
+        rows = self.increments.reshape((-1,) + self.increments.shape[-2:])
+        for k0, c, _ in _chunk_plan(self.grids):
+            yield rows[:, k0:k0 + c].swapaxes(0, 1)
+
 
 def rotated_path(b, a) -> BrownianPath:
     """The path B' with dB'_k = Ad_{theta(A)_k} dB_k (left-point rule).

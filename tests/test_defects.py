@@ -5,10 +5,11 @@ CLI's sizes and seed, and asserts whether the gate fails.  A row that
 passes records a defect below the gate's reach at that size.
 """
 
+import numpy as np
 import pytest
 
-from su2quant import euclid
-from su2quant.cli import DEFAULTS, gate_calibration, gate_euclid, gate_semigroup
+from su2quant import euclid, sde
+from su2quant.cli import DEFAULTS, cmd_sde_check, gate_calibration, gate_euclid, gate_semigroup
 from su2quant.heat import HeatKernelK
 from su2quant.wigner import BandLimited
 
@@ -53,3 +54,25 @@ def test_euclid_baseline_catches_symbol_heat_time_defect(monkeypatch, factor, ca
     checks = gate_euclid(DEFAULTS["euclid_degree_max"], min(DEFAULTS["n_paths"], 100000), DEFAULTS["master_seed"])
     assert any(c["value"] > 1e-8 for c in checks) == caught
     assert any(not c["passed"] for c in checks) == caught
+
+
+def _scaled_increments(factor: float):
+    """``sde.exp_entries`` with every increment scaled by sqrt(factor): each walk's variances x factor."""
+    exp_entries, root = sde.exp_entries, np.sqrt(factor)
+
+    def scaled(a, b, out=None):
+        return exp_entries(None if a is None else a * root, None if b is None else b * root, out=out)
+
+    return scaled
+
+
+# the variances of every walk x 1.03 fail sde-check at 5,000 paths (the
+# benchmark's size) on the slice s = t/2 (|z| 3.76 and 3.75); x 1.01 passes,
+# worst |z| 2.03.  The pathwise identity holds for any increments, so only
+# the moment checks can see it
+@pytest.mark.parametrize("factor, caught", [(1.03, True), (1.01, False)])
+def test_sde_check_catches_walk_variance_defect(monkeypatch, factor, caught):
+    monkeypatch.setattr(sde, "exp_entries", _scaled_increments(factor))
+    checks, _ = cmd_sde_check({**DEFAULTS, "n_paths": 5000}, 1)
+    slice_checks = [f"complex endpoint moment chi_{j}, s=0.25, t=0.5" for j in (0.5, 1.0)]
+    assert [c["name"] for c in checks if not c["passed"]] == (slice_checks if caught else [])

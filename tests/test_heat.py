@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import traced_peak_mb
@@ -80,6 +82,26 @@ def test_choose_two_jmax_bisection_matches_linear_walk():
                 assert choose_two_jmax(t, rmax, tol) == walk(t, rmax, tol), (t, rmax, tol)
     with pytest.raises(TruncationError):
         choose_two_jmax(0.01, 10.0)  # the bound at two_jmax = 4000 is still above tol
+
+
+# choose_two_jmax at both ends of cli.T_VALUES_RANGE and at the default
+# t_values, for the semigroup's (t, 0, 2e-9), heat-check's rho_{t+s} tol
+# 1e-12 and transform-check's (t, default_cutoff(t) + 1.5, 1e-9): the values
+# before rho_tail_bound returned inf on overflow
+TWO_JMAX = {
+    0.005: (207, 235, 3612), 0.2: (28, 33, 98), 0.5: (17, 20, 42), 1.0: (11, 14, 26), 26.0: (2, 2, 3),
+}
+
+
+def test_tail_bound_overflow_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # at t = 0.005 and r = 4.5 the terms pass 1.8e308 from two_j = 344 on
+        assert rho_tail_bound(0.005, 4.5, 100) == np.inf
+        for t, expected in TWO_JMAX.items():
+            got = [choose_two_jmax(t, rmax, tol) for rmax, tol in
+                   ((0.0, 2e-9), (0.0, 1e-12), (default_cutoff(t) + 1.5, 1e-9))]
+            assert tuple(got) == expected, t
 
 
 def test_nu_constants():

@@ -1,8 +1,8 @@
 """Source hygiene that no installed linter checks: imports that nothing uses,
-functions that only the tests call, defaults that no caller sets, caches
-keyed by anything but integers, the names the benchmark binds to, and SciPy
-and the tests' reference module kept off the run path and the thread pool
-off the CLI's import."""
+functions, classes and methods that only the tests reach, defaults that no
+caller sets, caches keyed by anything but integers, the names the benchmark
+binds to, and SciPy and the tests' reference module kept off the run path
+and the thread pool off the CLI's import."""
 
 import ast
 import importlib
@@ -43,54 +43,84 @@ def test_no_unused_imports():
     assert [u for p in files for u in _unused_imports(p)] == []
 
 
-def _reads(node) -> set[str]:
-    """Every name and attribute name that ``node`` reads."""
-    out = set()
+def _name_and_attribute_reads(node) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names that ``node`` reads."""
+    names, attrs = set(), set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            names.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-    return out
+            attrs.add(n.attr)
+    return names, attrs
 
 
-def _unreached_definitions() -> set[str]:
-    """Module-level functions and methods in src/ that no code in src/ reads.
+def _reads(node) -> set[str]:
+    """Every name and attribute name that ``node`` reads."""
+    names, attrs = _name_and_attribute_reads(node)
+    return names | attrs
 
-    A definition counts as read when its name (the last part, for methods)
-    is read anywhere in src/ outside the bodies of unread definitions; the
-    scan repeats until that set is stable, so helpers of test-only code are
-    test-only too.  Imports are not reads, and dunder methods are skipped.
-    Methods match by their last name only, so a test-only method that shares
-    its name with one read in src/ (or with any attribute read there) passes
-    as reached.
+
+def _unreached_definitions(sources: dict[str, str] | None = None) -> set[str]:
+    """Module-level functions and classes, and methods, in src/ that no code in src/ reads.
+
+    A function or class counts as read when its name is read, bare or as an
+    attribute, anywhere outside the bodies of unread definitions; a method
+    or property only when its class is read and its name is read as an
+    attribute (``.name``).  The scan repeats until that set is stable, so
+    helpers of test-only code are test-only too.  Imports are not reads,
+    and dunder methods are skipped.  ``sources`` maps module names to
+    source text in place of src/.
     """
+    if sources is None:
+        sources = {path.stem: path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    bodies, always = {}, set()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    bodies, methods, always = {}, {}, (set(), set())
+
+    def add(reads, to):
+        to[0].update(reads[0])
+        to[1].update(reads[1])
+
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
             if isinstance(node, funcs):
-                bodies[f"{path.stem}.{node.name}"] = _reads(node)
+                bodies[f"{module}.{node.name}"] = _name_and_attribute_reads(node)
             elif isinstance(node, ast.ClassDef):
+                cls = f"{module}.{node.name}"
+                bodies[cls] = (set(), set())
+                for part in node.decorator_list + node.bases + node.keywords:
+                    add(_name_and_attribute_reads(part), bodies[cls])
                 for item in node.body:
                     if isinstance(item, funcs) and not item.name.startswith("__"):
-                        bodies[f"{path.stem}.{node.name}.{item.name}"] = _reads(item)
+                        bodies[f"{cls}.{item.name}"] = _name_and_attribute_reads(item)
+                        methods[f"{cls}.{item.name}"] = cls
                     else:
-                        always |= _reads(item)
+                        add(_name_and_attribute_reads(item), bodies[cls])
             else:
-                always |= _reads(node)
+                add(_name_and_attribute_reads(node), always)
     unread = set()
     while True:
-        live = always.union(*(r for name, r in bodies.items() if name not in unread))
-        found = {name for name in bodies if name.rsplit(".", 1)[-1] not in live}
+        names, attrs = set(always[0]), set(always[1])
+        for name, reads in bodies.items():
+            if name not in unread:
+                add(reads, (names, attrs))
+        found = set()
+        for name in bodies:
+            last = name.rsplit(".", 1)[-1]
+            if name in methods:
+                if methods[name] in unread or last not in attrs:
+                    found.add(name)
+            elif last not in names | attrs:
+                found.add(name)
         if found == unread:
             return unread
         unread = found
 
 
-# Definitions that only the tests call, with the reason each stays.  A new
-# test-only function fails below; deleting one means deleting its entry.
+# Definitions that only the tests (or bench/) reach, with the reason each
+# stays.  A new test-only definition fails below; deleting one means
+# deleting its entry.
 TEST_ONLY = {
+    "algebra.QuadratureRuleK": "the type haar_rule returns",
     "algebra.QuadratureRuleK.integrate": "the Haar-rule sum, the tests' oracle for integrals on K",
     "algebra._exp_matrices": "helper of haar_rule and fiber_nodes",
     "algebra.exp_algebra": "helper of haar_rule; the exponential of su(2) the tests build group elements with",
@@ -100,11 +130,28 @@ TEST_ONLY = {
     "hl2.fiber_nodes": "builds the fiber nodes of hl2_inner_pointwise",
     "hl2.hl2_inner_pointwise": "the per-node reference for hl2_inner; bench/spans.py binds to it",
     "hl2.sphere_grid": "builds the directions of the fiber nodes of hl2_inner_pointwise",
+    "sde.EndpointEnsemble.n_paths": "bench/spans.py's _work reads it on every sde.ensemble span",
+    "sde.SampledPath.n_steps": "bench/spans.py's _work reads it on every sde.pathwise span",
 }
 
 
 def test_test_only_definitions_are_allowlisted():
     assert sorted(_unreached_definitions()) == sorted(TEST_ONLY)
+
+
+def test_test_only_scan_flags_a_bare_name_method_and_an_unused_class():
+    source = (
+        "class Path:\n"
+        "    def steps(self): ...\n"
+        "    def dt(self): ...\n"
+        "class Unused:\n"
+        "    def steps(self): ...\n"
+        "def run(p: Path):\n"
+        "    dt = 1.0\n"  # a bare name, not a read of Path.dt
+        "    return p.steps(), dt\n"  # reads Path.steps; Unused.steps dies with its class
+        "run(Path())\n"
+    )
+    assert _unreached_definitions({"m": source}) == {"m.Path.dt", "m.Unused", "m.Unused.steps"}
 
 
 def test_package_root_reexports_no_test_only_name():
@@ -148,7 +195,9 @@ def _unloaded_fields() -> set[str]:
 
 # Dataclass fields that are written and never read in src/, with the reason
 # each stays.  A new write-only field fails below.
-WRITE_ONLY = {}
+WRITE_ONLY = {
+    "sde.EndpointEnsemble.n_steps": "bench/spans.py's _work reads it on every sde.ensemble span",
+}
 
 
 def test_write_only_fields_are_allowlisted():
