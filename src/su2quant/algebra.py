@@ -22,8 +22,7 @@ VOL_K = 16.0 * np.pi**2  # Riemannian volume of SU(2) as the radius-2 sphere
 # trace matrices (``ClassRuleK.traces_against``, the heat recurrence): 256 kB,
 # so the recurrence's four live buffers stay within a 2 MB L2 cache
 BLOCK_ELEMENTS = 1 << 15
-# radial Gauss-Legendre nodes of kc_quadrature: the config's quadrature.n_r
-# default, and the calibration's rule when no config sets it
+# radial Gauss-Legendre nodes of kc_quadrature, and so of polar_rule
 DEFAULT_N_R = 64
 
 PAULI = np.array(
@@ -415,20 +414,20 @@ class QuadratureRuleKC:
             ratio = self._chi_ratios[two_j] = np.sinh(d * self.radii) / (d * np.sinh(self.radii))
         return ratio
 
-    def integrate_radial(self, f_of_r) -> float:
-        """Integrate a function of the polar radius alone over K_C."""
-        vals = np.asarray(f_of_r(self.radii), dtype=float)
-        return float(VOL_K * np.dot(self.fiber_weights, vals))
+    def integrate_radial(self, values: np.ndarray) -> float:
+        """Integrate a function of the polar radius alone over K_C, given by its values at the radii."""
+        return float(VOL_K * np.dot(self.fiber_weights, values))
 
 
 def kc_quadrature(R: float, n_r: int = DEFAULT_N_R) -> QuadratureRuleKC:
-    """Polar-coordinate rule on SL(2,C) with radial cutoff R.
+    """Polar-coordinate rule on SL(2,C) with radial cutoff R and n_r radii.
 
     Against radial weights (``hl2.hl2_inner``, the adjoint oracle and the
     calibration) the K- and sphere integrals are exact: K by Schur
     orthogonality and the sphere by the scalar fiber Gram matrix lambda_j.
     Those routes read only the n_r ``radii`` and ``fiber_weights``, so the
-    radial Gauss-Legendre sum on [0, R] is their only quadrature.
+    radial Gauss-Legendre sum on [0, R] is their only quadrature.  The run
+    path takes its rule from ``polar_rule``; the tests build others.
     """
     if R <= 0:
         raise ValueError("radial cutoff R must be positive")
@@ -441,3 +440,8 @@ def kc_quadrature(R: float, n_r: int = DEFAULT_N_R) -> QuadratureRuleKC:
 def default_cutoff(t: float) -> float:
     """Default radial truncation for time-t Gaussian weights."""
     return max(4.0 * np.sqrt(t), 3.0)
+
+
+def polar_rule(t: float) -> QuadratureRuleKC:
+    """The polar rule of every inner product against nu_t, sized by its width sqrt(t) alone."""
+    return kc_quadrature(default_cutoff(t) + 1.5)

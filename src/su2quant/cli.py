@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import DEFAULT_N_R, kc_quadrature, random_su2, default_cutoff
+from .algebra import polar_rule, random_su2
 from .diffop import LeftInvariantOperator, radial_symbol_table
 from .euclid import MAX_SYMBOL_DEGREE, HermiteExpansion, euclid_toeplitz_check
 from .heat import calibrate_nu, nu_radial, semigroup_sup_error
@@ -67,10 +67,6 @@ def _number(value) -> bool:
     )
 
 
-def _positive(value) -> bool:
-    return _number(value) and value > 0
-
-
 def _spin(value) -> bool:
     """A half-integer j with 0 <= j <= TWO_J_CAP / 2."""
     return _number(value) and 2 * value == int(2 * value) and 0 <= 2 * value <= TWO_J_CAP
@@ -88,32 +84,24 @@ def _nonempty_list(rule):
     return lambda value: isinstance(value, list) and bool(value) and all(map(rule, value))
 
 
-# The times of calibrate and transform-check, bisected at the other fields'
-# defaults: calibrate finds its bracket for beta on [8.69e-4, 26.21] and
-# transform-check runs on [4.51e-3, 36.84] (below, no certified truncation of
-# rho_t; above, inverse_C's guard trips).  The common range, rounded inward.
+# Every time in the config, t and each of t_values: calibrate finds its bracket
+# for beta on [8.69e-4, 26.21] and transform-check runs on [4.51e-3, 36.84]
+# (below, no certified truncation of rho_t; above, inverse_C's guard trips).
+# The common range, rounded inward; toeplitz-diff ends in a verdict at both ends.
 T_VALUES_RANGE = (0.005, 26.0)
-# The least quadrature.n_r from which calibrate finds its bracket at every
-# larger n_r, at the default t_values (9 does, 10 does not); transform-check
-# and toeplitz-diff end in a verdict at every n_r >= 1
-MIN_N_R = 11
 
 
 # Every config field: name -> (default, the rule its value must pass, what the
-# error says was expected).  A nested table is a field of fields, merged over
-# its defaults; its errors name the dotted field.
+# error says was expected)
 FIELDS = {
     "t_values": ([0.2, 0.5, 1.0], _nonempty_list(_between(*T_VALUES_RANGE)),
                  "a non-empty list of numbers from {} to {}".format(*T_VALUES_RANGE)),
-    "t": (0.5, _positive, "a finite number > 0"),
+    "t": (0.5, _between(*T_VALUES_RANGE), "a number from {} to {}".format(*T_VALUES_RANGE)),
     "n_paths": (200000, _ints(DEFAULT_N_BLOCKS),
                 f"an int >= {DEFAULT_N_BLOCKS}, one path per Monte Carlo block"),
     "n_steps": (200, _ints(1), "an int >= 1"),
     "n_grid": (1000, _ints(1), "an int >= 1"),
     "master_seed": (2026, _ints(0), "an int >= 0"),
-    "quadrature": {"n_r": (DEFAULT_N_R, _ints(MIN_N_R), f"an int >= {MIN_N_R}")},
-    "radial_cutoff": (None, lambda value: value is None or _positive(value),
-                      "null or a finite number > 0"),
     "spins": ([0.5, 1.0], _nonempty_list(_spin),
               f"a non-empty list of half-integers j with 0 <= j <= {TWO_J_CAP // 2}"),
     "euclid_degree_max": (MAX_SYMBOL_DEGREE, _ints(1, MAX_SYMBOL_DEGREE),
@@ -121,11 +109,7 @@ FIELDS = {
 }
 
 
-def _defaults(table: dict) -> dict:
-    return {k: _defaults(v) if isinstance(v, dict) else v[0] for k, v in table.items()}
-
-
-DEFAULTS = _defaults(FIELDS)
+DEFAULTS = {name: field[0] for name, field in FIELDS.items()}
 
 
 def _checked(where: str, value, field: tuple):
@@ -135,38 +119,25 @@ def _checked(where: str, value, field: tuple):
     return value
 
 
-def _merge(cfg: dict, user, table: dict, where: str, prefix: str = "") -> None:
-    """Check ``user`` against ``table`` and write it over ``cfg``, one field at a time."""
-    if not isinstance(user, dict):
-        raise ConfigError(f"{where}: expected an object, got {json.dumps(user)}")
-    # an unknown field (a misspelt name) is named before any value is checked
-    for key in user:
-        if key not in table:
-            raise ConfigError(f"config field '{prefix}{key}': unknown field")
-    for key, value in user.items():
-        name = f"config field '{prefix}{key}'"
-        if isinstance(table[key], dict):
-            _merge(cfg[key], value, table[key], name, f"{prefix}{key}.")
-        else:
-            cfg[key] = _checked(name, value, table[key])
-
-
 def load_config(path: str | None, seed_override: int | None) -> dict:
+    """The defaults, with the config file's fields checked and written over them one at a time."""
     cfg = json.loads(json.dumps(DEFAULTS))
     if path is not None:
         try:
             user = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config {path}: {exc}")
-        _merge(cfg, user, FIELDS, f"config {path}")
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {path}: expected an object, got {json.dumps(user)}")
+        # an unknown field (a misspelt name) is named before any value is checked
+        for key in user:
+            if key not in FIELDS:
+                raise ConfigError(f"config field '{key}': unknown field")
+        for key, value in user.items():
+            cfg[key] = _checked(f"config field '{key}'", value, FIELDS[key])
     if seed_override is not None:
         cfg["master_seed"] = _checked("--seed", seed_override, FIELDS["master_seed"])
     return cfg
-
-
-def _cutoff(cfg: dict, t: float) -> float:
-    """The configured radial cutoff, or the default one for t."""
-    return default_cutoff(t) if cfg["radial_cutoff"] is None else cfg["radial_cutoff"]
 
 
 def _check(name: str, value, gate: str, passed: bool, **extra) -> dict:
@@ -202,11 +173,11 @@ def _symbols():
     ]
 
 
-def gate_calibration(t_values, quadrature: dict) -> list[dict]:
+def gate_calibration(t_values) -> list[dict]:
     """Mass and unitarity residuals of the calibrated nu_t, one check per t."""
     checks = []
     for t in t_values:
-        rec = calibrate_nu(t, **quadrature)
+        rec = calibrate_nu(t)
         worst = max(
             abs(rec.mass_residual),
             abs(rec.unitarity_residuals["spin_half"]),
@@ -382,16 +353,14 @@ def gate_differential(t: float, sampler: ToeplitzSampler, pairs):
     return checks, blocks
 
 
-def gate_laplacian_entries(t: float, R: float, quadrature: dict, pairs) -> list[dict]:
+def gate_laplacian_entries(t: float, pairs) -> list[dict]:
     """The V = 1 Laplacian entries by polar quadrature of its closed-form symbol,
     against -3/4 <f1, f2>, relative to -3/4 ||f1||^2."""
-    rule = kc_quadrature(R, **quadrature)
-    # hl2_inner reads the symbol at the rule's radii and nowhere else
-    table = radial_symbol_table(t, rule.radii)
+    rule = polar_rule(t)
+    weight = nu_radial(t, rule.radii) * radial_symbol_table(t, rule.radii)
     checks = []
     for lbl, f1, f2 in pairs:
-        value = hl2_inner(transform_C(t, f1), transform_C(t, f2), rule, lambda r: nu_radial(t, r),
-                          radial_symbol=lambda r: table)
+        value = hl2_inner(transform_C(t, f1), transform_C(t, f2), rule, weight)
         target = -0.75 * inner_product_K(f1, f2).real
         rel = abs(value - target) / (0.75 * f1.norm_sq())
         checks.append(
@@ -430,7 +399,7 @@ def gate_euclid(degree_max: int, n_samples: int, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(cfg: dict, workers: int):
-    return gate_calibration(cfg["t_values"], cfg["quadrature"]), []
+    return gate_calibration(cfg["t_values"]), []
 
 
 def cmd_heat_check(cfg: dict, workers: int):
@@ -441,13 +410,14 @@ def cmd_transform_check(cfg: dict, workers: int):
     checks = []
     rng = np.random.default_rng(cfg["master_seed"])
     for t in cfg["t_values"]:
-        rule = kc_quadrature(_cutoff(cfg, t) + 1.5, **cfg["quadrature"])
+        rule = polar_rule(t)
+        nu = nu_radial(t, rule.radii)
         worst = 0.0
         for two_j in (1, 2, 3):
             c = rng.standard_normal((two_j + 1, two_j + 1))
             f = BandLimited({two_j: c})
             F = transform_C(t, f)
-            lhs = hl2_inner(F, F, rule, lambda r: nu_radial(t, r)).real
+            lhs = hl2_inner(F, F, rule, nu).real
             worst = max(worst, abs(lhs / f.norm_sq() - 1.0))
         checks.append(
             _check(
@@ -494,8 +464,7 @@ def cmd_toeplitz_diff(cfg: dict, workers: int):
     smp = ToeplitzSampler.for_times([t], cfg["n_paths"], cfg["n_steps"], cfg["master_seed"], workers=workers)[0]
     (_, f1), (_, f2) = _spin_half_entries()[:2]
     checks, blocks = gate_differential(t, smp, [("11", f1, f1), ("12", f1, f2)])
-    R = _cutoff(cfg, t) + 1.5
-    return checks + gate_laplacian_entries(t, R, cfg["quadrature"], [("phi_1", f1, f1)]), blocks
+    return checks + gate_laplacian_entries(t, [("phi_1", f1, f1)]), blocks
 
 
 def cmd_euclid(cfg: dict, workers: int):

@@ -23,7 +23,7 @@ from math import comb, factorial
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .sde import DEFAULT_N_BLOCKS, block_estimate, block_rng
+from .sde import DEFAULT_N_BLOCKS, block_estimate, block_offsets, block_rng
 
 MAX_DEGREE = 24
 # highest symbol degree euclid_toeplitz_check takes
@@ -258,10 +258,10 @@ def _block_moments(t: float, a: float, n_powers: int, n_samples: int, master_see
     sums its rows at once; a row sum is the 1-D sum of that row, and one
     division by the block sizes ends as ``np.mean`` does, so each moment is
     the block's 1-D mean and does not depend on how many powers are taken.
-    The blocks split the samples as ``np.array_split`` does.
+    The blocks split the samples as ``sde.block_offsets`` does.
     """
     sums = np.empty((n_powers, DEFAULT_N_BLOCKS))
-    sizes = [n_samples // DEFAULT_N_BLOCKS + (b < n_samples % DEFAULT_N_BLOCKS) for b in range(DEFAULT_N_BLOCKS)]
+    sizes = np.diff(block_offsets(n_samples, DEFAULT_N_BLOCKS))
     for b, size in enumerate(sizes):
         eta = block_rng(master_seed, b).normal(0.0, np.sqrt(t / 2.0), size=size)
         powers = np.empty((n_powers, size))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BLOCK_ELEMENTS, DEFAULT_N_R, VOL_K, kc_quadrature, default_cutoff, radial_jacobian, weyl_rule
+from .algebra import BLOCK_ELEMENTS, VOL_K, polar_rule, radial_jacobian, weyl_rule
 from .errors import TruncationError
 from .hl2 import hl2_inner
 from .wigner import BandLimited, characters
@@ -42,16 +42,15 @@ NU_BETA = 1.0  # radial-Jacobian rate; calibrated, equals the curvature scale
 GEMV_ROWS = 8
 
 
-def nu_normalization(t: float, beta: float = NU_BETA) -> float:
+def nu_normalization(t: float) -> float:
     """N(t) making the fiber-invariant kernel integrate to Vol(K).
 
-    For general beta this is fixed by the mass identity; at beta = 1 it
-    reduces to (pi t)^(-3/2) e^(-t/4).
+    It is fixed by the mass identity; at beta = NU_BETA = 1 it is
+    (pi t)^(-3/2) e^(-t/4).
     """
-    # int_0^inf r sinh(b r) e^{-r^2/t} dr = (b t / 4) sqrt(pi t) e^{b^2 t / 4}
-    b = beta
-    integral = (b * t / 4.0) * np.sqrt(np.pi * t) * np.exp(b * b * t / 4.0)
-    return 1.0 / (4.0 * np.pi * integral / b)
+    # int_0^inf r sinh(b r) e^{-r^2/t} dr = (b t / 4) sqrt(pi t) e^{b^2 t / 4} at b = NU_BETA
+    integral = (NU_BETA * t / 4.0) * np.sqrt(np.pi * t) * np.exp(NU_BETA * NU_BETA * t / 4.0)
+    return 1.0 / (4.0 * np.pi * integral / NU_BETA)
 
 
 def _beta_profile(br: np.ndarray) -> np.ndarray:
@@ -60,11 +59,10 @@ def _beta_profile(br: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - br**2 / 6.0, br / np.sinh(np.where(small, 1.0, br)))
 
 
-def nu_radial(t: float, r, beta: float = NU_BETA, normalization: float | None = None):
+def nu_radial(t: float, r):
     """Radial profile of the fiber-invariant kernel at polar radius r."""
     r = np.asarray(r, dtype=float)
-    n0 = nu_normalization(t, beta) if normalization is None else normalization
-    return n0 * _beta_profile(beta * r) * np.exp(-(r**2) / t)
+    return nu_normalization(t) * _beta_profile(NU_BETA * r) * np.exp(-(r**2) / t)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +296,18 @@ def bracketed_root(f, a: float, b: float, *, xtol: float, rtol: float, maxiter: 
     raise RuntimeError(f"no root to tolerance after {maxiter} steps; bracket [{a}, {b}]")
 
 
-def calibrate_nu(t: float, n_r: int = DEFAULT_N_R) -> CalibrationRecord:
+def calibrate_nu(t: float) -> CalibrationRecord:
     """Pin (beta, N(t)) from the mass and unitarity identities.
 
     For each candidate beta the normalization is solved from the mass
     identity; beta itself is then the root in [0.6, 1.6] of the spin-1/2
     unitarity residual.  The spin-1 residual at the solution is reported as
-    the overdetermined cross-check.  One polar rule serves every beta: the
-    integrands are radial, so only its n_r radii and fiber weights are
-    read.  The rule's fiber weights carry J_1(r) = sinh(r)^2, so beta enters
-    through the Jacobian ratio J_beta / J_1 = (sinh(beta r) / (beta sinh r))^2
-    in the weight, besides the profile itself.
+    the overdetermined cross-check.  One polar rule, ``polar_rule(t)``,
+    serves every beta: the integrands are radial, so they are arrays at its
+    radii, read with its fiber weights.  The fiber weights carry
+    J_1(r) = sinh(r)^2, so beta enters through the Jacobian ratio
+    J_beta / J_1 = (sinh(beta r) / (beta sinh r))^2 in the weight, besides
+    the profile itself.
 
     What does not depend on beta is computed once per call: J_1 at the
     radii, the Gaussian e^{-r^2/t}, and the spin-1/2 and spin-1 test
@@ -317,7 +316,7 @@ def calibrate_nu(t: float, n_r: int = DEFAULT_N_R) -> CalibrationRecord:
     (J_beta / J_1) nu_t at beta is computed once per beta and serves the
     mass identity and the unitarity inner product alike.
     """
-    rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=n_r)
+    rule = polar_rule(t)
     r = rule.radii
     j_one = radial_jacobian(r)
     gauss = np.exp(-(r**2) / t)
@@ -331,19 +330,19 @@ def calibrate_nu(t: float, n_r: int = DEFAULT_N_R) -> CalibrationRecord:
         jacobian_ratio = radial_jacobian(r, beta) / j_one
         profile = _beta_profile(beta * r)
         # the mass identity at unit N; rule.integrate_radial sums K and fiber weights
-        unit_mass = rule.integrate_radial(lambda _: jacobian_ratio * (profile * gauss))
+        unit_mass = rule.integrate_radial(jacobian_ratio * (profile * gauss))
         normalization = VOL_K / unit_mass
         return jacobian_ratio * (normalization * profile * gauss), normalization
 
     def residual(w: np.ndarray, j: float) -> float:
         F, norm_sq = tests[j]
-        return hl2_inner(F, F, rule, lambda _: w).real / norm_sq - 1.0
+        return hl2_inner(F, F, rule, w).real / norm_sq - 1.0
 
     beta_star = bracketed_root(
         lambda beta: residual(weight(beta)[0], 0.5), 0.6, 1.6, xtol=1e-10, rtol=1e-12
     )
     w_star, n_star = weight(beta_star)
-    mass = rule.integrate_radial(lambda _: w_star)
+    mass = rule.integrate_radial(w_star)
     return CalibrationRecord(
         t=t,
         beta=beta_star,

@@ -12,11 +12,11 @@ exact and one is quadrature:
   lambda_j = sum_y w_y sinh(d_j r_y) / (d_j sinh r_y) (``fiber_scalar``);
 * radius: the sum over r_y is the only quadrature.
 
-So ``hl2_inner`` reads only the rule's radii and fiber weights, one per
-radius (``QuadratureRuleKC`` keeps nothing else), and sums n_r terms per
-spin.  A general pointwise symbol has no such form: ``hl2_inner_pointwise``
-sums over the nodes of a Haar rule on K and every (radius, direction)
-fiber node, chunked over the K-nodes.
+So a radial weight is an array of its values at the rule's radii: ``hl2_inner``
+reads it with the rule's fiber weights (``QuadratureRuleKC`` keeps nothing
+else) and sums n_r terms per spin.  A general pointwise symbol has no such
+form: ``hl2_inner_pointwise`` sums over the nodes of a Haar rule on K and every
+(radius, direction) fiber node, chunked over the K-nodes.
 """
 
 from __future__ import annotations
@@ -84,26 +84,17 @@ def fiber_scalar(two_j: int, rule: QuadratureRuleKC, wy: np.ndarray):
     return np.dot(wy, rule.chi_ratio(two_j))
 
 
-def hl2_inner(
-    F1: BandLimited,
-    F2: BandLimited,
-    rule: QuadratureRuleKC,
-    radial_weight,
-    radial_symbol=None,
-) -> complex:
-    """integral of conj(F1) F2 * weight(|Y|) [* symbol(|Y|)] over K_C.
+def hl2_inner(F1: BandLimited, F2: BandLimited, rule: QuadratureRuleKC, weight: np.ndarray) -> complex:
+    """integral of conj(F1) F2 * weight(|Y|) over K_C.
 
-    ``radial_weight`` is the density against Haar measure (e.g. the
-    fiber-invariant heat kernel profile); ``radial_symbol`` optionally
-    multiplies in a radial Toeplitz symbol.  The K-integral is exact by
-    Schur orthogonality and the sphere integral exact by the scalar
-    lambda_j (``fiber_scalar``), so the value is
-    sum_j Vol(K)/d_j lambda_j <c1^j, c2^j>_F with w_y = fiber weight *
-    weight [* symbol]; only the radial sum is quadrature.
+    ``weight`` holds a radial density against Haar measure at the rule's
+    radii (e.g. the fiber-invariant heat kernel profile, times a radial
+    Toeplitz symbol).  The K-integral is exact by Schur orthogonality and
+    the sphere integral exact by the scalar lambda_j (``fiber_scalar``),
+    so the value is sum_j Vol(K)/d_j lambda_j <c1^j, c2^j>_F with
+    w_y = fiber weight * weight; only the radial sum is quadrature.
     """
-    wy = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
-    if radial_symbol is not None:
-        wy = wy * np.asarray(radial_symbol(rule.radii), dtype=complex)
+    wy = rule.fiber_weights * weight
     total = 0.0 + 0.0j
     for two_j in sorted(set(F1.blocks) & set(F2.blocks)):
         lam = fiber_scalar(two_j, rule, wy)
@@ -115,7 +106,7 @@ def hl2_inner_pointwise(
     F1: BandLimited,
     F2: BandLimited,
     rule: QuadratureRuleKC,
-    radial_weight,
+    radial_weight: np.ndarray,
     symbol,
     k_rule: QuadratureRuleK,
     sphere,
@@ -123,13 +114,14 @@ def hl2_inner_pointwise(
     """Same integral with a general pointwise symbol(g), chunked over K-nodes.
 
     The nodes are x * exp(i r u . X) for x on ``k_rule``, r on the rule's
-    radii and u on the ``sphere`` pair (directions, weights summing to one)
-    of ``sphere_grid``.  No CLI path calls it.  It stays as the per-node
+    radii, where ``radial_weight`` holds the weight as in ``hl2_inner``, and
+    u on the ``sphere`` pair (directions, weights summing to one) of
+    ``sphere_grid``.  No CLI path calls it.  It stays as the per-node
     reference that the tests compare ``hl2_inner`` against, and because
     ``bench/spans.py`` binds to its name.
     """
     directions, direction_weights = sphere
-    radial = rule.fiber_weights * np.asarray(radial_weight(rule.radii), dtype=float)
+    radial = rule.fiber_weights * radial_weight
     wy = np.outer(radial, direction_weights).reshape(-1)  # radius-major, as fiber_nodes
     kn, kw = k_rule.nodes, k_rule.weights
     fnodes = fiber_nodes(rule.radii, directions)

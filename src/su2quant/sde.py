@@ -310,6 +310,18 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
     )
 
 
+def block_offsets(n: int, n_blocks: int) -> np.ndarray:
+    """Starts of n_blocks consecutive blocks of n samples, then n; the first n % n_blocks hold one more, as np.array_split."""
+    b = np.arange(n_blocks + 1)
+    return b * (n // n_blocks) + np.minimum(b, n % n_blocks)
+
+
+def _blocks(a: np.ndarray, n_blocks: int) -> list[np.ndarray]:
+    """The blocks of ``block_offsets`` along the first axis of ``a``, as views."""
+    offsets = block_offsets(len(a), n_blocks)
+    return [a[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+
 def block_estimate(block_values: np.ndarray):
     """Mean over the last axis of per-block values, and its block standard error.
 
@@ -334,20 +346,20 @@ class EndpointEnsemble:
         return self.values.shape[0]
 
     def block_views(self) -> list[np.ndarray]:
-        return np.array_split(self.values, self.n_blocks)
+        return _blocks(self.values, self.n_blocks)
 
     def block_statistic(self, per_path: np.ndarray):
         """Mean and block-based standard error of a per-path statistic."""
-        blocks = [np.mean(b, axis=0) for b in np.array_split(per_path, self.n_blocks)]
+        blocks = [np.mean(b, axis=0) for b in _blocks(per_path, self.n_blocks)]
         return block_estimate(np.stack(blocks, axis=-1))
 
 
 def _slab_plan(n_paths: int, n_blocks: int) -> tuple[np.ndarray, list[range]]:
     """Path offsets of the blocks, and slabs of consecutive blocks of at most SLAB_PATHS paths each."""
-    sizes = [len(idx) for idx in np.array_split(np.arange(n_paths), n_blocks)]
-    per_slab = max(1, SLAB_PATHS // max(1, *sizes))
+    offsets = block_offsets(n_paths, n_blocks)
+    per_slab = max(1, SLAB_PATHS // max(1, int(offsets[1])))  # the first block is the largest
     slabs = [range(i, min(i + per_slab, n_blocks)) for i in range(0, n_blocks, per_slab)]
-    return np.cumsum([0] + sizes), slabs
+    return offsets, slabs
 
 
 def endpoint_ensembles_KC(

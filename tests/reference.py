@@ -29,10 +29,10 @@ from math import factorial
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from su2quant.algebra import DEFAULT_N_R, VOL_K, default_cutoff, exp_entries, kc_quadrature, radial_jacobian
+from su2quant.algebra import VOL_K, default_cutoff, exp_entries, kc_quadrature, radial_jacobian
 from su2quant.diffop import LeftInvariantOperator, Word
 from su2quant.euclid import EuclidReport, _gh, euclid_transform
-from su2quant.heat import CalibrationRecord, bracketed_root, nu_radial
+from su2quant.heat import CalibrationRecord, _beta_profile, bracketed_root, nu_radial
 from su2quant.hl2 import hl2_inner
 from su2quant.sde import (
     DEFAULT_N_BLOCKS,
@@ -266,36 +266,39 @@ def project_onto_entries(values: np.ndarray, rule, two_jmax: int) -> BandLimited
 # calibration of nu_t, one residual evaluation at a time
 # ---------------------------------------------------------------------------
 
-def beta_weight(t: float, beta: float, normalization: float):
-    """nu_radial at (beta, N) as a density against the rule's beta = 1 Jacobian J_1(r) = sinh(r)^2."""
-    return lambda r: radial_jacobian(r, beta) / radial_jacobian(r) * nu_radial(
-        t, r, beta, normalization
-    )
+def beta_weight(t: float, beta: float, normalization: float, r: np.ndarray) -> np.ndarray:
+    """nu_t at (beta, N) on the radii r, as a density against the rule's beta = 1 Jacobian J_1(r) = sinh(r)^2.
+
+    ``heat.nu_radial`` is this profile at beta = 1 and its analytic N.
+    """
+    profile = normalization * _beta_profile(beta * r) * np.exp(-(r**2) / t)
+    return radial_jacobian(r, beta) / radial_jacobian(r) * profile
 
 
 def mass_normalization(t: float, beta: float, rule) -> float:
     """N such that the mass identity holds exactly on the rule."""
-    return VOL_K / rule.integrate_radial(beta_weight(t, beta, 1.0))
+    return VOL_K / rule.integrate_radial(beta_weight(t, beta, 1.0, rule.radii))
 
 
 def unitarity_residual(t: float, beta: float, rule, j) -> float:
     """||C_t f||^2 / ||f||^2 - 1 for f = D^j_{jj} under nu_t at beta, every piece rebuilt."""
-    weight = beta_weight(t, beta, mass_normalization(t, beta, rule))
+    weight = beta_weight(t, beta, mass_normalization(t, beta, rule), rule.radii)
     f = BandLimited.entry(j, j, j)
     F = f.heat(t, sign=-1.0)
     lhs = hl2_inner(F, F, rule, weight).real
     return lhs / f.norm_sq() - 1.0
 
 
-def calibrate_nu_per_step(t: float, n_r: int = DEFAULT_N_R) -> CalibrationRecord:
+def calibrate_nu_per_step(t: float, n_r: int) -> CalibrationRecord:
     """``heat.calibrate_nu`` with J_1, the Gaussian, the test functions and
-    the weight rebuilt at every residual evaluation."""
+    the weight rebuilt at every residual evaluation, on the polar rule built
+    from its definition: n_r radii on [0, default_cutoff(t) + 1.5]."""
     rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=n_r)
     beta_star = bracketed_root(
         lambda beta: unitarity_residual(t, beta, rule, 0.5), 0.6, 1.6, xtol=1e-10, rtol=1e-12
     )
     n_star = mass_normalization(t, beta_star, rule)
-    mass = rule.integrate_radial(beta_weight(t, beta_star, n_star))
+    mass = rule.integrate_radial(beta_weight(t, beta_star, n_star, rule.radii))
     return CalibrationRecord(
         t=t,
         beta=beta_star,

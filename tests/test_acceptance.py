@@ -13,7 +13,6 @@ import pytest
 from conftest import record_gate
 from reference import fd_radial_symbol_table
 
-from su2quant.algebra import default_cutoff
 from su2quant.cli import (
     _spin_half_entries,
     gate_boundedness,
@@ -69,7 +68,7 @@ def _worst_z(checks) -> float:
 
 def test_criterion_01_calibration():
     t0 = time.perf_counter()
-    worst = max(c["value"] for c in gate_calibration((0.2, 0.5, 1.0), {}))
+    worst = max(c["value"] for c in gate_calibration((0.2, 0.5, 1.0)))
     dt = time.perf_counter() - t0
     ok = worst < 1e-5 and dt < 60.0
     record_gate(
@@ -184,7 +183,7 @@ def test_criterion_07_differential_operator_stochastic():
 def test_criterion_08_differential_operator_deterministic():
     t0 = time.perf_counter()
     t = 0.5
-    checks = gate_laplacian_entries(t, default_cutoff(t) + 1.5, {"n_r": 64}, _all_pairs())
+    checks = gate_laplacian_entries(t, _all_pairs())
     scale = 0.75 * _spin_half_entries()[0][1].norm_sq()
     worst = max(abs(complex(*c["value"]) - c["target"]) / scale for c in checks)
     # the finite-difference radial profile must be degree-1 in r^2 on [0, 3],

@@ -192,11 +192,8 @@ def test_kc_quadrature_radial_gaussian():
     t = 0.5
     rule = kc_quadrature(default_cutoff(t) + 1.0, n_r=64)
 
-    def f(r):
-        rr = np.asarray(r)
-        ratio = np.where(rr < 1e-8, 1.0, rr / np.sinh(np.where(rr < 1e-8, 1.0, rr)))
-        return ratio * np.exp(-(rr**2) / t)
-
-    got = rule.integrate_radial(f)
+    r = rule.radii
+    ratio = np.where(r < 1e-8, 1.0, r / np.sinh(np.where(r < 1e-8, 1.0, r)))
+    got = rule.integrate_radial(ratio * np.exp(-(r**2) / t))
     expect = VOL_K * 4.0 * np.pi * (t / 4.0) * np.sqrt(np.pi * t) * np.exp(t / 4.0)
     assert got == pytest.approx(expect, rel=1e-10)

@@ -4,11 +4,10 @@ from collections import Counter
 
 import pytest
 
-from su2quant.algebra import default_cutoff
+from su2quant import cli
 from su2quant.cli import (
     DEFAULTS,
     FIELDS,
-    MIN_N_R,
     SCHEMA,
     T_VALUES_RANGE,
     ConfigError,
@@ -55,7 +54,10 @@ def test_load_config_diagnostics(tmp_path):
         load_config(str(p), None)
 
 
-# one config per row, each refused naming the field in the row
+# one config per row, each refused naming the field in the row.  The polar
+# rule follows from t, so radial_cutoff and quadrature are no longer fields:
+# their rows keep their place and ids, and expect the unknown-field message
+# for the top-level name (a dotted name is named by its table)
 BAD_VALUES = [
     ({"n_steps": 0}, "n_steps"),
     ({"n_paths": -5}, "n_paths"),
@@ -82,10 +84,12 @@ BAD_VALUES = [
     ({"n_grid": 0}, "n_grid"),
     ({"quadrature": {"n_r": 0}}, "quadrature.n_r"),
     ({"t": 10**400}, "'t'"),  # an int past the float range, not an OverflowError
-    # the measured ranges (cli.T_VALUES_RANGE, cli.MIN_N_R)
+    # the measured range of every time (cli.T_VALUES_RANGE)
     ({"t_values": [0.5, 0.0049]}, "t_values"),
     ({"t_values": [26.5]}, "t_values"),
     ({"quadrature": {"n_r": 10}}, "quadrature.n_r"),
+    ({"t": 1e-300}, "'t'"),
+    ({"t": 10000}, "'t'"),
 ]
 
 
@@ -95,27 +99,26 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
     p.write_text(json.dumps(user))
     code = main(["toeplitz-diff", "--config", str(p), "--out", str(tmp_path)])
     assert code == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    name = field.split(".")[0].strip("'")
+    assert name in err
+    if name not in FIELDS:
+        assert f"config field '{name}': unknown field" in err
     assert not (tmp_path / "report.json").exists()
 
 
 def test_range_errors_name_the_range(tmp_path, capsys):
     p = tmp_path / "c.json"
-    for user, expected in [({"t_values": [30]}, "from 0.005 to 26.0"), ({"quadrature": {"n_r": 9}}, "an int >= 11")]:
-        p.write_text(json.dumps(user))
-        assert main(["calibrate", "--config", str(p), "--out", str(tmp_path)]) == 2
-        assert expected in capsys.readouterr().err
+    p.write_text(json.dumps({"t_values": [30]}))
+    assert main(["calibrate", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert "from 0.005 to 26.0" in capsys.readouterr().err
 
 
-# both ends of each measured range, at small sizes, end in a verdict (exit 0
-# or 1) with every reported value finite
+# both ends of the measured range of the times, at small sizes, end in a
+# verdict (exit 0 or 1) with every reported value finite
 RANGE_ENDS = [
     (cmd, {"t_values": [t]}) for cmd in ("calibrate", "transform-check") for t in T_VALUES_RANGE
-] + [
-    ("calibrate", {"quadrature": {"n_r": MIN_N_R}}),
-    ("transform-check", {"quadrature": {"n_r": MIN_N_R}}),
-    ("toeplitz-diff", {"quadrature": {"n_r": MIN_N_R}, "n_paths": 400, "n_steps": 10}),
-]
+] + [("toeplitz-diff", {"t": t, "n_paths": 400}) for t in T_VALUES_RANGE]
 
 
 @pytest.mark.parametrize("cmd, user", RANGE_ENDS)
@@ -129,18 +132,9 @@ def test_range_ends_end_in_a_verdict(tmp_path, cmd, user):
     assert report["checks"] and "NaN" not in text and "Infinity" not in text
 
 
-def _fields(table: dict, prefix: str = ""):
-    """(dotted name, (default, rule, expected)) for every field of ``table``."""
-    for name, field in table.items():
-        if isinstance(field, dict):
-            yield from _fields(field, f"{prefix}{name}.")
-        else:
-            yield f"{prefix}{name}", field
-
-
 def test_every_field_default_passes_and_a_bad_value_is_refused():
     rejected = {field.strip("'") for _, field in BAD_VALUES}
-    for name, (default, rule, _) in _fields(FIELDS):
+    for name, (default, rule, _) in FIELDS.items():
         assert rule(default), name
         assert name in rejected, name
 
@@ -162,9 +156,9 @@ def test_workers_below_one_exits_2(tmp_path, capsys):
 
 def test_spins_up_to_the_cap_load(tmp_path):
     p = tmp_path / "c.json"
-    p.write_text(json.dumps({"spins": [0, 1.5, 12], "radial_cutoff": 4}))
+    p.write_text(json.dumps({"spins": [0, 1.5, 12]}))
     cfg = load_config(str(p), 0)
-    assert cfg["spins"] == [0, 1.5, 12] and cfg["radial_cutoff"] == 4
+    assert cfg["spins"] == [0, 1.5, 12]
     assert cfg["master_seed"] == 0
 
 
@@ -179,16 +173,6 @@ def test_field_s_is_unknown(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_quadrature_merged_over_defaults(tmp_path):
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps({"quadrature": {"n_r": 12}, "t_values": [0.5]}))
-    assert load_config(str(p), None)["quadrature"] == {**DEFAULTS["quadrature"], "n_r": 12}
-    code = main(["transform-check", "--config", str(p), "--out", str(tmp_path)])
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert code == (0 if report["passed"] else 1)
-    assert len(report["checks"]) == 3
-
-
 def test_inner_products_read_no_fiber_node(tmp_path, monkeypatch):
     # the CLI's inner products are radial sums: no Wigner table, no fiber node
     def refuse(*args):
@@ -196,7 +180,7 @@ def test_inner_products_read_no_fiber_node(tmp_path, monkeypatch):
 
     monkeypatch.setattr("su2quant.hl2.wigner_matrix", refuse)
     monkeypatch.setattr("su2quant.hl2.fiber_nodes", refuse)
-    assert all(c["passed"] for c in gate_calibration(DEFAULTS["t_values"], {}))
+    assert all(c["passed"] for c in gate_calibration(DEFAULTS["t_values"]))
     assert main(["transform-check", "--out", str(tmp_path)]) == 0
 
 
@@ -226,13 +210,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_error_inside_a_command_exits_3(tmp_path, capsys):
-    # t = 0.005 and n_r = 11 each lie in their measured range, which holds
-    # at the other field's default; together the calibration's bracket for
-    # beta holds no sign change and the root-finder raises
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"t_values": [0.005], "quadrature": {"n_r": 11}}))
-    code = main(["calibrate", "--config", str(cfg), "--out", str(tmp_path)])
+def test_error_inside_a_command_exits_3(tmp_path, capsys, monkeypatch):
+    # an error raised on the run path, here by the calibration's root-finder
+    def no_bracket(t):
+        raise ValueError(f"f(a) and f(b) must have different signs at t={t}")
+
+    monkeypatch.setattr(cli, "calibrate_nu", no_bracket)
+    code = main(["calibrate", "--out", str(tmp_path)])
     assert code == 3
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is False and report["checks"] == []
@@ -246,7 +230,7 @@ def test_laplacian_entries_at_small_t(t, tol):
     # the closed-form symbol stays finite where nu_t underflows far out on the fiber
     entries = _spin_half_entries()
     pairs = [(f"{n1},{n2}", f1, f2) for n1, f1 in entries for n2, f2 in entries]
-    checks = gate_laplacian_entries(t, default_cutoff(t) + 1.5, DEFAULTS["quadrature"], pairs)
+    checks = gate_laplacian_entries(t, pairs)
     scale = 0.75 * entries[0][1].norm_sq()
     assert all(c["passed"] for c in checks)
     assert max(abs(complex(*c["value"]) - c["target"]) / scale for c in checks) <= tol

@@ -40,7 +40,7 @@ def test_heat_check_catches_rho_time_defect(monkeypatch, factor, caught):
 def test_calibrate_catches_transform_time_defect(monkeypatch, factor, caught):
     heat = BandLimited.heat
     monkeypatch.setattr(BandLimited, "heat", lambda self, tau, sign=-1.0: heat(self, tau * factor, sign))
-    checks = gate_calibration(DEFAULTS["t_values"], DEFAULTS["quadrature"])
+    checks = gate_calibration(DEFAULTS["t_values"])
     assert any(not c["passed"] for c in checks) == caught
 
 

@@ -1,8 +1,9 @@
 """Source hygiene that no installed linter checks: imports that nothing uses,
-functions, classes and methods that only the tests reach, defaults that no
-caller sets, caches keyed by anything but integers, the names the benchmark
-binds to, and SciPy and the tests' reference module kept off the run path
-and the thread pool off the CLI's import."""
+functions, classes and methods that only the tests reach, config fields
+that no subcommand reads, defaults that no caller sets, caches keyed by
+anything but integers, the names the benchmark binds to, and SciPy and the
+tests' reference module kept off the run path and the thread pool off the
+CLI's import."""
 
 import ast
 import importlib
@@ -175,6 +176,37 @@ def _src_imports(package: str) -> list[str]:
 def test_src_imports_no_test_reference():
     # the reference forms in tests/reference.py are the tests' oracles, not the run path
     assert _src_imports("reference") == []
+
+
+def _unread_config_fields(source: str) -> set[str]:
+    """Fields of the ``FIELDS`` table in ``source`` that no ``cmd_*`` function reads as ``cfg["name"]``."""
+    tree = ast.parse(source)
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "FIELDS" for t in node.targets)]
+    read = {
+        node.slice.value
+        for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+        and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)
+    }
+    return {key.value for key in table.keys} - read
+
+
+def test_every_config_field_is_read_by_a_subcommand():
+    # a field that no subcommand reads changes no report, so setting it only misleads
+    assert _unread_config_fields((ROOT / "src" / "su2quant" / "cli.py").read_text()) == set()
+
+
+def test_config_field_scan_flags_a_field_no_subcommand_reads():
+    source = (
+        'FIELDS = {"t": (0.5,), "s": (1.0,), "seed": (0,)}\n'
+        "def _helper(cfg):\n"
+        '    return cfg["s"]\n'  # a helper's read is not a subcommand's
+        "def cmd_run(cfg, workers):\n"
+        '    return cfg["t"], cfg["seed"]\n'
+    )
+    assert _unread_config_fields(source) == {"s"}
 
 
 def _unloaded_fields() -> set[str]:

@@ -9,6 +9,7 @@ from su2quant import sde
 from su2quant.sde import (
     CHUNK_STEPS,
     SPAN_STEPS,
+    block_offsets,
     block_rng,
     character_moment,
     endpoint_ensemble_K,
@@ -284,6 +285,15 @@ def test_slabs_change_no_bit(monkeypatch, pairs):
             ensembles = endpoint_ensembles_KC(pairs, n_paths, n_steps, SEED, workers=workers)
             for ens, alone in zip(ensembles, ref):
                 np.testing.assert_array_equal(ens.values, alone.values)
+
+
+def test_block_offsets_split_as_array_split():
+    # the slabs, the ensembles' blocks and the Euclidean baseline's blocks all
+    # take their sizes from block_offsets, the same split as np.array_split
+    for n in (0, 1, 39, 40, 41, 200, 5000, 25001):
+        for n_blocks in (1, 3, 40):
+            sizes = [len(part) for part in np.array_split(np.arange(n), n_blocks)]
+            np.testing.assert_array_equal(block_offsets(n, n_blocks), np.cumsum([0] + sizes))
 
 
 def test_slab_plan_counts_paths_per_time(monkeypatch):

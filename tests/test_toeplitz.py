@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from reference import StatisticalFailure, check_convergence
 
-from su2quant.algebra import default_cutoff, haar_rule, kc_quadrature
+from su2quant.algebra import haar_rule, polar_rule
 from su2quant.diffop import LeftInvariantOperator
 from su2quant.heat import nu_radial
 from su2quant.hl2 import hl2_inner
@@ -244,10 +244,12 @@ def test_convergence_check(sampler):
 
 
 def _quadrature_entry(symbol, f1, f2):
-    """<C_t f1, T_phi C_t f2> for a radial symbol phi by polar quadrature, as the Laplacian gate takes it."""
-    rule = kc_quadrature(default_cutoff(T) + 1.5, n_r=64)
-    return hl2_inner(transform_C(T, f1), transform_C(T, f2), rule, lambda r: nu_radial(T, r),
-                     radial_symbol=symbol)
+    """<C_t f1, T_phi C_t f2> for a radial symbol phi (None: phi = 1) by polar quadrature, as the Laplacian gate takes it."""
+    rule = polar_rule(T)
+    weight = nu_radial(T, rule.radii)
+    if symbol is not None:
+        weight = weight * symbol(rule.radii)
+    return hl2_inner(transform_C(T, f1), transform_C(T, f2), rule, weight)
 
 
 def test_quadrature_route_identity_symbol():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from reference import exp_complex
 
-from su2quant.algebra import VOL_K, default_cutoff, haar_rule, kc_quadrature
+from su2quant.algebra import VOL_K, default_cutoff, haar_rule, kc_quadrature, polar_rule
 from su2quant.errors import IllConditioned, ParameterDomain
 from su2quant.heat import HeatKernelK, nu_radial
 from su2quant.hl2 import K_CHUNK, _chunked_tables, _factored_values, fiber_nodes, hl2_inner, sphere_grid
@@ -13,10 +13,6 @@ from su2quant.wigner import BandLimited, character
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
-
-
-def _rule(t):
-    return kc_quadrature(default_cutoff(t) + 1.5, n_r=64)
 
 
 def test_constant_is_fixed():
@@ -37,15 +33,16 @@ def test_character_is_eigenfunction():
 
 def test_unitarity_on_quadrature(rng):
     t = 0.5
-    rule = _rule(t)
+    rule = polar_rule(t)
     f1 = BandLimited({1: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))})
     f2 = BandLimited({1: rng.standard_normal((2, 2))})
     F1, F2 = transform_C(t, f1), transform_C(t, f2)
-    lhs = hl2_inner(F1, F2, rule, lambda r: nu_radial(t, r))
+    nu = nu_radial(t, rule.radii)
+    lhs = hl2_inner(F1, F2, rule, nu)
     from su2quant.wigner import inner_product_K
 
     assert lhs == pytest.approx(inner_product_K(f1, f2), abs=1e-8)
-    norm_sq = hl2_inner(F1, F1, rule, lambda r: nu_radial(t, r)).real
+    norm_sq = hl2_inner(F1, F1, rule, nu).real
     assert norm_sq == pytest.approx(f1.norm_sq(), rel=1e-10)
 
 
@@ -77,7 +74,7 @@ def test_transform_rejects_nonpositive_time(t):
 
 def test_adjoint_inversion_oracle(rng):
     t = 0.5
-    rule = _rule(t)
+    rule = polar_rule(t)
     f = BandLimited({1: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))})
     rec = adjoint_inversion_oracle(t, transform_C(t, f), rule, two_jmax=2)
     np.testing.assert_allclose(rec.blocks[1], f.blocks[1], atol=1e-4)
@@ -126,7 +123,7 @@ def test_adjoint_oracle_R_stability(rng):
     t = 0.5
     f = BandLimited({1: rng.standard_normal((2, 2))})
     F = transform_C(t, f)
-    r1 = adjoint_inversion_oracle(t, F, _rule(t), two_jmax=1)
+    r1 = adjoint_inversion_oracle(t, F, polar_rule(t), two_jmax=1)
     big = kc_quadrature(default_cutoff(t) + 3.0, n_r=96)
     r2 = adjoint_inversion_oracle(t, F, big, two_jmax=1)
     assert np.max(np.abs(r1.blocks[1] - r2.blocks[1])) < 1e-6
