@@ -316,12 +316,6 @@ def block_offsets(n: int, n_blocks: int) -> np.ndarray:
     return b * (n // n_blocks) + np.minimum(b, n % n_blocks)
 
 
-def _blocks(a: np.ndarray, n_blocks: int) -> list[np.ndarray]:
-    """The blocks of ``block_offsets`` along the first axis of ``a``, as views."""
-    offsets = block_offsets(len(a), n_blocks)
-    return [a[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-
-
 def block_estimate(block_values: np.ndarray):
     """Mean over the last axis of per-block values, and its block standard error.
 
@@ -346,11 +340,11 @@ class EndpointEnsemble:
         return self.values.shape[0]
 
     def block_views(self) -> list[np.ndarray]:
-        return _blocks(self.values, self.n_blocks)
+        return np.array_split(self.values, self.n_blocks)
 
     def block_statistic(self, per_path: np.ndarray):
         """Mean and block-based standard error of a per-path statistic."""
-        blocks = [np.mean(b, axis=0) for b in _blocks(per_path, self.n_blocks)]
+        blocks = [np.mean(b, axis=0) for b in np.array_split(per_path, self.n_blocks)]
         return block_estimate(np.stack(blocks, axis=-1))
 
 

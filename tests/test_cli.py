@@ -100,10 +100,11 @@ def test_bad_values_exit_2_naming_the_field(tmp_path, capsys, user, field):
     code = main(["toeplitz-diff", "--config", str(p), "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    name = field.split(".")[0].strip("'")
-    assert name in err
-    if name not in FIELDS:
-        assert f"config field '{name}': unknown field" in err
+    top = field.split(".")[0]
+    if top in ("radial_cutoff", "quadrature"):
+        assert f"config field '{top}': unknown field" in err
+    else:
+        assert field in err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -7,6 +7,7 @@ from reference import calibrate_nu_per_step, exp_complex, nu, polar_radius, unit
 
 from su2quant.algebra import (
     BLOCK_ELEMENTS,
+    DEFAULT_N_R,
     VOL_K,
     default_cutoff,
     haar_rule,
@@ -332,13 +333,13 @@ def test_calibration_root_matches_brentq(t):
     assert abs(calibrate_nu(t).beta - ref) < 1e-10
 
 
-@pytest.mark.parametrize("n_r", [64])
-@pytest.mark.parametrize("t", [0.2, 0.5, 1.0])
-def test_calibration_equals_per_step_reference(t, n_r):
+@pytest.mark.parametrize("t", [0.2, 0.5, 1.0], ids=lambda t: f"{t}-{DEFAULT_N_R}")
+def test_calibration_equals_per_step_reference(t):
     # the invariants computed once per call keep the order of the arithmetic,
     # so every field is the per-step form's, bit for bit; the reference builds
-    # its rule of n_r radii from the definition that polar_rule(t) follows
-    assert calibrate_nu(t) == calibrate_nu_per_step(t, n_r)
+    # its rule of DEFAULT_N_R radii from the definition that polar_rule(t)
+    # follows (the id names the rule's size)
+    assert calibrate_nu(t) == calibrate_nu_per_step(t, DEFAULT_N_R)
 
 
 def test_calibration_transforms_each_test_function_once(monkeypatch):

@@ -288,8 +288,8 @@ def test_slabs_change_no_bit(monkeypatch, pairs):
 
 
 def test_block_offsets_split_as_array_split():
-    # the slabs, the ensembles' blocks and the Euclidean baseline's blocks all
-    # take their sizes from block_offsets, the same split as np.array_split
+    # the slabs and the Euclidean baseline's blocks take their sizes from
+    # block_offsets; the ensembles' blocks are np.array_split's, the same split
     for n in (0, 1, 39, 40, 41, 200, 5000, 25001):
         for n_blocks in (1, 3, 40):
             sizes = [len(part) for part in np.array_split(np.arange(n), n_blocks)]
