@@ -399,7 +399,6 @@ class QuadratureRuleKC:
 
     radii: np.ndarray  # (n_r,)
     fiber_weights: np.ndarray  # (n_r,) includes J(r), dr and the sphere's mass
-    cutoff: float
     _chi_ratios: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chi_ratio(self, two_j: int) -> np.ndarray:
@@ -434,7 +433,7 @@ def kc_quadrature(R: float, n_r: int = DEFAULT_N_R) -> QuadratureRuleKC:
     xs, wr = _gauss_legendre(n_r)
     r = 0.5 * R * (xs + 1.0)
     wr = 0.5 * R * wr
-    return QuadratureRuleKC(radii=r, fiber_weights=wr * radial_jacobian(r) * (4.0 * np.pi), cutoff=R)
+    return QuadratureRuleKC(radii=r, fiber_weights=wr * radial_jacobian(r) * (4.0 * np.pi))
 
 
 def default_cutoff(t: float) -> float:

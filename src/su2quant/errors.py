@@ -10,4 +10,4 @@ class IllConditioned(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """Series truncation certificate failed at the requested point."""
+    """No truncation of rho_t's character series meets the tail tolerance at the requested time."""

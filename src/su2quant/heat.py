@@ -4,7 +4,7 @@ Two kernels are provided:
 
 * ``HeatKernelK`` -- the heat kernel rho_t on K at the identity, as a
   character series evaluated from traces, cut where an explicit tail bound
-  (one that also covers its analytic continuation to SL(2,C)) is small;
+  on K is small;
 * ``nu_radial`` -- the fiber-invariant kernel on SL(2,C) (the heat kernel
   at the identity coset of the hyperbolic quotient), in closed form in the
   polar radius r = |Y| of g = x e^{iY}, the only variable it depends on.
@@ -23,8 +23,6 @@ under this metric normalization.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,26 +67,16 @@ def nu_radial(t: float, r):
 # the compact-group kernel rho_t
 # ---------------------------------------------------------------------------
 
-def rho_tail_bound(t: float, r: float, two_jmax: int) -> float:
-    """Bound on the dropped part of the character series past two_jmax.
+def rho_tail_bound(t: float, two_jmax: int) -> float:
+    """Bound on the dropped part of the character series past two_jmax, on K.
 
-    Uses |chi_j(g)| <= (2j+1) e^{j r} at polar radius r.  The bound is inf
-    as soon as a term or the sum would overflow: it exceeds any tolerance.
+    Uses |chi_j(g)| <= 2j+1 for g in K, so no term exceeds (2j+1)^2.
     """
-    big = sys.float_info.max
-    # an exponent up to ``safe`` keeps (two_j + 1)^2 e^exponent <= big at every
-    # two_j the loop reaches, so only a larger one needs the exact test
-    safe = math.log(big / (two_jmax + 4002) ** 2)
     total = 0.0
     two_j = two_jmax + 1
     while True:
         j = two_j / 2.0
-        exponent = -t * j * (j + 1) / 2.0 + two_j * r / 2.0
-        if exponent > safe and exponent > math.log(big / (two_j + 1) ** 2):
-            return np.inf
-        term = (two_j + 1) ** 2 * np.exp(exponent)
-        if term > big - total:
-            return np.inf
+        term = (two_j + 1) ** 2 * np.exp(-t * j * (j + 1) / 2.0)
         total += term
         if term < 1e-24 * max(total, 1.0) or two_j > two_jmax + 4000:
             break
@@ -96,17 +84,17 @@ def rho_tail_bound(t: float, r: float, two_jmax: int) -> float:
     return total / VOL_K
 
 
-def choose_two_jmax(t: float, rmax: float = 0.0, tol: float = 1e-10) -> int:
+def choose_two_jmax(t: float, tol: float = 1e-10) -> int:
     """The least two_jmax in [2, 4000] whose tail bound is <= tol.
 
     ``rho_tail_bound`` falls as two_jmax grows, so the bound is bisected on.
     """
     lo, hi = 1, 4000  # the answer lies in (lo, hi]
-    if rho_tail_bound(t, rmax, hi) > tol:
-        raise TruncationError(f"no certified truncation for rho at t={t}, r={rmax}")
+    if rho_tail_bound(t, hi) > tol:
+        raise TruncationError(f"no certified truncation for rho at t={t}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rho_tail_bound(t, rmax, mid) > tol:
+        if rho_tail_bound(t, mid) > tol:
             lo = mid
         else:
             hi = mid
@@ -125,8 +113,8 @@ class HeatKernelK:
     two_jmax: int
 
     @classmethod
-    def build(cls, t: float, rmax: float = 0.0, tol: float = 1e-10) -> "HeatKernelK":
-        return cls(t=t, two_jmax=choose_two_jmax(t, rmax, tol))
+    def build(cls, t: float, tol: float = 1e-10) -> "HeatKernelK":
+        return cls(t=t, two_jmax=choose_two_jmax(t, tol))
 
     def on_traces(self, traces: np.ndarray) -> np.ndarray:
         """Evaluate from the real traces tr(g) alone (a class function)."""
@@ -230,8 +218,8 @@ def semigroup_sup_error(t: float, s: float, traces: np.ndarray) -> float:
     quadrature over half the trace matrix.  The node kernel values are
     formed at all N nodes and then folded.
     """
-    jt = choose_two_jmax(t, 0.0, 2e-9)
-    js = choose_two_jmax(s, 0.0, 2e-9)
+    jt = choose_two_jmax(t, 2e-9)
+    js = choose_two_jmax(s, 2e-9)
     kt = HeatKernelK(t, jt)
     ks = HeatKernelK(s, js)
     kts = HeatKernelK.build(t + s, tol=1e-12)

@@ -71,7 +71,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import ad_action, exp_entries
-from .wigner import character
+from .wigner import casimir_eigenvalue, character
 
 DEFAULT_N_BLOCKS = 40
 # Paths per time in a slab: a slab of two times has twice the rows, and its
@@ -474,8 +474,7 @@ def character_moment(ens: EndpointEnsemble, j):
 
 def expected_character_K(s: float, j) -> float:
     """E[chi_j(theta(A)_1)] = (2j+1) e^{-s c_j / 2}."""
-    c = float(j) * (float(j) + 1.0)
-    return (2.0 * float(j) + 1.0) * np.exp(-s * c / 2.0)
+    return (2.0 * float(j) + 1.0) * np.exp(-s * casimir_eigenvalue(j) / 2.0)
 
 
 def expected_character_KC(s: float, t: float, j) -> float:
@@ -486,5 +485,4 @@ def expected_character_KC(s: float, t: float, j) -> float:
     (s - t/2) - t/2 = s - t.  At the subelliptic slice s = t/2 this grows
     like e^{+t c_j / 4}.
     """
-    c = float(j) * (float(j) + 1.0)
-    return (2.0 * float(j) + 1.0) * np.exp(-(s - t) * c / 2.0)
+    return (2.0 * float(j) + 1.0) * np.exp(-(s - t) * casimir_eigenvalue(j) / 2.0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import QuadratureRuleKC
 from .errors import IllConditioned, ParameterDomain
-from .heat import HeatKernelK, nu_radial
+from .heat import nu_radial
 from .hl2 import fiber_scalar
 from .wigner import BandLimited, casimir_eigenvalue
 
@@ -46,12 +46,7 @@ def inverse_C(t: float, F: BandLimited) -> BandLimited:
     return F.heat(t, sign=+1.0)
 
 
-def adjoint_inversion_oracle(
-    t: float,
-    F: BandLimited,
-    rule: QuadratureRuleKC,
-    two_jmax: int,
-) -> BandLimited:
+def adjoint_inversion_oracle(t: float, F: BandLimited, rule: QuadratureRuleKC) -> BandLimited:
     """Recover f from F by the adjoint integral, as an independent oracle.
 
     Computes (C_t^* F)(x) = int conj(rho_t(g x^{-1})) F(g) nu_t(g) dg.
@@ -65,14 +60,13 @@ def adjoint_inversion_oracle(
     With g = x exp(iY), Schur orthogonality does the K-integral exactly
     and the fiber Gram matrix is the scalar lambda_j (see ``hl2_inner``):
     c^j = e^{-t c_j/2} lambda_j c^j_F, with lambda_j = ``fiber_scalar`` at
-    w_y = fiber weight * nu_t(|Y|), for the spins of F up to
-    min(two_jmax, the kernel's truncation).  Only the radial sum is
-    quadrature.
+    w_y = fiber weight * nu_t(|Y|), for every spin of F.  Only the radial
+    sum is quadrature: the character series of rho_t enters block by block
+    and is never evaluated, so it needs no truncation.
 
     On the range of C_t this reproduces f itself (C_t^* = C_t^{-1} there),
     so agreement with inverse_C is a radial-quadrature check, not exact.
     """
-    top = min(two_jmax, HeatKernelK.build(t, rmax=rule.cutoff, tol=1e-9).two_jmax)
     wy = rule.fiber_weights * nu_radial(t, rule.radii)
-    m = {two_j: fiber_scalar(two_j, rule, wy) * c for two_j, c in F.blocks.items() if two_j <= top}
+    m = {two_j: fiber_scalar(two_j, rule, wy) * c for two_j, c in F.blocks.items()}
     return BandLimited(m).heat(t, sign=-1.0).prune(1e-12)

@@ -41,7 +41,7 @@ def two_j_of(j) -> int:
 
 def casimir_eigenvalue(j) -> float:
     """c_j with sum_k X_k^2 acting as -c_j on the spin-j block; c_j = j(j+1)."""
-    two_j = int(round(2 * float(j)))
+    two_j = two_j_of(j)
     return two_j * (two_j + 2) / 4.0
 
 

@@ -8,8 +8,15 @@ passes records a defect below the gate's reach at that size.
 import numpy as np
 import pytest
 
-from su2quant import euclid, sde
-from su2quant.cli import DEFAULTS, cmd_sde_check, gate_calibration, gate_euclid, gate_semigroup
+from su2quant import euclid, sde, transform
+from su2quant.cli import (
+    DEFAULTS,
+    cmd_sde_check,
+    cmd_transform_check,
+    gate_calibration,
+    gate_euclid,
+    gate_semigroup,
+)
 from su2quant.heat import HeatKernelK
 from su2quant.wigner import BandLimited
 
@@ -18,8 +25,8 @@ def _scaled_time_build(factor: float):
     """``HeatKernelK.build`` with its time scaled by ``factor`` (the rho_{t+s} of heat-check)."""
     build = HeatKernelK.build.__func__
 
-    def scaled(cls, t, rmax=0.0, tol=1e-10):
-        return build(cls, t * factor, rmax, tol)
+    def scaled(cls, t, tol=1e-10):
+        return build(cls, t * factor, tol)
 
     return classmethod(scaled)
 
@@ -42,6 +49,19 @@ def test_calibrate_catches_transform_time_defect(monkeypatch, factor, caught):
     monkeypatch.setattr(BandLimited, "heat", lambda self, tau, sign=-1.0: heat(self, tau * factor, sign))
     checks = gate_calibration(DEFAULTS["t_values"])
     assert any(not c["passed"] for c in checks) == caught
+
+
+# the time of nu_t in the adjoint oracle (transform.nu_radial, which nothing
+# else reads) x (1 + 1e-4) fails transform-check's oracle gate at t = 1 (gap
+# 1.11e-4 against 1e-4); x (1 + 1e-5) reads 1.11e-5 at most and passes.  The
+# unitarity gate weighs with its own nu_t, so only the oracle sees it
+@pytest.mark.parametrize("factor, caught", [(1.0 + 1e-4, True), (1.0 + 1e-5, False)])
+def test_transform_check_catches_oracle_weight_time_defect(monkeypatch, factor, caught):
+    nu_radial = transform.nu_radial
+    monkeypatch.setattr(transform, "nu_radial", lambda t, r: nu_radial(t * factor, r))
+    checks, _ = cmd_transform_check(DEFAULTS, 1)
+    failed = [c["name"] for c in checks if not c["passed"]]
+    assert failed == (["adjoint inversion oracle t=1.0"] if caught else [])
 
 
 # the time t/4 of heat_polynomial x (1 + 1e-8) fails euclid-baseline's

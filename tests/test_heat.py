@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from conftest import traced_peak_mb
@@ -52,7 +50,7 @@ def test_rho_projects_band_limited():
     rng = np.random.default_rng(1)
     t = 0.4
     f = BandLimited({2: rng.standard_normal((3, 3))})
-    rule = haar_rule(2 * choose_two_jmax(t, 0.0, 1e-11) + 4)
+    rule = haar_rule(2 * choose_two_jmax(t, 1e-11) + 4)
     kern = HeatKernelK.build(t, tol=1e-11)
     x = random_su2(rng, 3)
     inv = np.conj(np.swapaxes(rule.nodes, -1, -2))
@@ -63,46 +61,34 @@ def test_rho_projects_band_limited():
 
 
 def test_tail_bound_certificate_monotone():
-    assert rho_tail_bound(0.5, 0.0, 10) < rho_tail_bound(0.5, 0.0, 6)
-    assert rho_tail_bound(0.5, 1.0, 10) > rho_tail_bound(0.5, 0.0, 10)
+    assert rho_tail_bound(0.5, 10) < rho_tail_bound(0.5, 6)
 
 
 def test_choose_two_jmax_bisection_matches_linear_walk():
-    # the grid holds every (t, rmax, tol) the CLI asks for: the adjoint
-    # oracle's (t, default_cutoff(t) + 1.5, 1e-9) and the semigroup's
-    # (0.2, 0, 2e-9), (0.5, 0, 2e-9) and (0.7, 0, 1e-12)
-    def walk(t, rmax, tol):
+    # the grid holds every (t, tol) the CLI asks for: the semigroup's
+    # (0.2, 2e-9), (0.5, 2e-9) and (0.7, 1e-12)
+    def walk(t, tol):
         two_j = 2
-        while rho_tail_bound(t, rmax, two_j) > tol:
+        while rho_tail_bound(t, two_j) > tol:
             two_j += 1
         return two_j
 
     for t in (0.05, 0.2, 0.5, 0.7, 1.0, 2.0, 3.0):
-        for rmax in (0.0, 1.0, 3.0, 4.5, 5.5, 8.0):
-            for tol in (1e-9, 2e-9, 1e-10, 1e-12):
-                assert choose_two_jmax(t, rmax, tol) == walk(t, rmax, tol), (t, rmax, tol)
+        for tol in (1e-9, 2e-9, 1e-10, 1e-12):
+            assert choose_two_jmax(t, tol) == walk(t, tol), (t, tol)
+    assert choose_two_jmax(1e-4) == 1696
     with pytest.raises(TruncationError):
-        choose_two_jmax(0.01, 10.0)  # the bound at two_jmax = 4000 is still above tol
+        choose_two_jmax(1e-5)  # the bound at two_jmax = 4000 is still above tol
 
 
 # choose_two_jmax at both ends of cli.T_VALUES_RANGE and at the default
-# t_values, for the semigroup's (t, 0, 2e-9), heat-check's rho_{t+s} tol
-# 1e-12 and transform-check's (t, default_cutoff(t) + 1.5, 1e-9): the values
-# before rho_tail_bound returned inf on overflow
-TWO_JMAX = {
-    0.005: (207, 235, 3612), 0.2: (28, 33, 98), 0.5: (17, 20, 42), 1.0: (11, 14, 26), 26.0: (2, 2, 3),
-}
+# t_values, for the semigroup's tol 2e-9 and heat-check's rho_{t+s} tol 1e-12
+TWO_JMAX = {0.005: (207, 235), 0.2: (28, 33), 0.5: (17, 20), 1.0: (11, 14), 26.0: (2, 2)}
 
 
-def test_tail_bound_overflow_is_inf_without_a_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # at t = 0.005 and r = 4.5 the terms pass 1.8e308 from two_j = 344 on
-        assert rho_tail_bound(0.005, 4.5, 100) == np.inf
-        for t, expected in TWO_JMAX.items():
-            got = [choose_two_jmax(t, rmax, tol) for rmax, tol in
-                   ((0.0, 2e-9), (0.0, 1e-12), (default_cutoff(t) + 1.5, 1e-9))]
-            assert tuple(got) == expected, t
+def test_choose_two_jmax_pins_semigroup_truncations():
+    for t, expected in TWO_JMAX.items():
+        assert (choose_two_jmax(t, 2e-9), choose_two_jmax(t, 1e-12)) == expected, t
 
 
 def test_nu_constants():
@@ -193,8 +179,8 @@ def test_weyl_convolution_matches_haar_rule(t, s):
     """The 2-D Weyl route against the 3-D Euler-angle Haar rule on 20 points."""
     rng = np.random.default_rng(11)
     g = random_su2(rng, 20)
-    jt = choose_two_jmax(t, 0.0, 2e-9)
-    js = choose_two_jmax(s, 0.0, 2e-9)
+    jt = choose_two_jmax(t, 2e-9)
+    js = choose_two_jmax(s, 2e-9)
     kt = HeatKernelK(t, jt)
     ks = HeatKernelK(s, js)
 
@@ -243,8 +229,8 @@ def _whole_array_recurrence(traces, kernels, weights=None):
 
 def _semigroup_kernels_and_rule(t=0.2, s=0.5):
     """heat-check's truncated kernels at (t, s) and their Weyl rule."""
-    kt = HeatKernelK(t, choose_two_jmax(t, 0.0, 2e-9))
-    ks = HeatKernelK(s, choose_two_jmax(s, 0.0, 2e-9))
+    kt = HeatKernelK(t, choose_two_jmax(t, 2e-9))
+    ks = HeatKernelK(s, choose_two_jmax(s, 2e-9))
     return kt, ks, weyl_rule(kt.two_jmax + ks.two_jmax, max(kt.two_jmax, ks.two_jmax))
 
 

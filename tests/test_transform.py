@@ -3,8 +3,9 @@ import pytest
 from reference import exp_complex
 
 from su2quant.algebra import VOL_K, default_cutoff, haar_rule, kc_quadrature, polar_rule
+from su2quant.cli import T_VALUES_RANGE
 from su2quant.errors import IllConditioned, ParameterDomain
-from su2quant.heat import HeatKernelK, nu_radial
+from su2quant.heat import nu_radial
 from su2quant.hl2 import K_CHUNK, _chunked_tables, _factored_values, fiber_nodes, hl2_inner, sphere_grid
 from su2quant.transform import adjoint_inversion_oracle, inverse_C, transform_C
 from su2quant.wigner import BandLimited, character
@@ -76,17 +77,29 @@ def test_adjoint_inversion_oracle(rng):
     t = 0.5
     rule = polar_rule(t)
     f = BandLimited({1: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))})
-    rec = adjoint_inversion_oracle(t, transform_C(t, f), rule, two_jmax=2)
+    rec = adjoint_inversion_oracle(t, transform_C(t, f), rule)
     np.testing.assert_allclose(rec.blocks[1], f.blocks[1], atol=1e-4)
 
 
-def _adjoint_per_node(t, F, rule, two_jmax, k_rule, sphere, rho_tol=1e-9):
+@pytest.mark.parametrize("t", [1e-3, *T_VALUES_RANGE])
+def test_adjoint_oracle_returns_every_block(rng, t):
+    # the oracle evaluates no truncated rho_t, so no spin of F is cut, even
+    # where rho_t's own truncation would cut it (two_jmax 2 at t = 26) or has
+    # no certificate (t = 1e-3)
+    F = BandLimited({
+        k: rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
+        for k in (1, 2, 3, 4)
+    })
+    rec = adjoint_inversion_oracle(t, F, polar_rule(t))
+    assert set(rec.blocks) == set(F.blocks)
+
+
+def _adjoint_per_node(t, F, rule, k_rule, sphere):
     """The adjoint integral as an explicit sum over the K-nodes and fiber nodes."""
-    kern = HeatKernelK.build(t, rmax=rule.cutoff, tol=rho_tol)
     directions, direction_weights = sphere
     fw = np.outer(rule.fiber_weights * nu_radial(t, rule.radii), direction_weights).reshape(-1)
     kw = k_rule.weights
-    spins = range(0, min(two_jmax, kern.two_jmax) + 1)
+    spins = range(0, F.two_jmax + 1)
     m = {two_j: 0.0 for two_j in spins}
     fnodes = fiber_nodes(rule.radii, directions)
     for part, dx, ey in _chunked_tables(k_rule.nodes, fnodes, set(F.blocks) | set(spins), K_CHUNK):
@@ -103,17 +116,17 @@ def _adjoint_per_node(t, F, rule, two_jmax, k_rule, sphere, rho_tol=1e-9):
 
 
 def test_adjoint_oracle_matches_per_node_sum(rng):
-    # on a K-exact rule the Schur closed form equals the node sum; spin 3/2
-    # lies past two_jmax and spin 0 is absent from F, so neither has a block
+    # on a K-exact rule the Schur closed form equals the node sum; spin 0 is
+    # absent from F, so it has no block
     t = 0.5
     rule = kc_quadrature(default_cutoff(t) + 1.5, n_r=16)
     F = BandLimited({
         k: rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
         for k in (1, 2, 3)
     })
-    rec = adjoint_inversion_oracle(t, F, rule, two_jmax=2)
-    ref = _adjoint_per_node(t, F, rule, 2, haar_rule(6), sphere_grid(8, 8))
-    assert set(rec.blocks) == set(ref.blocks) == {1, 2}
+    rec = adjoint_inversion_oracle(t, F, rule)
+    ref = _adjoint_per_node(t, F, rule, haar_rule(6), sphere_grid(8, 8))
+    assert set(rec.blocks) == set(ref.blocks) == {1, 2, 3}
     for k, c in ref.blocks.items():
         np.testing.assert_allclose(rec.blocks[k], c, rtol=0, atol=1e-12 * np.max(np.abs(c)))
 
@@ -123,9 +136,9 @@ def test_adjoint_oracle_R_stability(rng):
     t = 0.5
     f = BandLimited({1: rng.standard_normal((2, 2))})
     F = transform_C(t, f)
-    r1 = adjoint_inversion_oracle(t, F, polar_rule(t), two_jmax=1)
+    r1 = adjoint_inversion_oracle(t, F, polar_rule(t))
     big = kc_quadrature(default_cutoff(t) + 3.0, n_r=96)
-    r2 = adjoint_inversion_oracle(t, F, big, two_jmax=1)
+    r2 = adjoint_inversion_oracle(t, F, big)
     assert np.max(np.abs(r1.blocks[1] - r2.blocks[1])) < 1e-6
 
 

@@ -33,6 +33,10 @@ def test_casimir_values():
     assert casimir_eigenvalue(0.5) == pytest.approx(0.75)
     assert casimir_eigenvalue(1) == pytest.approx(2.0)
     assert casimir_eigenvalue(1.5) == pytest.approx(3.75)
+    # a spin is parsed as two_j_of parses it: 0.3 once read as 1/2, -1 as 0
+    for bad in (0.3, -1, 12.5):
+        with pytest.raises(ValueError):
+            casimir_eigenvalue(bad)
 
 
 def test_spin_half_is_defining_rep(rng):
